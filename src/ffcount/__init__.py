@@ -20,7 +20,6 @@ from .mv_counts import (
     CountReport,
     absirr_exact,
     curve_bounds,
-    exact_count,
     irr_exact,
     mv_decomp_approx,
     p_count,
@@ -53,7 +52,8 @@ from .uv_families import (
     ritt_family_second,
     s_family,
 )
-from .oracle import CensusReport, oracle_count, oracle_decomp_census, oracle_mv_decomp
+from .oracle import CensusReport, oracle_decomp_census, oracle_mv_decomp
+from .classes import exact_count, oracle_count
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

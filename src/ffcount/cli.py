@@ -10,21 +10,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import mv_counts, oracle, uv_counts, uv_families
+from .classes import CLASSES, count_report, exact_count, oracle_count
 from .ff import BudgetExceeded, FieldCtx, FqElem, UniPoly, field_from_q
 from .qrat import QPoly, SymRat
 from .series import factor_prime_power
 
 SCHEMA_VERSION = "1"
-
-APPROX_CLASSES = ("reducible", "powerful", "rel_irreducible", "decomposable_mv")
-SERIES_CLASSES = ("all", "irreducible", "reducible", "powerful", "powerfree")
 
 
 def _sym_str(x) -> str:
@@ -134,7 +131,7 @@ def _csv_row(args, exact="", main="", bound="", oracle_val="") -> list[str]:
 
 
 def _cmd_count(args, out) -> int:
-    exact = mv_counts.exact_count(args.cls, args.r, args.n, args.s)
+    exact = exact_count(args.cls, args.r, args.n, args.s)
     if args.symbolic:
         value = _sym_str(exact)
     else:
@@ -152,22 +149,8 @@ def _cmd_count(args, out) -> int:
     return 0
 
 
-def _make_approx(cls: str, r: int, n: int, s: Optional[int]):
-    if cls == "reducible":
-        return mv_counts.red_approx(r, n)
-    if cls == "powerful":
-        if s is None:
-            raise ValueError("powerful needs --s")
-        return mv_counts.powerful_approx(r, n, s)
-    if cls == "rel_irreducible":
-        return mv_counts.relirr_approx(r, n)
-    if cls == "decomposable_mv":
-        return mv_counts.mv_decomp_approx(r, n)
-    raise ValueError(f"no approximation for class {cls!r}")
-
-
 def _cmd_approx(args, out) -> int:
-    rep = _make_approx(args.cls, args.r, args.n, args.s)
+    rep = count_report(args.cls, args.r, args.n, args.s)
     if args.symbolic:
         exact = _sym_str(rep.exact) if rep.exact is not None else None
         main = str(rep.main_term)
@@ -206,19 +189,8 @@ def _cmd_approx(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
-    coeffs = []
-    for n in range(args.max_n + 1):
-        if args.cls == "all":
-            c = mv_counts.p_count(args.r, n)
-        elif args.cls == "irreducible":
-            c = mv_counts.irr_exact(args.r, n)
-        elif args.cls == "reducible":
-            c = mv_counts.red_exact(args.r, n)
-        elif args.cls == "powerful":
-            c = mv_counts.powerful_exact(args.r, n, args.s or 2)
-        else:
-            c = mv_counts.powerfree_exact(args.r, n, args.s or 2)
-        coeffs.append(c)
+    s = 2 if args.s is None and CLASSES[args.cls].needs_s else args.s
+    coeffs = [exact_count(args.cls, args.r, n, s) for n in range(args.max_n + 1)]
     if args.q:
         values = [_int_str(c.evaluate(args.q)) for c in coeffs]
     else:
@@ -351,16 +323,16 @@ def _cmd_census(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     ctx = field_from_q(args.q)
-    oracle_val = oracle.oracle_count(args.cls, args.r, args.n, ctx, s=args.s)
-    if args.cls == "decomposable_mv":
-        rep = mv_counts.mv_decomp_approx(args.r, args.n)
+    oracle_val = oracle_count(args.cls, args.r, args.n, ctx, args.s)
+    if CLASSES[args.cls].exact is None:
+        rep = count_report(args.cls, args.r, args.n, args.s)
         alpha = rep.main_term.evaluate(args.q)
         bsq = rep.rel_bound_sq.evaluate(args.q)
         diff = oracle_val - alpha
         ok = diff * diff <= alpha * alpha * bsq
         formula_txt = f"{alpha} (main term, rel bound squared {bsq})"
     else:
-        formula = mv_counts.exact_count(args.cls, args.r, args.n, args.s).evaluate(args.q)
+        formula = exact_count(args.cls, args.r, args.n, args.s).evaluate(args.q)
         ok = formula == oracle_val
         formula_txt = _int_str(formula)
     record = {
@@ -418,6 +390,17 @@ def _cmd_oeis_check(args, out) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def prime_power(text: str) -> int:
+    """The argparse type of every ``--q``: the size of a finite field."""
+    q = int(text)
+    try:
+        factor_prime_power(q)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return q
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
@@ -429,41 +412,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_query_flags(sp, classes, with_s=True, with_symbolic=True):
-        sp.add_argument("--class", dest="cls", required=True, choices=classes)
+    def add_class_flags(sp, has, degree="--n"):
+        # the classes whose CLASSES entry has the function the command calls
+        choices = [c for c, entry in CLASSES.items() if getattr(entry, has) is not None]
+        sp.add_argument("--class", dest="cls", required=True, choices=choices)
         sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True)
-        if with_s:
-            sp.add_argument("--s", type=int, default=None)
-        if with_symbolic:
-            group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--q", type=int, default=None)
-            group.add_argument("--symbolic", action="store_true")
+        sp.add_argument(degree, type=int, required=True)
+        sp.add_argument("--s", type=int, default=None)
+
+    def add_q_or_symbolic(sp):
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--q", type=prime_power, default=None)
+        group.add_argument("--symbolic", action="store_true")
 
     sp = sub.add_parser("count", parents=[common], help="exact count of a class")
-    add_query_flags(sp, mv_counts.MV_CLASSES)
+    add_class_flags(sp, "exact")
+    add_q_or_symbolic(sp)
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("approx", parents=[common], help="main term and certified error bound")
-    add_query_flags(sp, APPROX_CLASSES)
+    add_class_flags(sp, "report")
+    add_q_or_symbolic(sp)
     sp.set_defaults(fn=_cmd_approx)
 
     sp = sub.add_parser("series", parents=[common], help="generating-series coefficients 0..N")
-    sp.add_argument("--class", dest="cls", required=True, choices=SERIES_CLASSES)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--max-n", type=int, required=True)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
+    add_class_flags(sp, "exact", degree="--max-n")
+    sp.add_argument("--q", type=prime_power, default=None)
     sp.set_defaults(fn=_cmd_series)
 
     sp = sub.add_parser("decomp", parents=[common], help="decomposable-count bracket and intersections")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=prime_power, required=True)
     sp.set_defaults(fn=_cmd_decomp)
 
     sp = sub.add_parser("families", parents=[common], help="build and verify a collision family")
     sp.add_argument("--family", required=True, choices=("ritt1", "ritt2", "frobenius", "S", "M"))
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=prime_power, required=True)
     sp.add_argument("--l", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--m", type=int)
@@ -480,21 +464,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", parents=[common], help="brute-force decomposition census")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=prime_power, required=True)
     sp.set_defaults(fn=_cmd_census)
 
     sp = sub.add_parser("verify", parents=[common], help="formula against the enumeration oracle")
-    sp.add_argument("--class", dest="cls", required=True, choices=mv_counts.MV_CLASSES)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--q", type=int, required=True)
+    add_class_flags(sp, "oracle")
+    sp.add_argument("--q", type=prime_power, required=True)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("oeis-check", parents=[common], help="compare irreducible counts to a local table")
     sp.add_argument("--file", required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=prime_power, required=True)
     sp.add_argument("--max-n", type=int, required=True)
     sp.set_defaults(fn=_cmd_oeis_check)
 

@@ -48,17 +48,6 @@ def enumeration_budget(override: Optional[int] = None) -> int:
 # -- polynomial helpers over the prime field (used only to build moduli) --
 
 
-def _mod_p_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _mod_p_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
     # b monic
     db = len(b) - 1
@@ -660,17 +649,11 @@ class MvPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=_deglex_key)
 
-    def leading_coeff(self) -> FqElem:
-        return FqElem(self.ctx, self.terms[self.leading_monomial()])
-
     def is_monic(self) -> bool:
         return bool(self.terms) and self.terms[self.leading_monomial()] == 1
 
     def is_original(self) -> bool:
         return (0,) * self.nvars not in self.terms
-
-    def constant_coeff(self) -> FqElem:
-        return FqElem(self.ctx, self.terms.get((0,) * self.nvars, 0))
 
     def _check(self, other: "MvPoly"):
         if self.ctx != other.ctx or self.nvars != other.nvars:
@@ -821,9 +804,6 @@ class Embedding:
                 self.dst, x.nvars, {e: self.table[c] for e, c in x.terms.items()}
             )
         raise TypeError(f"cannot embed {type(x).__name__}")
-
-    def in_image(self, code: int) -> bool:
-        return code in self._inverse
 
     def pull_code(self, code: int) -> int:
         try:

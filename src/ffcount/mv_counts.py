@@ -26,17 +26,6 @@ from typing import Optional
 from .qrat import QPoly, SymRat, qpow
 from .series import TruncSeries, compositions, divisors, moebius, smallest_prime_factor
 
-MV_CLASSES = (
-    "reducible",
-    "irreducible",
-    "powerful",
-    "powerfree",
-    "rel_irreducible",
-    "abs_irreducible",
-    "decomposable_mv",
-)
-
-
 # -- the base count -------------------------------------------------------
 
 
@@ -199,32 +188,6 @@ def powerfree_exact(r: int, n: int, s: int) -> QPoly:
     return p_count(r, n) - powerful_exact(r, n, s)
 
 
-def exact_count(cls: str, r: int, n: int, s: Optional[int] = None) -> QPoly:
-    """Dispatch an exact symbolic count by class name."""
-    if cls in ("powerful", "powerfree"):
-        if s is None:
-            raise ValueError(f"class {cls!r} needs the power exponent s")
-    elif s is not None:
-        raise ValueError(f"class {cls!r} takes no power exponent")
-    if cls == "reducible":
-        return red_exact(r, n)
-    if cls == "irreducible":
-        return irr_exact(r, n)
-    if cls == "powerful":
-        return powerful_exact(r, n, s)
-    if cls == "powerfree":
-        return powerfree_exact(r, n, s)
-    if cls == "rel_irreducible":
-        return relirr_exact(r, n)
-    if cls == "abs_irreducible":
-        return absirr_exact(r, n)
-    if cls == "decomposable_mv":
-        raise ValueError(
-            "no exact formula for decomposable_mv; use the approximation or the oracle"
-        )
-    raise ValueError(f"unknown class {cls!r}")
-
-
 # -- main terms and certified approximations -----------------------------
 
 
@@ -250,14 +213,6 @@ class CountReport:
     rel_bound_sq: Optional[SymRat] = None
     exact_is_main: bool = False
     case: str = ""
-    oracle: Optional[int] = None
-
-    def exact_at(self, q0: int) -> int:
-        if self.exact is None:
-            raise ValueError("no exact formula in this report")
-        val = self.exact.evaluate(q0)
-        assert val.denominator == 1
-        return int(val)
 
     def bound_holds_at(self, q0: int) -> bool:
         """Check |exact - main| <= main * bound at a concrete prime power."""

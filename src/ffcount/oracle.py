@@ -14,9 +14,10 @@ canonical coefficient key:
 * decomposables  = image of {g(h)} over monic original component pairs.
 
 No symbolic shortcut from the formula side enters any of these.  Large
-prime-field composition censuses run through numpy; every numpy path has a
-pure-Python twin used at small sizes, and the two are cross-checked in the
-test suite.  Budget overruns raise loudly, naming the required count.
+prime-field composition censuses run through numpy, imported only on those
+paths; every numpy path has a pure-Python twin used at small sizes, and the
+two are cross-checked in the test suite.  Budget overruns raise loudly,
+naming the required count.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .ff import (
     BudgetExceeded,
@@ -129,32 +128,6 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
     return frozenset(found)
 
 
-def oracle_count(cls: str, r: int, n: int, ctx: FieldCtx, s: Optional[int] = None) -> int:
-    """Exact count of a polynomial class by exhaustive enumeration."""
-    if cls == "reducible":
-        if n == 0:
-            return 1
-        return len(_reducible_keys(ctx, r, n))
-    if cls == "irreducible":
-        return len(_irreducible_keys(ctx, r, n))
-    if cls == "powerful":
-        if s is None or s < 2:
-            raise ValueError("powerful needs s >= 2")
-        return len(_powerful_keys(ctx, r, n, s))
-    if cls == "powerfree":
-        if s is None or s < 2:
-            raise ValueError("powerfree needs s >= 2")
-        total = 1 if n == 0 else len(_all_keys(ctx, r, n))
-        return total - len(_powerful_keys(ctx, r, n, s))
-    if cls == "rel_irreducible":
-        return len(_rel_irreducible_keys(ctx, r, n))
-    if cls == "abs_irreducible":
-        return len(_irreducible_keys(ctx, r, n)) - len(_rel_irreducible_keys(ctx, r, n))
-    if cls == "decomposable_mv":
-        return oracle_mv_decomp(r, n, ctx)
-    raise ValueError(f"unknown class {cls!r}")
-
-
 # -- univariate decomposition census --------------------------------------
 
 
@@ -174,9 +147,6 @@ class CensusReport:
     split_profiles: dict[tuple[int, ...], int]
     details: dict[bytes, dict[int, int]] = field(repr=False, default_factory=dict)
 
-    def decomposition_count(self, key: bytes) -> int:
-        return sum(self.details[key].values())
-
 
 def _census_pairs_python(ctx: FieldCtx, n: int, e: int, fmap: dict) -> None:
     for g in enumerate_monic_uni(ctx, e, original=True):
@@ -188,6 +158,8 @@ def _census_pairs_python(ctx: FieldCtx, n: int, e: int, fmap: dict) -> None:
 
 
 def _census_pairs_numpy(p: int, n: int, e: int, fmap: dict) -> None:
+    import numpy as np
+
     ne = n // e
     g_free, h_free = e - 1, ne - 1
     G = np.array(list(itertools.product(range(p), repeat=g_free)), dtype=np.int64)
@@ -283,9 +255,12 @@ def _mv_monomials(r: int, n: int) -> list[tuple[int, ...]]:
     return _deglex_monomials(r, n)
 
 
-def _mv_monic_original_rows(q: int, r: int, n: int) -> np.ndarray:
-    """All monic original r-variate degree-n polynomials as coefficient rows
-    over the deg-lex-descending monomial list of degree <= n (prime field)."""
+def _mv_monic_original_rows(q: int, r: int, n: int):
+    """All monic original r-variate degree-n polynomials as an array of
+    coefficient rows over the deg-lex-descending monomial list of degree
+    <= n (prime field)."""
+    import numpy as np
+
     monos = _mv_monomials(r, n)
     width = len(monos)
     top = [i for i, m in enumerate(monos) if sum(m) == n]
@@ -319,7 +294,11 @@ def _mv_mult_pairs(r: int, deg_small: int, deg_big: int):
 
 
 def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
+    import numpy as np
+
     q = ctx.q
+    # the narrowest dtype that holds every coefficient: uint8 up to q = 256
+    key_dtype = np.min_scalar_type(q - 1)
     big_monos = _mv_monomials(r, n)
     width = len(big_monos)
     big_index = {m: i for i, m in enumerate(big_monos)}
@@ -354,7 +333,7 @@ def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
             for idx, coeff in enumerate(tail, start=1):
                 if coeff:
                     F += coeff * powers[idx]
-            chunks.append((F % q).astype(np.uint8))
+            chunks.append((F % q).astype(key_dtype))
     allrows = np.vstack(chunks)
     return len(np.unique(allrows, axis=0))
 

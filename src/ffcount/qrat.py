@@ -152,12 +152,6 @@ class QPoly:
                 rem[i - dq + j] -= f * b
         return QPoly(quot), QPoly(rem)
 
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        quot, rem = self.divmod(other)
-        if not rem.is_zero():
-            raise ValueError("division is not exact")
-        return quot
-
     def subs_power(self, k: int) -> "QPoly":
         """Substitute q -> q^k (counts over an extension field)."""
         if k < 1:
@@ -313,9 +307,6 @@ class SymRat:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
 
     def as_qpoly(self) -> QPoly:
         """The underlying QPoly; requires a constant denominator."""

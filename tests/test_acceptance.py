@@ -15,6 +15,7 @@ from typing import Optional
 
 import pytest
 
+import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 import ffcount.uv_counts as uc
@@ -88,8 +89,8 @@ def test_criterion_03_oracle_equivalence_multivariate():
         ("rel_irreducible", 2, 4, None),
     ]
     for cls, r, n, s in checks:
-        formula = mc.exact_count(cls, r, n, s).evaluate(2)
-        seen = orc.oracle_count(cls, r, n, F2, s=s)
+        formula = fc.exact_count(cls, r, n, s).evaluate(2)
+        seen = fc.oracle_count(cls, r, n, F2, s=s)
         assert formula == seen, f"{cls}({r},{n}) formula {formula} != oracle {seen}"
     frozen = {
         ("reducible", 2, 2, None): 21,
@@ -105,12 +106,12 @@ def test_criterion_03_oracle_equivalence_multivariate():
     }
     # the cubic count again from the oracle's irreducible counts alone,
     # independently of the formula layer
-    i1 = orc.oracle_count("irreducible", 2, 1, F2)
-    i2 = orc.oracle_count("irreducible", 2, 2, F2)
+    i1 = fc.oracle_count("irreducible", 2, 1, F2)
+    i2 = fc.oracle_count("irreducible", 2, 2, F2)
     assert comb(i1 + 2, 3) + i1 * i2 == frozen[("reducible", 2, 3, None)], (i1, i2)
     mismatches = []
     for (cls, r, n, s), expected in frozen.items():
-        seen = orc.oracle_count(cls, r, n, F2, s=s)
+        seen = fc.oracle_count(cls, r, n, F2, s=s)
         if seen != expected:
             mismatches.append(f"{cls}({r},{n},q=2): stated {expected}, enumerated {seen}")
     ok = not mismatches
@@ -383,10 +384,10 @@ def test_criterion_15_modulus_independence():
         ("rel_irreducible", None),
         ("abs_irreducible", None),
     ):
-        a = orc.oracle_count(cls, 2, 2, f8a, s=s)
-        b = orc.oracle_count(cls, 2, 2, f8b, s=s)
+        a = fc.oracle_count(cls, 2, 2, f8a, s=s)
+        b = fc.oracle_count(cls, 2, 2, f8b, s=s)
         assert a == b, (cls, a, b)
-    assert orc.oracle_count("irreducible", 1, 4, f8a) == orc.oracle_count(
+    assert fc.oracle_count("irreducible", 1, 4, f8a) == fc.oracle_count(
         "irreducible", 1, 4, f8b
     )
     ca = orc.oracle_decomp_census(4, f8a)

@@ -172,7 +172,7 @@ def test_exit_code_verification_mismatch(tmp_path):
 def test_oeis_check_against_oracle_built_table(tmp_path):
     # build the fixture from the enumeration oracle, entirely offline
     from ffcount.ff import field_make as fm
-    from ffcount.oracle import oracle_count
+    from ffcount.classes import oracle_count
 
     ctx = fm(2, 1)
     lines = ["# irreducible bivariate counts over the two-element field"]
@@ -215,3 +215,80 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+ORACLE_TABLE = "1 6\n2 35\n"  # irreducible bivariate counts over F_2
+
+
+@pytest.mark.parametrize("q", ["6", "1", "0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["count", "--class", "irreducible", "--r", "2", "--n", "2"],
+    ["approx", "--class", "reducible", "--r", "2", "--n", "4"],
+    ["series", "--class", "irreducible", "--r", "2", "--max-n", "2"],
+    ["oeis-check", "--file", "{table}", "--r", "2", "--max-n", "2"],
+])
+def test_q_must_be_a_prime_power(argv, q, tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text(ORACLE_TABLE)
+    argv = [str(table) if a == "{table}" else a for a in argv]
+    rc, out = run(argv + ["--q", q])
+    assert rc == 2 and out == ""
+    assert "is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--class", "reducible", "--r", "2", "--n", "4", "--q", "2"],
+    ["series", "--class", "irreducible", "--r", "2", "--max-n", "3", "--q", "2"],
+    ["verify", "--class", "decomposable_mv", "--r", "2", "--n", "4", "--q", "2"],
+])
+def test_stray_s_is_a_usage_error(argv, capsys):
+    assert run(argv)[0] == 0
+    rc, out = run(argv + ["--s", "2"])
+    assert rc == 2 and out == ""
+    assert "takes no power exponent" in capsys.readouterr().err
+
+
+def test_count_all_is_the_number_of_monic_polynomials():
+    from ffcount.ff import count_monic
+
+    for r, n, q in [(1, 3, 2), (2, 2, 3), (2, 4, 2), (3, 2, 4)]:
+        rc, out = run(["count", "--class", "all", "--r", str(r), "--n", str(n), "--q", str(q)])
+        assert rc == 0 and int(out) == count_monic(q, r, n)
+
+
+def test_series_rel_irreducible_matches_count():
+    rc, out = run(["series", "--class", "rel_irreducible", "--r", "2", "--max-n", "4",
+                   "--q", "3", "--format", "json"])
+    assert rc == 0
+    coeffs = json.loads(out)["coefficients"]
+    for n in range(1, 5):
+        rc, out = run(["count", "--class", "rel_irreducible", "--r", "2", "--n", str(n), "--q", "3"])
+        assert rc == 0 and out.strip() == coeffs[n]
+
+
+def test_class_choices_come_from_the_class_table():
+    from ffcount.classes import CLASSES
+    from ffcount.cli import _build_parser
+
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    expected = {
+        "count": {c for c, e in CLASSES.items() if e.exact is not None},
+        "series": {c for c, e in CLASSES.items() if e.exact is not None},
+        "approx": {c for c, e in CLASSES.items() if e.report is not None},
+        "verify": {c for c, e in CLASSES.items() if e.oracle is not None},
+    }
+    for command, classes in expected.items():
+        cls_action = next(a for a in subparsers[command]._actions if a.dest == "cls")
+        assert set(cls_action.choices) == classes, command
+    assert "all" in expected["count"] and "decomposable_mv" not in expected["count"]
+
+
+def test_cli_import_leaves_numpy_out():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ffcount.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

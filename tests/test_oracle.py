@@ -1,5 +1,6 @@
 import pytest
 
+import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 from ffcount.ff import BudgetExceeded, field_make
@@ -11,29 +12,29 @@ F5 = field_make(5, 1)
 
 
 def test_mv_counts_small_field():
-    assert orc.oracle_count("reducible", 2, 2, F2) == 21
-    assert orc.oracle_count("irreducible", 2, 2, F2) == 35
-    assert orc.oracle_count("powerful", 2, 2, F2, s=2) == 6
-    assert orc.oracle_count("powerfree", 2, 2, F2, s=2) == 50
-    assert orc.oracle_count("rel_irreducible", 2, 2, F2) == 7
-    assert orc.oracle_count("abs_irreducible", 2, 2, F2) == 28
+    assert fc.oracle_count("reducible", 2, 2, F2) == 21
+    assert fc.oracle_count("irreducible", 2, 2, F2) == 35
+    assert fc.oracle_count("powerful", 2, 2, F2, s=2) == 6
+    assert fc.oracle_count("powerfree", 2, 2, F2, s=2) == 50
+    assert fc.oracle_count("rel_irreducible", 2, 2, F2) == 7
+    assert fc.oracle_count("abs_irreducible", 2, 2, F2) == 28
 
 
 def test_reducible_cubics_settle_the_degree3_count():
     # unique factorization: C(8,3) linear triples + 6*35 linear-times-quadratic
-    assert orc.oracle_count("reducible", 2, 3, F2) == 266
+    assert fc.oracle_count("reducible", 2, 3, F2) == 266
 
 
 def test_oracle_matches_formulas_on_a_grid():
     for r, n, ctx in [(1, 4, F2), (1, 4, F3), (2, 2, F3), (2, 3, F2), (1, 6, F2)]:
         q = ctx.q
-        assert orc.oracle_count("reducible", r, n, ctx) == mc.red_exact(r, n).evaluate(q)
-        assert orc.oracle_count("irreducible", r, n, ctx) == mc.irr_exact(r, n).evaluate(q)
-        assert orc.oracle_count("powerful", r, n, ctx, s=2) == mc.powerful_exact(
+        assert fc.oracle_count("reducible", r, n, ctx) == mc.red_exact(r, n).evaluate(q)
+        assert fc.oracle_count("irreducible", r, n, ctx) == mc.irr_exact(r, n).evaluate(q)
+        assert fc.oracle_count("powerful", r, n, ctx, s=2) == mc.powerful_exact(
             r, n, 2
         ).evaluate(q)
-    assert orc.oracle_count("rel_irreducible", 1, 2, F2) == mc.relirr_exact(1, 2).evaluate(2)
-    assert orc.oracle_count("rel_irreducible", 2, 2, F3) == mc.relirr_exact(2, 2).evaluate(3)
+    assert fc.oracle_count("rel_irreducible", 1, 2, F2) == mc.relirr_exact(1, 2).evaluate(2)
+    assert fc.oracle_count("rel_irreducible", 2, 2, F3) == mc.relirr_exact(2, 2).evaluate(3)
 
 
 def test_census_degree4_binary():
@@ -117,7 +118,7 @@ def test_modulus_independence_f8():
     f8b = field_make(2, 3, modulus=(1, 0, 1, 1))  # x^3 + x^2 + 1
     assert f8a.modulus != f8b.modulus
     for cls, s in [("reducible", None), ("irreducible", None), ("powerful", 2)]:
-        assert orc.oracle_count(cls, 2, 2, f8a, s=s) == orc.oracle_count(
+        assert fc.oracle_count(cls, 2, 2, f8a, s=s) == fc.oracle_count(
             cls, 2, 2, f8b, s=s
         )
     assert orc.oracle_decomp_census(4, f8a).total == orc.oracle_decomp_census(4, f8b).total
@@ -152,3 +153,11 @@ def test_nu_degree4_accumulation_values():
         from fractions import Fraction
 
         assert uc.nu(4, q) == (2 + Fraction(1, q * q)) / 3
+
+
+def test_mv_decomp_paths_agree_above_one_byte():
+    # q = 257 coefficients do not fit in uint8
+    f257 = field_make(257, 1)
+    want = 257 * 258  # every monic original quadratic decomposes: q(q+1)
+    assert orc._mv_decomp_numpy(2, 2, f257, 1 << 26) == want
+    assert orc._mv_decomp_python(2, 2, f257, 1 << 26) == want
