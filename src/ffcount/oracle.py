@@ -16,8 +16,10 @@ canonical coefficient key:
 No symbolic shortcut from the formula side enters any of these.  Large
 prime-field composition censuses run through numpy, imported only on those
 paths; every numpy path has a pure-Python twin used at small sizes, and the
-two are cross-checked in the test suite.  Budget overruns raise loudly,
-naming the required count.
+two are cross-checked in the test suite.  The Python census composes on
+field codes, through q x q addition and multiplication tables, rather than
+on polynomial objects.  Budget overruns raise loudly, naming the required
+count.
 """
 
 from __future__ import annotations
@@ -148,11 +150,39 @@ class CensusReport:
     details: dict[bytes, dict[int, int]] = field(repr=False, default_factory=dict)
 
 
+@lru_cache(maxsize=None)
+def _code_tables(ctx: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The q x q addition and multiplication tables on field codes."""
+    codes = range(ctx.q)
+    add = tuple(tuple(ctx.add(a, b) for b in codes) for a in codes)
+    mul = tuple(tuple(ctx.mul(a, b) for b in codes) for a in codes)
+    return add, mul
+
+
 def _census_pairs_python(ctx: FieldCtx, n: int, e: int, fmap: dict) -> None:
+    add, mul = _code_tables(ctx)
+    # h^1..h^e of every inner h, each as n + 1 codes
+    h_powers = []
+    for h in enumerate_monic_uni(ctx, n // e, original=True):
+        powers = [None, h.c + (0,) * (n - n // e)]
+        for _ in range(e - 1):
+            prod = [0] * (n + 1)
+            for i, a in enumerate(powers[-1]):
+                if a:
+                    row = mul[a]
+                    for j, b in enumerate(h.c, i):
+                        if b:
+                            prod[j] = add[prod[j]][row[b]]
+            powers.append(tuple(prod))
+        h_powers.append(powers)
+    # f = g(h) = h^e + sum_i g_i h^i, exponents i = 1..e-1
     for g in enumerate_monic_uni(ctx, e, original=True):
-        for h in enumerate_monic_uni(ctx, n // e, original=True):
-            f = g(h)
-            key = bytes(f.c)
+        terms = [(i, mul[c]) for i, c in enumerate(g.c[1:e], 1) if c]
+        for powers in h_powers:
+            f = powers[e]
+            for i, row in terms:
+                f = [add[a][row[b]] for a, b in zip(f, powers[i])]
+            key = bytes(f)
             slot = fmap.setdefault(key, {})
             slot[e] = slot.get(e, 0) + 1
 
@@ -215,6 +245,8 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
     profiles: Counter = Counter()
     frob_members = 0
     frob_collisions = 0
+    # a Frobenius composition has nonzero coefficients only at multiples of p
+    non_frob_slots = [i for i in range(n + 1) if i % p]
     for key, by_split in fmap.items():
         es = sorted(by_split)
         total_decs = sum(by_split.values())
@@ -222,7 +254,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
         profiles[tuple(es)] += 1
         for e in es:
             per_split[e] += 1
-        is_frob = all(i % p == 0 for i, c in enumerate(key) if c)
+        is_frob = not any(map(key.__getitem__, non_frob_slots))
         if is_frob:
             frob_members += 1
             if total_decs >= 2:
@@ -278,19 +310,18 @@ def _mv_monic_original_rows(q: int, r: int, n: int):
     return np.vstack(blocks)
 
 
-def _mv_mult_pairs(r: int, deg_small: int, deg_big: int):
-    """Index triples (i, j, k): small-space monomial i times big-space
-    monomial j lands on big-space monomial k (degrees within deg_big)."""
-    small = _mv_monomials(r, deg_small)
-    big = _mv_monomials(r, deg_big)
-    index = {m: i for i, m in enumerate(big)}
+def _mv_mult_pairs(r: int, n: int) -> list[tuple[int, int, int]]:
+    """Index triples (i, j, k): monomial i times monomial j is monomial k,
+    over the monomials of degree <= n (products above degree n dropped)."""
+    monos = _mv_monomials(r, n)
+    index = {m: i for i, m in enumerate(monos)}
     out = []
-    for i, mi in enumerate(small):
-        for j, mj in enumerate(big):
+    for i, mi in enumerate(monos):
+        for j, mj in enumerate(monos):
             prod = tuple(a + b for a, b in zip(mi, mj))
-            if sum(prod) <= deg_big:
+            if sum(prod) <= n:
                 out.append((i, j, index[prod]))
-    return out, len(big)
+    return out
 
 
 def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
@@ -302,6 +333,7 @@ def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
     big_monos = _mv_monomials(r, n)
     width = len(big_monos)
     big_index = {m: i for i, m in enumerate(big_monos)}
+    pairs = _mv_mult_pairs(r, n)
     chunks = []
     for e in divisors(n):
         if e < 2:
@@ -317,7 +349,6 @@ def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
         lift = [big_index[m] for m in small]
         Hbig = np.zeros((n_h, width), dtype=np.int64)
         Hbig[:, lift] = H
-        pairs, _ = _mv_mult_pairs(r, n, n)
         powers = [None, Hbig]
         for _ in range(e - 1):
             prev = powers[-1]
@@ -334,8 +365,11 @@ def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
                 if coeff:
                     F += coeff * powers[idx]
             chunks.append((F % q).astype(key_dtype))
+    # one opaque scalar per row, so a 1-D sort dedups whole rows
     allrows = np.vstack(chunks)
-    return len(np.unique(allrows, axis=0))
+    del chunks
+    row_dtype = np.dtype((np.void, allrows.itemsize * width))
+    return len(np.unique(allrows.view(row_dtype)))
 
 
 def _mv_decomp_python(r: int, n: int, ctx: FieldCtx, budget: int) -> int:

@@ -5,7 +5,6 @@ lines.  A line reads ``[PASS]`` only if the criterion's checks held and it
 finished inside its time gate; the gate is printed on the line.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -20,7 +19,6 @@ import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 import ffcount.uv_counts as uc
 import ffcount.uv_families as uf
-from ffcount.bounds import BoundExpr
 from ffcount.ff import UniPoly, field_make
 from ffcount.qrat import SymRat
 from ffcount.series import divisors, moebius

@@ -3,7 +3,8 @@ import pytest
 import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
-from ffcount.ff import BudgetExceeded, field_make
+from ffcount.ff import BudgetExceeded, enumerate_monic_uni, field_make
+from ffcount.series import divisors
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -97,6 +98,26 @@ def test_census_python_numpy_agree():
     assert fmap_py == fmap_np
 
 
+def _census_pairs_by_compose(ctx, n, e, fmap):
+    for g in enumerate_monic_uni(ctx, e, original=True):
+        for h in enumerate_monic_uni(ctx, n // e, original=True):
+            slot = fmap.setdefault(bytes(g.compose(h).c), {})
+            slot[e] = slot.get(e, 0) + 1
+
+
+@pytest.mark.parametrize("p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6)])
+def test_census_pairs_python_matches_compose(p, d, n):
+    # same keys, same counts and the same insertion order as g(h) by Horner
+    ctx = field_make(p, d)
+    got: dict = {}
+    want: dict = {}
+    for e in divisors(n):
+        if 1 < e < n:
+            orc._census_pairs_python(ctx, n, e, got)
+            _census_pairs_by_compose(ctx, n, e, want)
+    assert list(got.items()) == list(want.items())
+
+
 def test_mv_decomp_paths_agree():
     assert orc._mv_decomp_python(2, 4, F3, 1 << 26) == orc._mv_decomp_numpy(
         2, 4, F3, 1 << 26
@@ -104,6 +125,13 @@ def test_mv_decomp_paths_agree():
     assert orc._mv_decomp_python(2, 6, F2, 1 << 26) == orc._mv_decomp_numpy(
         2, 6, F2, 1 << 26
     )
+
+
+def test_mv_decomp_numpy_dedups_across_splits():
+    # the e = 2 and e = 4 images overlap, so equal rows land in different chunks
+    f7 = field_make(7, 1)
+    assert orc._mv_decomp_numpy(2, 4, f7, 1 << 26) == 21903
+    assert orc._mv_decomp_python(2, 4, f7, 1 << 26) == 21903
 
 
 def test_mv_decomp_prime_degree_uses_linear_h():
