@@ -189,6 +189,8 @@ def _cmd_approx(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
+    if args.max_n < 0:
+        raise ValueError("--max-n must be >= 0")
     s = 2 if args.s is None and CLASSES[args.cls].needs_s else args.s
     coeffs = [exact_count(args.cls, args.r, n, s) for n in range(args.max_n + 1)]
     if args.q:

@@ -24,7 +24,7 @@ from math import comb
 from typing import Optional
 
 from .qrat import QPoly, SymRat, qpow
-from .series import TruncSeries, compositions, divisors, moebius, smallest_prime_factor
+from .series import TruncSeries, divisors, moebius, smallest_prime_factor
 
 # -- the base count -------------------------------------------------------
 
@@ -51,22 +51,24 @@ def p_count(r: int, n: int) -> QPoly:
 
 def p_series(r: int, order: int) -> TruncSeries:
     """Generating series of the monic counts, truncated at the given order."""
-    return TruncSeries(order, [SymRat(p_count(r, n)) for n in range(order + 1)])
+    return TruncSeries(order, [p_count(r, n) for n in range(order + 1)])
 
 
 # -- exact counts ---------------------------------------------------------
 
 
-def _composition_signed_sum(r: int, m: int) -> QPoly:
-    """sum over compositions j of m of (-1)^|j|/|j| * prod P_{r,j_i}, in QPoly."""
-    acc = QPoly.zero()
-    for j in compositions(m):
-        prod = QPoly.one()
-        for part in j:
-            prod = prod * p_count(r, part)
-        sign = -1 if len(j) & 1 else 1
-        acc = acc + prod * Fraction(sign, len(j))
-    return acc
+def _composition_table(r: int, m: int) -> list[list[QPoly]]:
+    """S[m'][k], 0 <= k <= m' <= m: the sum over the compositions j of m'
+    into k parts of prod P_{r,j_i}, built bottom-up by first part."""
+    table = [[QPoly.one()]]
+    for row_m in range(1, m + 1):
+        row = [QPoly.zero()] * (row_m + 1)
+        for first in range(1, row_m + 1):
+            p_first = p_count(r, first)
+            for k, rest in enumerate(table[row_m - first]):
+                row[k + 1] = row[k + 1] + p_first * rest
+        table.append(row)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -74,20 +76,23 @@ def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
     """Exact count of irreducible monic r-variate polynomials of degree n.
 
     Both routes return the identical polynomial: ``composition_sum`` runs the
-    Moebius-weighted sum over integer compositions, ``series_log`` extracts
-    the coefficient from the formal logarithm of the generating series.
+    Moebius-weighted sum over integer compositions by number of parts,
+    ``series_log`` extracts the coefficient from the formal logarithm of the
+    generating series.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
         return QPoly.zero()
     if route == "composition_sum":
+        table = _composition_table(r, n)
         acc = QPoly.zero()
         for k in divisors(n):
             mu = moebius(k)
             if mu == 0:
                 continue
-            acc = acc - _composition_signed_sum(r, n // k) * Fraction(mu, k)
+            for j, by_parts in enumerate(table[n // k][1:], 1):
+                acc = acc - by_parts * Fraction(mu * (-1) ** j, k * j)
         return acc
     if route == "series_log":
         ps = p_series(r, n)
@@ -97,7 +102,7 @@ def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
             if mu == 0:
                 continue
             acc = acc + ps.substitute_power(k).log() * Fraction(mu, k)
-        return acc.coeff(n).as_qpoly()
+        return acc.coeff(n)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -106,50 +111,44 @@ def red_exact(r: int, n: int) -> QPoly:
     return p_count(r, n) - irr_exact(r, n)
 
 
+def _conjugate_orbits(r: int, n: int, k: int) -> QPoly:
+    """sum_{s|k} mu(s) I_{r,n/k}(q^s), the term over k that the inversions for
+    relatively and absolutely irreducible share.  A count over F_{q^s} is the
+    substitution q -> q^s: every exact count here is a polynomial in q."""
+    inner = QPoly.zero()
+    for s in divisors(k):
+        inner = inner + irr_exact(r, n // k).subs_power(s) * moebius(s)
+    return inner
+
+
 @lru_cache(maxsize=None)
 def relirr_exact(r: int, n: int) -> QPoly:
     """Exact count of relatively irreducible (irreducible here, reducible over
-    some extension) monic r-variate polynomials of degree n.
-
-    Counts over F_{q^s} enter as the substitution q -> q^s, which is valid
-    because every exact count here is a polynomial in the field size.
-    """
+    some extension) monic r-variate polynomials of degree n: minus the
+    conjugate-orbit terms over the divisors k > 1 of n, each divided by k."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
         return QPoly.zero()
     acc = QPoly.zero()
-    for k in divisors(n):
-        if k == 1:
-            continue
-        inner = QPoly.zero()
-        for s in divisors(k):
-            mu = moebius(s)
-            if mu == 0:
-                continue
-            inner = inner + irr_exact(r, n // k).subs_power(s) * mu
-        acc = acc - inner * Fraction(1, k)
+    for k in divisors(n)[1:]:
+        acc = acc - _conjugate_orbits(r, n, k) * Fraction(1, k)
     return acc
 
 
 @lru_cache(maxsize=None)
 def absirr_exact(r: int, n: int) -> QPoly:
-    """Exact count of absolutely irreducible monic r-variate polynomials,
-    via Moebius inversion over subextension degrees (independent of
-    relirr_exact, so `abs + rel = irr` is a real consistency check)."""
+    """Exact count of absolutely irreducible monic r-variate polynomials: the
+    conjugate-orbit terms over all divisors k of n, each divided by k.  The
+    k = 1 term is irr_exact and the rest are relirr_exact's negated, so
+    abs + rel = irr by construction; the oracle checks both independently."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
         return QPoly.zero()
     acc = QPoly.zero()
     for k in divisors(n):
-        inner = QPoly.zero()
-        for s in divisors(k):
-            mu = moebius(s)
-            if mu == 0:
-                continue
-            inner = inner + irr_exact(r, n // k).subs_power(s) * mu
-        acc = acc + inner * Fraction(1, k)
+        acc = acc + _conjugate_orbits(r, n, k) * Fraction(1, k)
     return acc
 
 
@@ -167,20 +166,18 @@ def powerful_exact(r: int, n: int, s: int, route: str = "composition_sum") -> QP
     if n < s:
         return QPoly.zero()
     if route == "composition_sum":
+        table = _composition_table(r, n // s)
         acc = QPoly.zero()
         for i in range(1, n // s + 1):
-            tail = p_count(r, n - i * s)
-            for j in compositions(i):
-                prod = QPoly.one()
-                for part in j:
-                    prod = prod * p_count(r, part)
-                sign = -1 if len(j) & 1 else 1
-                acc = acc - prod * tail * sign
+            signed = QPoly.zero()
+            for j, by_parts in enumerate(table[i][1:], 1):
+                signed = signed + by_parts * (-1) ** j
+            acc = acc - signed * p_count(r, n - i * s)
         return acc
     if route == "series_relation":
         ps = p_series(r, n)
         powerfree = ps / ps.substitute_power(s)
-        return (ps.coeff(n) - powerfree.coeff(n)).as_qpoly()
+        return ps.coeff(n) - powerfree.coeff(n)
     raise ValueError(f"unknown route {route!r}")
 
 

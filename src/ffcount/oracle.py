@@ -105,6 +105,8 @@ def _irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
+    if n < 1:
+        return frozenset()
     irred = _irreducible_keys(ctx, r, n)
     budget = enumeration_budget()
     found = set()

@@ -1,8 +1,10 @@
-"""Truncated formal power series in z over Q(q), plus number-theory helpers.
+"""Truncated formal power series in z over Q[q], plus number-theory helpers.
 
-A ``TruncSeries`` holds coefficients 0..N (zeros explicit) for a fixed
-truncation order N.  Mixing orders in arithmetic is an error rather than a
-silent truncation: truncation bugs are the dominant failure mode here.
+A ``TruncSeries`` holds ``QPoly`` coefficients 0..N (zeros explicit) for a
+fixed truncation order N.  Mixing orders in arithmetic is an error rather
+than a silent truncation: truncation bugs are the dominant failure mode here.
+Division needs a divisor whose constant term is a nonzero rational, and
+``log`` a constant term 1, so every result stays in Q[q].
 
 The series in this package diverge everywhere except at 0, so nothing in
 this module is analytic; ``log``/``exp`` are the formal operations only.
@@ -11,9 +13,8 @@ this module is analytic; ``log``/``exp`` are the formal operations only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
-from .qrat import QPoly, SymRat, _coerce_symrat
+from .qrat import QPoly, _coerce_qpoly
 
 
 # -- number-theory helpers ----------------------------------------------
@@ -82,36 +83,21 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, d
 
 
-def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^(n-1) compositions of n, first part largest first, then recursively.
-
-    For n=3 the order is (3), (2,1), (1,2), (1,1,1).
-    """
-    if n < 1:
-        raise ValueError("compositions needs n >= 1")
-    for first in range(n, 0, -1):
-        if first == n:
-            yield (n,)
-        else:
-            for rest in compositions(n - first):
-                yield (first,) + rest
-
-
 # -- truncated series ----------------------------------------------------
 
 
 class TruncSeries:
-    """Power series in z truncated at order N, coefficients in Q(q)."""
+    """Power series in z truncated at order N, coefficients in Q[q]."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_coerce_symrat(c) for c in coeffs]
+        cs = [_coerce_qpoly(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend(SymRat(0) for _ in range(order + 1 - len(cs)))
+        cs.extend(QPoly.zero() for _ in range(order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -123,7 +109,7 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls(order, [1])
 
-    def coeff(self, i: int) -> SymRat:
+    def coeff(self, i: int) -> QPoly:
         return self.coeffs[i]
 
     def __eq__(self, other) -> bool:
@@ -150,12 +136,12 @@ class TruncSeries:
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction, SymRat, QPoly)):
-            c = _coerce_symrat(other)
+        if isinstance(other, (int, Fraction, QPoly)):
+            c = _coerce_qpoly(other)
             return TruncSeries(self.order, [a * c for a in self.coeffs])
         self._check_order(other)
         n = self.order
-        out = [SymRat(0)] * (n + 1)
+        out = [QPoly.zero()] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -169,11 +155,12 @@ class TruncSeries:
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_order(other)
-        if other.coeffs[0].is_zero():
-            raise ZeroDivisionError("divisor has zero constant term, not invertible")
+        c0 = other.coeffs[0]
+        if c0.degree != 0:
+            raise ZeroDivisionError("divisor's constant term is not a nonzero rational")
         n = self.order
-        inv0 = SymRat(1) / other.coeffs[0]
-        out: list[SymRat] = []
+        inv0 = 1 / c0.coeffs[0]
+        out: list[QPoly] = []
         for i in range(n + 1):
             acc = self.coeffs[i]
             for j in range(1, i + 1):
@@ -189,11 +176,11 @@ class TruncSeries:
         Solved coefficientwise from (log a)' = a'/a, so everything stays in
         O(N^2) exact operations without series powering.
         """
-        if self.coeffs[0] != SymRat(1):
+        if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
         n = self.order
         # dl[i] = coefficient of z^i in (log a)', solved from a * (log a)' = a'
-        dl: list[SymRat] = []
+        dl: list[QPoly] = []
         for i in range(n):
             acc = (i + 1) * self.coeffs[i + 1]
             for j in range(1, i + 1):
@@ -201,7 +188,7 @@ class TruncSeries:
                 if not a.is_zero():
                     acc = acc - a * dl[i - j]
             dl.append(acc)
-        out = [SymRat(0)]
+        out = [QPoly.zero()]
         for i in range(n):
             out.append(dl[i] * Fraction(1, i + 1))
         return TruncSeries(n, out)
@@ -211,10 +198,10 @@ class TruncSeries:
         if not self.coeffs[0].is_zero():
             raise ValueError("exp needs constant term 0")
         n = self.order
-        out = [SymRat(1)]
+        out = [QPoly.one()]
         # e' = e * a'  =>  (i+1) e_{i+1} = sum_j e_j * (i+1-j) a_{i+1-j}
         for i in range(n):
-            acc = SymRat(0)
+            acc = QPoly.zero()
             for j in range(i + 1):
                 k = i + 1 - j
                 a = self.coeffs[k]
@@ -228,7 +215,7 @@ class TruncSeries:
         if k < 1:
             raise ValueError("substitute_power needs k >= 1")
         n = self.order
-        out = [SymRat(0)] * (n + 1)
+        out = [QPoly.zero()] * (n + 1)
         for i, c in enumerate(self.coeffs):
             if i * k > n:
                 break

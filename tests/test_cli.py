@@ -52,6 +52,15 @@ def test_verify_powerful():
     assert "356" in out and "verified: True" in out
 
 
+@pytest.mark.parametrize("cls", ["rel_irreducible", "abs_irreducible"])
+def test_verify_conjugate_classes_at_degree_zero(cls):
+    rc, out = run(["verify", "--class", cls, "--r", "2", "--n", "0", "--q", "2",
+                   "--format", "json"])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["oracle"] == rec["formula"] == "0" and rec["verified"] is True
+
+
 def test_verify_decomposable_bracket():
     rc, out = run(["verify", "--class", "decomposable_mv", "--r", "2", "--n", "4", "--q", "2"])
     assert rc == 0
@@ -79,6 +88,12 @@ def test_series_command():
 def test_series_symbolic():
     rc, out = run(["series", "--class", "all", "--r", "2", "--max-n", "2"])
     assert rc == 0 and "(q^5+q^4+q^3)/(1)" in out
+
+
+def test_series_negative_max_n_is_a_usage_error(capsys):
+    rc, out = run(["series", "--class", "irreducible", "--r", "2", "--max-n", "-1"])
+    assert rc == 2 and out == ""
+    assert "--max-n must be >= 0" in capsys.readouterr().err
 
 
 def test_decomp_command_json():

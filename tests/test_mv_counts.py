@@ -60,16 +60,23 @@ def test_gauss_cross_check_univariate():
             assert mc.irr_exact(1, n).evaluate(q) == gauss
 
 
-@pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3), (2, 14), (3, 12)])
 def test_irr_route_equivalence(r, n):
     assert mc.irr_exact(r, n, "composition_sum") == mc.irr_exact(r, n, "series_log")
 
 
-@pytest.mark.parametrize("r,n,s", [(2, 4, 2), (2, 6, 2), (3, 6, 3), (1, 6, 2)])
+@pytest.mark.parametrize("r,n,s", [(2, 4, 2), (2, 6, 2), (3, 6, 3), (1, 6, 2), (2, 14, 2)])
 def test_powerful_route_equivalence(r, n, s):
     assert mc.powerful_exact(r, n, s, "composition_sum") == mc.powerful_exact(
         r, n, s, "series_relation"
     )
+
+
+def test_unknown_route_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown route"):
+        mc.irr_exact(2, 3, "no_such_route")
+    with pytest.raises(ValueError, match="unknown route"):
+        mc.powerful_exact(2, 4, 2, "no_such_route")
 
 
 def test_powerful_values():

@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcount.qrat import QPoly, SymRat, qpow
-from ffcount.series import TruncSeries, compositions, divisors, moebius
+from ffcount.series import TruncSeries, divisors, moebius
 
 rng = random.Random(0x5E81E5)
 
 
 def rand_series(order, unit=False):
-    coeffs = [SymRat(QPoly([rng.randint(-3, 3) for _ in range(3)])) for _ in range(order + 1)]
+    coeffs = [QPoly([rng.randint(-3, 3) for _ in range(3)]) for _ in range(order + 1)]
     if unit:
-        coeffs[0] = SymRat(1)
+        coeffs[0] = QPoly.one()
     return TruncSeries(order, coeffs)
 
 
@@ -83,7 +84,7 @@ def test_substitute_power():
 
 def test_substitute_power_geometric_series():
     # the degree-n univariate counts q^n, restricted to multiples of 3
-    p1 = TruncSeries(3, [qpow(n) for n in range(4)])
+    p1 = TruncSeries(3, [QPoly.q_power(n) for n in range(4)])
     got = p1.substitute_power(3)
     assert got.coeff(0) == SymRat(1)
     assert got.coeff(3) == qpow(1)
@@ -93,7 +94,7 @@ def test_substitute_power_geometric_series():
 def test_gauss_degree_two_from_moebius_log():
     # [z^2] of sum_k mu(k)/k log P(z^k) for the univariate count series
     n = 2
-    p1 = TruncSeries(n, [qpow(i) for i in range(n + 1)])
+    p1 = TruncSeries(n, [QPoly.q_power(i) for i in range(n + 1)])
     acc = TruncSeries.zero(n)
     for k in range(1, n + 1):
         if moebius(k):
@@ -115,11 +116,43 @@ def test_moebius_divisor_sum():
         assert total == (1 if n == 1 else 0)
 
 
-def test_compositions_order_and_count():
-    assert list(compositions(1)) == [(1,)]
-    assert list(compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
-    for n in range(1, 17):
-        comps = list(compositions(n))
-        assert len(comps) == 2 ** (n - 1)
-        assert len(set(comps)) == len(comps)
-        assert all(sum(c) == n and all(p >= 1 for p in c) for c in comps)
+# -- properties of the series ring over Q[q] -----------------------------
+
+ORDER = 5
+props = settings(max_examples=25, derandomize=True, deadline=None)
+qpolys = st.lists(st.integers(-3, 3), max_size=3).map(QPoly)
+tails = st.lists(qpolys, min_size=ORDER, max_size=ORDER)
+# series with constant term 1, and with a nonzero rational constant term
+unit_series = tails.map(lambda cs: TruncSeries(ORDER, [1] + cs))
+invertible = st.builds(
+    lambda c0, cs: TruncSeries(ORDER, [c0] + cs),
+    st.fractions(-3, 3).filter(bool), tails,
+)
+
+
+@props
+@given(st.lists(qpolys, max_size=ORDER + 1), invertible)
+def test_division_undoes_multiplication(cs, b):
+    a = TruncSeries(ORDER, cs)
+    assert (a * b) / b == a
+
+
+@props
+@given(unit_series, unit_series)
+def test_log_of_product_is_sum_of_logs(a, b):
+    assert (a * b).log() == a.log() + b.log()
+
+
+@props
+@given(unit_series)
+def test_exp_inverts_log(a):
+    assert a.log().exp() == a
+
+
+@props
+@given(qpolys.filter(lambda c: c.degree >= 1), tails)
+def test_division_by_q_constant_term_raises(c0, cs):
+    # q, or any other non-constant polynomial, has no inverse in Q[q]
+    for const in (QPoly.q_power(1), c0):
+        with pytest.raises(ZeroDivisionError):
+            TruncSeries.one(ORDER) / TruncSeries(ORDER, [const] + cs)
