@@ -353,6 +353,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oeis_check(args, out) -> int:
+    if args.max_n < 0:
+        raise ValueError("--max-n must be >= 0")
     expected = {}
     with open(args.file, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -404,14 +406,17 @@ def prime_power(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    formats = ("plain", "json", "csv")
+    # --format goes before or after the subcommand; the subcommand's copy
+    # sets nothing unless given, so it does not reset the top-level value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    common.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="ffcount",
-        parents=[common],
         description="Exact counts and certified approximations for special "
         "polynomial classes over finite fields.",
     )
+    parser.add_argument("--format", choices=formats, default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_class_flags(sp, has, degree="--n"):

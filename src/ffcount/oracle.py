@@ -1,7 +1,7 @@
 """Brute-force ground truth, computed independently of the formula layer.
 
-Counts come from exhaustively enumerated witnesses, deduplicated by a
-canonical coefficient key:
+Counts come from exhaustively enumerated witnesses, deduplicated by
+coefficient key:
 
 * reducible      = image of {g * h} over all degree splits;
 * s-powerful     = image of {g^s * h} over nonconstant g;
@@ -13,22 +13,23 @@ canonical coefficient key:
   extension degrees, with factors of equal degree);
 * decomposables  = image of {g(h)} over monic original component pairs.
 
-No symbolic shortcut from the formula side enters any of these.  Large
-prime-field composition censuses run through numpy, imported only on those
-paths; every numpy path has a pure-Python twin used at small sizes, and the
-two are cross-checked in the test suite.  The Python census composes on
-field codes, through q x q addition and multiplication tables, rather than
-on polynomial objects.  Budget overruns raise loudly, naming the required
-count.
+No symbolic shortcut from the formula side enters any of these.  The
+multivariate class counts, and the multivariate decomposables' Python twin,
+keep sets of ``MvPoly`` keys; the univariate census and the decomposables'
+numpy path pack each composed polynomial's codes into uint64 keys and group
+them with one sort (see the packed-key group-by below).  numpy composes
+large prime-field splits; every numpy composer has a pure-Python twin used
+for extension fields and small sizes, and the two are cross-checked in the
+test suite.  numpy is imported inside the functions that use it, never at
+module import.  Budget overruns raise loudly, naming the required count.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Optional
 
 from .ff import (
     BudgetExceeded,
@@ -132,6 +133,101 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
     return frozenset(found)
 
 
+# -- packed-key group-by ---------------------------------------------------
+#
+# Composed polynomials are held slot-major, a (width, m) array of codes with
+# one polynomial per column, and composed in blocks of about _CHUNK_ROWS, so
+# the full code array never exists.  Each block's free codes are packed base
+# q into k uint64 words (k = 1 unless q^free >= 2^64) before the next block.
+_CHUNK_ROWS = 1 << 15
+
+
+def _digits_per_word(q: int) -> int:
+    """The most base-q digits one uint64 holds."""
+    s = 1
+    while q ** (s + 1) <= 1 << 64:
+        s += 1
+    return s
+
+
+def _code_dtype(q: int, terms: int):
+    """int32 when a sum of ``terms`` products of two codes, plus one code,
+    cannot overflow it (its remainder is several times faster), else int64."""
+    import numpy as np
+
+    return np.int32 if terms * (q - 1) ** 2 + q - 1 < 1 << 31 else np.int64
+
+
+def _digits(words, q: int, width: int):
+    """The ``width`` base-q digits of each uint64, most significant first: a
+    (width, m) array.  The digits of 0..q^width - 1 are the tuples of
+    ``itertools.product(range(q), repeat=width)``, in order."""
+    import numpy as np
+
+    return words // np.uint64(q) ** np.arange(width - 1, -1, -1, dtype=np.uint64)[:, None] % q
+
+
+def _pack(digits, q: int):
+    """A (width, m) array of base-q digits as packed keys: a (k, m) uint64
+    array, each word holding up to ``_digits_per_word(q)`` digits, most
+    significant first."""
+    import numpy as np
+
+    per = _digits_per_word(q)
+    words = []
+    for lo in range(0, max(len(digits), 1), per):
+        word = np.zeros(digits.shape[1], dtype=np.uint64)
+        for d in digits[lo : lo + per]:
+            word *= q
+            word += d.astype(np.uint64)
+        words.append(word)
+    return np.stack(words)
+
+
+def _unpack(keys, q: int, width: int):
+    """The inverse of ``_pack``: (k, m) keys back to (width, m) digits."""
+    import numpy as np
+
+    per = _digits_per_word(q)
+    los = range(0, width, per)
+    return np.concatenate([_digits(w, q, min(per, width - lo)) for w, lo in zip(keys, los)])
+
+
+def _runs(keys, stable: bool = True):
+    """Sort (k, m) packed keys and find the runs of equal ones.
+
+    Returns ``(order, starts)``: the sorting permutation and the sorted
+    position where each run begins.  The sort is stable, so ``order[starts]``
+    is each run's first input position.  With ``stable=False`` one-word keys
+    are sorted without a permutation, several times faster, and ``order`` is
+    None.
+    """
+    import numpy as np
+
+    if stable or len(keys) > 1:
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+    else:
+        order, keys = None, np.sort(keys, axis=1)
+    edge = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(np.concatenate(([keys.shape[1] > 0], edge)))
+
+
+def _group_by(keys, tags, n_tags: int):
+    """Group (k, m) packed keys, each carrying a tag in ``range(n_tags)``.
+
+    Returns ``(first, counts)`` with one entry per distinct key, in key order:
+    its first input position, and how many of its copies carry each tag, an
+    (R, n_tags) array.
+    """
+    import numpy as np
+
+    order, starts = _runs(keys)
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    counts = np.bincount(run * n_tags + tags[order], minlength=len(starts) * n_tags)
+    return order[starts], counts.reshape(-1, n_tags)
+
+
 # -- univariate decomposition census --------------------------------------
 
 
@@ -149,7 +245,14 @@ class CensusReport:
     frobenius_members: int
     frobenius_collisions: int
     split_profiles: dict[tuple[int, ...], int]
-    details: dict[bytes, dict[int, int]] = field(repr=False, default_factory=dict)
+    _details: Callable[[], dict[bytes, dict[int, int]]] = field(repr=False, compare=False)
+
+    @cached_property
+    def details(self) -> dict[bytes, dict[int, int]]:
+        """Each decomposable polynomial's n + 1 coefficient codes (constant
+        first) -> {split e: decompositions with deg g = e}, in order of first
+        enumeration.  Built on first read."""
+        return self._details()
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +264,9 @@ def _code_tables(ctx: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return add, mul
 
 
-def _census_pairs_python(ctx: FieldCtx, n: int, e: int, fmap: dict) -> None:
+def _census_pairs_python(ctx: FieldCtx, n: int, e: int):
+    """Yield g(h) for every monic original pair with deg g = e, g outer and h
+    inner, as n + 1 field codes (constant first)."""
     add, mul = _code_tables(ctx)
     # h^1..h^e of every inner h, each as n + 1 codes
     h_powers = []
@@ -184,45 +289,59 @@ def _census_pairs_python(ctx: FieldCtx, n: int, e: int, fmap: dict) -> None:
             f = powers[e]
             for i, row in terms:
                 f = [add[a][row[b]] for a, b in zip(f, powers[i])]
-            key = bytes(f)
-            slot = fmap.setdefault(key, {})
-            slot[e] = slot.get(e, 0) + 1
+            yield f
 
 
-def _census_pairs_numpy(p: int, n: int, e: int, fmap: dict) -> None:
+def _census_pairs_numpy(p: int, n: int, e: int):
+    """The same compositions over F_p, h outer and g inner, yielded as
+    slot-major (n + 1, m) code blocks of about ``_CHUNK_ROWS`` polynomials."""
     import numpy as np
 
     ne = n // e
-    g_free, h_free = e - 1, ne - 1
-    G = np.array(list(itertools.product(range(p), repeat=g_free)), dtype=np.int64)
-    if g_free == 0:
-        G = G.reshape(1, 0)
-    for tail in itertools.product(range(p), repeat=h_free):
-        h = np.zeros(ne + 1, dtype=np.int64)
-        h[1 : 1 + h_free] = tail
+    n_g, n_h = p ** (e - 1), p ** (ne - 1)
+    dtype = _code_dtype(p, max(e - 1, ne))
+    # coefficient tails g_1..g_{e-1}, and below h_1..h_{ne-1}, in
+    # itertools.product order
+    g = _digits(np.arange(n_g, dtype=np.uint64), p, e - 1).astype(dtype)
+    step = max(1, _CHUNK_ROWS // n_g)
+    for lo in range(0, n_h, step):
+        tails = _digits(np.arange(lo, min(lo + step, n_h), dtype=np.uint64), p, ne - 1)
+        h = np.zeros((n + 1, tails.shape[1]), dtype=dtype)
+        h[1:ne] = tails
         h[ne] = 1
-        powers = [np.zeros(n + 1, dtype=np.int64)]
-        powers[0][0] = 1
-        for _ in range(e):
-            nxt = np.convolve(powers[-1][: (len(powers) - 1) * ne + 1], h) % p
-            buf = np.zeros(n + 1, dtype=np.int64)
-            buf[: len(nxt)] = nxt
-            powers.append(buf)
-        # f = h^e + sum_i g_i h^i, exponents i = 1..e-1
-        M = np.stack(powers[1:e]) if e > 1 else np.zeros((0, n + 1), dtype=np.int64)
-        F = (G @ M + powers[e]) % p
-        for row in F.astype(np.uint8):
-            key = row.tobytes()
-            slot = fmap.setdefault(key, {})
-            slot[e] = slot.get(e, 0) + 1
+        # h^1..h^e of every h in the block
+        powers = [h]
+        for _ in range(e - 1):
+            nxt = np.zeros_like(h)
+            for j in range(1, ne + 1):
+                nxt[j:] += h[j] * powers[-1][: n + 1 - j]
+            powers.append(nxt % p)
+        # f = h^e + sum_i g_i h^i, exponents i = 1..e-1, as (slot, h, g)
+        F = sum(P[:, :, None] * g_i for P, g_i in zip(powers, g)) + powers[-1][:, :, None]
+        yield (F % p).reshape(n + 1, -1)
+
+
+def _census_details(keys, counts, first, splits: list[int], n: int, q: int) -> dict:
+    """``CensusReport.details`` from each distinct row's packed key, its
+    per-split counts and the position of its first enumeration."""
+    import numpy as np
+
+    by_first = np.argsort(first)
+    rows = np.zeros((len(first), n + 1), dtype=np.uint8)
+    rows[:, 1:n] = _unpack(keys[:, by_first], q, n - 1).T
+    rows[:, n] = 1
+    return {
+        row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
+        for row, cs in zip(rows, counts[by_first].tolist())
+    }
 
 
 def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) -> CensusReport:
     """Compose every monic original pair (g, h) over every degree split of n,
-    deduplicate by coefficient key, and tabulate everything the bounds need:
-    per-split counts, pairwise intersections (with and without Frobenius
-    compositions), the histogram of decomposition counts, and Frobenius
-    membership."""
+    deduplicate by packed coefficient key, and tabulate everything the bounds
+    need: per-split counts, pairwise intersections (with and without
+    Frobenius compositions), the histogram of decomposition counts, and
+    Frobenius membership."""
     q, p = ctx.q, ctx.p
     if q > 255:
         raise ValueError("census keys assume q <= 255")
@@ -231,52 +350,48 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
     required = sum(q ** (e - 1) * q ** (n // e - 1) for e in splits)
     if required > b:
         raise BudgetExceeded(required, b, f"decomposition census at n={n}, q={q}")
-    fmap: dict[bytes, dict[int, int]] = {}
-    for e in splits:
-        pairs = q ** (e - 1) * q ** (n // e - 1)
-        if ctx.d == 1 and pairs > _NUMPY_THRESHOLD:
-            _census_pairs_numpy(p, n, e, fmap)
-        else:
-            _census_pairs_python(ctx, n, e, fmap)
-    per_split = {e: 0 for e in splits}
-    pair_int: dict[tuple[int, int], int] = {
-        (a, b2): 0 for a, b2 in itertools.combinations(splits, 2)
-    }
-    pair_int_nf = dict(pair_int)
-    histogram: Counter = Counter()
-    profiles: Counter = Counter()
-    frob_members = 0
-    frob_collisions = 0
+    import numpy as np
+
     # a Frobenius composition has nonzero coefficients only at multiples of p
-    non_frob_slots = [i for i in range(n + 1) if i % p]
-    for key, by_split in fmap.items():
-        es = sorted(by_split)
-        total_decs = sum(by_split.values())
-        histogram[total_decs] += 1
-        profiles[tuple(es)] += 1
-        for e in es:
-            per_split[e] += 1
-        is_frob = not any(map(key.__getitem__, non_frob_slots))
-        if is_frob:
-            frob_members += 1
-            if total_decs >= 2:
-                frob_collisions += 1
-        for a, b2 in itertools.combinations(es, 2):
-            pair_int[(a, b2)] += 1
-            if not is_frob:
-                pair_int_nf[(a, b2)] += 1
+    non_frob = [i for i in range(n + 1) if i % p]
+    keys, tags, frob = [], [], []
+    for t, e in enumerate(splits):
+        if ctx.d == 1 and q ** (e - 1) * q ** (n // e - 1) > _NUMPY_THRESHOLD:
+            blocks = _census_pairs_numpy(p, n, e)
+        else:
+            blocks = [np.array(list(_census_pairs_python(ctx, n, e))).T]
+        for codes in blocks:
+            # every composition has code 0 at slot 0 and code 1 at slot n
+            keys.append(_pack(codes[1:n], q))
+            tags.append(np.full(codes.shape[1], t))
+            frob.append(~codes[non_frob].any(axis=0))
+    keys = np.concatenate(keys, axis=1)
+    first, counts = _group_by(keys, np.concatenate(tags), len(splits))
+    hit = counts > 0
+    decs = counts.sum(axis=1)
+    frob = np.concatenate(frob)[first]
+    pair_int, pair_int_nf = {}, {}
+    for (i, a), (j, b2) in itertools.combinations(enumerate(splits), 2):
+        both = hit[:, i] & hit[:, j]
+        pair_int[(a, b2)] = int(both.sum())
+        pair_int_nf[(a, b2)] = int((both & ~frob).sum())
+    masks, mask_counts = np.unique(hit @ (1 << np.arange(len(splits))), return_counts=True)
+    profiles = {
+        tuple(e for t, e in enumerate(splits) if m >> t & 1): c
+        for m, c in zip(masks.tolist(), mask_counts.tolist())
+    }
     return CensusReport(
         n=n,
         q=q,
-        total=len(fmap),
-        per_split=per_split,
+        total=len(first),
+        per_split=dict(zip(splits, hit.sum(axis=0).tolist())),
         pair_intersections=pair_int,
         pair_intersections_nonfrobenius=pair_int_nf,
-        collision_histogram=dict(sorted(histogram.items())),
-        frobenius_members=frob_members,
-        frobenius_collisions=frob_collisions,
+        collision_histogram={k: v for k, v in enumerate(np.bincount(decs).tolist()) if v},
+        frobenius_members=int(frob.sum()),
+        frobenius_collisions=int((frob & (decs >= 2)).sum()),
         split_profiles=dict(sorted(profiles.items())),
-        details=fmap,
+        _details=partial(_census_details, keys[:, first], counts, first, splits, n, q),
     )
 
 
@@ -290,9 +405,9 @@ def _mv_monomials(r: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _mv_monic_original_rows(q: int, r: int, n: int):
-    """All monic original r-variate degree-n polynomials as an array of
-    coefficient rows over the deg-lex-descending monomial list of degree
-    <= n (prime field)."""
+    """All monic original r-variate degree-n polynomials over F_q, slot-major:
+    a (width, count) code array over the deg-lex-descending monomials of
+    degree <= n."""
     import numpy as np
 
     monos = _mv_monomials(r, n)
@@ -300,16 +415,12 @@ def _mv_monic_original_rows(q: int, r: int, n: int):
     top = [i for i, m in enumerate(monos) if sum(m) == n]
     blocks = []
     for lead_pos in top:
-        free = list(range(lead_pos + 1, width - 1))  # skip the constant slot
-        rows = np.zeros((q ** len(free), width), dtype=np.int64)
-        rows[:, lead_pos] = 1
-        if free:
-            combos = np.array(
-                list(itertools.product(range(q), repeat=len(free))), dtype=np.int64
-            )
-            rows[:, free] = combos
-        blocks.append(rows)
-    return np.vstack(blocks)
+        free = width - 2 - lead_pos  # the slots between the lead and the constant
+        block = np.zeros((width, q**free), dtype=np.int64)
+        block[lead_pos] = 1
+        block[lead_pos + 1 : width - 1] = _digits(np.arange(q**free, dtype=np.uint64), q, free)
+        blocks.append(block)
+    return np.hstack(blocks)
 
 
 def _mv_mult_pairs(r: int, n: int) -> list[tuple[int, int, int]]:
@@ -330,48 +441,44 @@ def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
     import numpy as np
 
     q = ctx.q
-    # the narrowest dtype that holds every coefficient: uint8 up to q = 256
-    key_dtype = np.min_scalar_type(q - 1)
     big_monos = _mv_monomials(r, n)
     width = len(big_monos)
     big_index = {m: i for i, m in enumerate(big_monos)}
     pairs = _mv_mult_pairs(r, n)
-    chunks = []
+    keys = []
     for e in divisors(n):
         if e < 2:
             continue
         ne = n // e
         H = _mv_monic_original_rows(q, r, ne)
-        n_h = H.shape[0]
+        n_h = H.shape[1]
         n_g = q ** (e - 1)
         if n_h * n_g > budget:
             raise BudgetExceeded(n_h * n_g, budget, f"decomposable compositions e={e}")
-        # lift h rows into the degree-n monomial space
-        small = _mv_monomials(r, ne)
-        lift = [big_index[m] for m in small]
-        Hbig = np.zeros((n_h, width), dtype=np.int64)
-        Hbig[:, lift] = H
-        powers = [None, Hbig]
+        # lift h into the degree-n monomial space
+        lift = [big_index[m] for m in _mv_monomials(r, ne)]
+        Hbig = np.zeros((width, n_h), dtype=np.int64)
+        Hbig[lift] = H
+        powers = [Hbig]
         for _ in range(e - 1):
             prev = powers[-1]
             nxt = np.zeros_like(Hbig)
             for i, j, k in pairs:
-                col = prev[:, i] * Hbig[:, j]
+                col = prev[i] * Hbig[j]
                 if col.any():
-                    nxt[:, k] += col
+                    nxt[k] += col
             powers.append(nxt % q)
-        g_tails = itertools.product(range(q), repeat=e - 1)
-        for tail in g_tails:
-            F = powers[e].copy()
-            for idx, coeff in enumerate(tail, start=1):
-                if coeff:
-                    F += coeff * powers[idx]
-            chunks.append((F % q).astype(key_dtype))
-    # one opaque scalar per row, so a 1-D sort dedups whole rows
-    allrows = np.vstack(chunks)
-    del chunks
-    row_dtype = np.dtype((np.void, allrows.itemsize * width))
-    return len(np.unique(allrows.view(row_dtype)))
+        dtype = _code_dtype(q, e - 1)
+        powers = [P[:, None, :].astype(dtype) for P in powers]
+        tails = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
+        # f = h^e + sum_i g_i h^i for a block of g tails at once, as
+        # (slot, g, h); the constant slot is last and always 0
+        step = max(1, _CHUNK_ROWS // n_h)
+        for lo in range(0, n_g, step):
+            g = tails[:, lo : lo + step, None]
+            F = (sum(P * g_i for P, g_i in zip(powers, g)) + powers[-1]) % q
+            keys.append(_pack(F[:-1].reshape(width - 1, -1), q))
+    return len(_runs(np.concatenate(keys, axis=1), stable=False)[1])
 
 
 def _mv_decomp_python(r: int, n: int, ctx: FieldCtx, budget: int) -> int:

@@ -96,6 +96,23 @@ def test_series_negative_max_n_is_a_usage_error(capsys):
     assert "--max-n must be >= 0" in capsys.readouterr().err
 
 
+def test_oeis_check_negative_max_n_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("1 2\n")
+    rc, out = run(["oeis-check", "--file", str(table), "--r", "1", "--q", "2", "--max-n", "-1"])
+    assert rc == 2 and out == ""
+    assert "--max-n must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+@pytest.mark.parametrize("command, field, value", [("count", "exact", "35"), ("verify", "verified", True)])
+def test_format_before_or_after_the_subcommand(command, field, value, where):
+    argv = [command, "--class", "irreducible", "--r", "2", "--n", "2", "--q", "2"]
+    flag = ["--format", "json"]
+    rc, out = run(flag + argv if where == "before" else argv + flag)
+    assert rc == 0 and json.loads(out)[field] == value
+
+
 def test_decomp_command_json():
     rc, out = run(["decomp", "--n", "6", "--q", "5", "--format", "json"])
     assert rc == 0

@@ -1,10 +1,16 @@
+import itertools
+import random
+from collections import Counter
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 from ffcount.ff import BudgetExceeded, enumerate_monic_uni, field_make
-from ffcount.series import divisors
+from ffcount.series import divisors, factor_prime_power
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -60,8 +66,6 @@ def test_census_degree6_f5():
 def test_census_inclusion_exclusion_three_splits():
     rep = orc.oracle_decomp_census(12, F2)
     splits = sorted(rep.per_split)
-    import itertools
-
     total = 0
     for k in range(1, len(splits) + 1):
         for combo in itertools.combinations(splits, k):
@@ -85,37 +89,143 @@ def test_census_frobenius_counts():
     assert rep8.frobenius_members == 8  # q^(n/p - 1) at n = 8
 
 
-def test_census_python_numpy_agree():
-    fmap_py: dict = {}
-    orc._census_pairs_python(F5, 6, 2, fmap_py)
-    fmap_np: dict = {}
-    orc._census_pairs_numpy(5, 6, 2, fmap_np)
-    assert fmap_py == fmap_np
-    fmap_py = {}
-    orc._census_pairs_python(F3, 9, 3, fmap_py)
-    fmap_np = {}
-    orc._census_pairs_numpy(3, 9, 3, fmap_np)
-    assert fmap_py == fmap_np
+@lru_cache(maxsize=None)
+def _composed_g_outer(ctx, n, e):
+    gs = list(enumerate_monic_uni(ctx, e, original=True))
+    hs = list(enumerate_monic_uni(ctx, n // e, original=True))
+    return len(gs), len(hs), [tuple(g.compose(h).c) for g in gs for h in hs]
 
 
-def _census_pairs_by_compose(ctx, n, e, fmap):
-    for g in enumerate_monic_uni(ctx, e, original=True):
-        for h in enumerate_monic_uni(ctx, n // e, original=True):
-            slot = fmap.setdefault(bytes(g.compose(h).c), {})
-            slot[e] = slot.get(e, 0) + 1
+def _census_pairs_by_compose(ctx, n, e, h_outer=False):
+    """Every g(h) with deg g = e by UniPoly.compose, as n + 1 codes, g outer
+    and h inner (or h outer and g inner)."""
+    n_g, n_h, rows = _composed_g_outer(ctx, n, e)
+    if h_outer:
+        return [rows[g * n_h + h] for h in range(n_h) for g in range(n_g)]
+    return rows
+
+
+def test_census_python_numpy_agree(monkeypatch):
+    # the same compositions with the same multiplicities; numpy yields them h
+    # outer, in blocks whose seams a small block size exercises
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
+    for p, n, e in [(5, 6, 2), (3, 9, 3), (2, 12, 3), (3, 8, 4), (2, 12, 6)]:
+        ctx = field_make(p, 1)
+        py = [tuple(f) for f in orc._census_pairs_python(ctx, n, e)]
+        got = [tuple(f) for block in orc._census_pairs_numpy(p, n, e) for f in block.T.tolist()]
+        assert Counter(got) == Counter(py), (p, n, e)
+        assert got == _census_pairs_by_compose(ctx, n, e, h_outer=True), (p, n, e)
 
 
 @pytest.mark.parametrize("p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6)])
 def test_census_pairs_python_matches_compose(p, d, n):
-    # same keys, same counts and the same insertion order as g(h) by Horner
+    # the same rows in the same order as g(h) by Horner
     ctx = field_make(p, d)
-    got: dict = {}
-    want: dict = {}
     for e in divisors(n):
         if 1 < e < n:
-            orc._census_pairs_python(ctx, n, e, got)
-            _census_pairs_by_compose(ctx, n, e, want)
-    assert list(got.items()) == list(want.items())
+            got = [tuple(f) for f in orc._census_pairs_python(ctx, n, e)]
+            assert got == _census_pairs_by_compose(ctx, n, e)
+
+
+def _census_by_compose(n, ctx):
+    """Every CensusReport field, tabulated from UniPoly.compose one pair at a
+    time through a dict keyed by coefficient bytes; splits the census composes
+    with numpy are enumerated h outer, as numpy does."""
+    splits = [e for e in divisors(n) if 1 < e < n]
+    fmap = {}
+    for e in splits:
+        h_outer = ctx.d == 1 and ctx.q ** (e - 1 + n // e - 1) > orc._NUMPY_THRESHOLD
+        for f in _census_pairs_by_compose(ctx, n, e, h_outer):
+            slot = fmap.setdefault(bytes(f), {})
+            slot[e] = slot.get(e, 0) + 1
+    per_split = {e: 0 for e in splits}
+    pair_int = {pair: 0 for pair in itertools.combinations(splits, 2)}
+    pair_int_nf = dict(pair_int)
+    histogram, profiles = Counter(), Counter()
+    frob_members = frob_collisions = 0
+    for key, by_split in fmap.items():
+        decs = sum(by_split.values())
+        histogram[decs] += 1
+        profiles[tuple(sorted(by_split))] += 1
+        for e in by_split:
+            per_split[e] += 1
+        is_frob = not any(c for i, c in enumerate(key) if i % ctx.p)
+        frob_members += is_frob
+        frob_collisions += is_frob and decs >= 2
+        for pair in itertools.combinations(sorted(by_split), 2):
+            pair_int[pair] += 1
+            pair_int_nf[pair] += not is_frob
+    return {
+        "total": len(fmap),
+        "per_split": list(per_split.items()),
+        "pair_intersections": list(pair_int.items()),
+        "pair_intersections_nonfrobenius": list(pair_int_nf.items()),
+        "collision_histogram": sorted(histogram.items()),
+        "frobenius_members": frob_members,
+        "frobenius_collisions": frob_collisions,
+        "split_profiles": sorted(profiles.items()),
+        "details": [(k, list(v.items())) for k, v in fmap.items()],
+    }
+
+
+def _census_fields(rep):
+    return {
+        "total": rep.total,
+        "per_split": list(rep.per_split.items()),
+        "pair_intersections": list(rep.pair_intersections.items()),
+        "pair_intersections_nonfrobenius": list(rep.pair_intersections_nonfrobenius.items()),
+        "collision_histogram": list(rep.collision_histogram.items()),
+        "frobenius_members": rep.frobenius_members,
+        "frobenius_collisions": rep.frobenius_collisions,
+        "split_profiles": list(rep.split_profiles.items()),
+        "details": [(k, list(v.items())) for k, v in rep.details.items()],
+    }
+
+
+@pytest.mark.parametrize("threshold", [orc._NUMPY_THRESHOLD, 0])
+@pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4)])
+def test_census_report_matches_compose_tabulation(n, q, threshold, monkeypatch):
+    # threshold 0 sends every prime-field split through numpy
+    monkeypatch.setattr(orc, "_NUMPY_THRESHOLD", threshold)
+    ctx = field_make(*factor_prime_power(q))
+    assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
+
+
+def test_census_multiword_keys(monkeypatch):
+    # three digits per word, so each census key spans several uint64 words
+    monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
+    monkeypatch.setattr(orc, "_NUMPY_THRESHOLD", 0)
+    for n, q in [(12, 5), (9, 9)]:
+        ctx = field_make(*factor_prime_power(q))
+        assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
+
+
+@pytest.mark.parametrize(
+    "q, width, m",
+    [(5, 10, 2000), (2, 30, 3000), (2, 65, 500), (257, 14, 2000), (3, 4, 0)],
+)
+def test_group_by_matches_counter(q, width, m):
+    rng = random.Random(q * 1000 + width)
+    # a small pool of distinct rows, so most rows repeat
+    pool = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(m // 5 + 1)]
+    rows = [rng.choice(pool) for _ in range(m)]
+    tags = [rng.randrange(3) for _ in range(m)]
+    digits = np.array(rows, dtype=np.int64).reshape(m, width).T
+    keys = orc._pack(digits, q)
+    per_word = orc._digits_per_word(q)
+    assert q**per_word <= 1 << 64 < q ** (per_word + 1)
+    assert keys.shape == (-(-width // per_word), m)
+    assert (orc._unpack(keys, q, width) == digits).all()
+    want: dict = {}  # row -> [first position, Counter of tags]
+    for i, (row, t) in enumerate(zip(rows, tags)):
+        want.setdefault(row, [i, Counter()])[1][t] += 1
+    first, counts = orc._group_by(keys, np.array(tags, dtype=np.int64), 3)
+    got = {
+        tuple(digits[:, i].tolist()): [i, Counter({t: c for t, c in enumerate(cs) if c})]
+        for i, cs in zip(first.tolist(), counts.tolist())
+    }
+    assert got == want
+    assert len(orc._runs(keys, stable=False)[1]) == len(want)
 
 
 def test_mv_decomp_paths_agree():
@@ -132,6 +242,14 @@ def test_mv_decomp_numpy_dedups_across_splits():
     f7 = field_make(7, 1)
     assert orc._mv_decomp_numpy(2, 4, f7, 1 << 26) == 21903
     assert orc._mv_decomp_python(2, 4, f7, 1 << 26) == 21903
+
+
+def test_mv_decomp_numpy_wide_keys():
+    # 20 free slots over F_11 take two uint64 words.  At prime n every h is
+    # linear and g(h) determines (g, h), so each of the q (q^r - 1)/(q - 1)
+    # pairs gives its own polynomial.
+    assert len(orc._mv_monomials(5, 2)) - 1 > orc._digits_per_word(11)
+    assert orc._mv_decomp_numpy(5, 2, field_make(11, 1), 1 << 26) == 11 * (11**5 - 1) // 10
 
 
 def test_mv_decomp_prime_degree_uses_linear_h():
