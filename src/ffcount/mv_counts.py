@@ -396,19 +396,19 @@ def mv_decomp_main_term(r: int, n: int) -> SymRat:
     """Main term for uni-multivariate decomposable f (monic, f(0)=0)."""
     if r < 2:
         raise ValueError("need r >= 2")
-    ell = smallest_prime_factor(n)
-    if ell == n or n < 2:
-        raise ValueError("no decomposables at prime degree")
+    if n < 2:
+        raise ValueError("need n >= 2")
     m = _decomp_outer_degree(r, n)
     e = comb(r + n // m, r) + m - 3
     return qpow(e) * (1 - qpow(-comb(r - 1 + n // m, r - 1))) / (1 - qpow(-1))
 
 
 def _decomp_outer_degree(r: int, n: int) -> int:
-    # the degree split whose compositions dominate
+    # the degree split whose compositions dominate; at prime n the only one,
+    # with a linear inner h
     ell = smallest_prime_factor(n)
     quot = n // ell
-    if r == 2 and smallest_prime_factor(quot) == quot and quot <= 2 * ell - 5:
+    if quot == 1 or r == 2 and smallest_prime_factor(quot) == quot and quot <= 2 * ell - 5:
         return n
     return ell
 
@@ -424,12 +424,16 @@ def mv_decomp_bound_sq(r: int, n: int) -> SymRat:
 
 def mv_decomp_approx(r: int, n: int) -> CountReport:
     """Main term and squared relative bound for decomposable monic r-variate
-    polynomials with vanishing constant term; no exact formula exists."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if n < 2 or smallest_prime_factor(n) == n:
-        raise ValueError("no decomposables at prime degree")
+    polynomials with vanishing constant term.  At prime n the inner h is
+    linear and (g, h) -> g(h) is injective, so the main term
+    q^(n-1) (q^r - 1)/(q - 1) is exact and the bound is 0; at composite n no
+    exact formula exists."""
     alpha = mv_decomp_main_term(r, n)
+    if smallest_prime_factor(n) == n:
+        return CountReport(
+            "decomposable_mv", r, n, None, alpha.as_qpoly(), alpha, None,
+            rel_bound_sq=SymRat(0), exact_is_main=True, case="exact prime n (linear h)",
+        )
     m = _decomp_outer_degree(r, n)
     return CountReport(
         "decomposable_mv", r, n, None, None, alpha, None,

@@ -14,14 +14,14 @@ coefficient key:
 * decomposables  = image of {g(h)} over monic original component pairs.
 
 No symbolic shortcut from the formula side enters any of these.  The
-multivariate class counts, and the multivariate decomposables' Python twin,
-keep sets of ``MvPoly`` keys; the univariate census and the decomposables'
-numpy path pack each composed polynomial's codes into uint64 keys and group
-them with one sort (see the packed-key group-by below).  numpy composes
-large prime-field splits; every numpy composer has a pure-Python twin used
-for extension fields and small sizes, and the two are cross-checked in the
-test suite.  numpy is imported inside the functions that use it, never at
-module import.  Budget overruns raise loudly, naming the required count.
+multivariate class counts keep sets of ``MvPoly`` keys.  The univariate
+census and the multivariate decomposables each have one numpy composer for
+every field: it composes blocks of pairs on field codes (integers mod p over
+F_p, q x q addition and multiplication tables over F_{p^d}), packs each
+composed polynomial's codes into uint64 keys and groups them with one sort
+(see the packed-key group-by below).  numpy is imported inside the functions
+that use it, never at module import.  Budget overruns raise loudly, naming
+the required count.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ from typing import Callable, Optional
 from .ff import (
     BudgetExceeded,
     FieldCtx,
-    MvPoly,
-    UniPoly,
+    _deglex_monomials,
     count_monic,
     enumeration_budget,
     enumerate_monic_mv,
-    enumerate_monic_uni,
     field_embed,
 )
 from .series import divisors, smallest_prime_factor
-
-_NUMPY_THRESHOLD = 20000
 
 
 # -- multivariate class counts -------------------------------------------
@@ -158,6 +154,50 @@ def _code_dtype(q: int, terms: int):
     return np.int32 if terms * (q - 1) ** 2 + q - 1 < 1 << 31 else np.int64
 
 
+@lru_cache(maxsize=None)
+def _field_ops(ctx: FieldCtx):
+    """``(add, mul, mod)`` on numpy arrays of field codes: ``add(acc, x)``
+    adds x into acc in place and returns acc, ``mul(a, b)`` returns a new
+    array, ``mod(acc)`` brings acc back to codes in place and returns it.
+
+    Over F_p codes are integers: add and mul are exact integer operations,
+    valid while the dtype holds the sum (see ``_code_dtype``), and mod takes
+    the remainder mod p once a sum is complete.  Over F_{p^d} add and mul
+    look codes up in q x q tables and mod does nothing.
+    """
+    import numpy as np
+
+    q, p = ctx.q, ctx.p
+    if ctx.d == 1:
+        return (
+            lambda acc, x: np.add(acc, x, out=acc),
+            np.multiply,
+            lambda acc: np.remainder(acc, p, out=acc),
+        )
+    weights = np.array(ctx._pow_p)
+    coords = np.arange(q)[:, None] // weights % p  # each code's d coordinates
+    add = ((coords[:, None] + coords) % p) @ weights
+    log = np.array(ctx._log)
+    mul = np.array(ctx._exp)[(log[:, None] + log) % (q - 1)]
+    mul[0] = mul[:, 0] = 0
+
+    def add_into(acc, x):
+        acc[...] = add[acc, x]
+        return acc
+
+    return add_into, (lambda a, b: mul[a, b]), (lambda acc: acc)
+
+
+def _g_of_h(ctx: FieldCtx, powers, tails):
+    """g(h) = h^e + sum_i g_i h^i, from the powers h^1..h^e and the tails
+    g_1..g_{e-1} as arrays that broadcast against each other."""
+    add, mul, mod = _field_ops(ctx)
+    F = add(mul(powers[0], tails[0]), powers[-1])
+    for P, g_i in zip(powers[1:], tails[1:]):
+        add(F, mul(P, g_i))
+    return mod(F)
+
+
 def _digits(words, q: int, width: int):
     """The ``width`` base-q digits of each uint64, most significant first: a
     (width, m) array.  The digits of 0..q^width - 1 are the tuples of
@@ -193,39 +233,46 @@ def _unpack(keys, q: int, width: int):
     return np.concatenate([_digits(w, q, min(per, width - lo)) for w, lo in zip(keys, los)])
 
 
-def _runs(keys, stable: bool = True):
-    """Sort (k, m) packed keys and find the runs of equal ones.
+def _runs(keys, permute: bool = True):
+    """Sort (k, m) packed keys and mark the runs of equal ones.
 
-    Returns ``(order, starts)``: the sorting permutation and the sorted
-    position where each run begins.  The sort is stable, so ``order[starts]``
-    is each run's first input position.  With ``stable=False`` one-word keys
-    are sorted without a permutation, several times faster, and ``order`` is
-    None.
+    Returns ``(order, new)``: the sorting permutation and a bool mask over
+    the sorted keys, True where a run begins, so ``order[new]`` holds an
+    input position of each distinct key.  With ``permute=False`` one-word
+    keys are sorted in place, several times faster, and ``order`` is None.
     """
     import numpy as np
 
-    if stable or len(keys) > 1:
+    if len(keys) > 1:
         order = np.lexsort(keys)
         keys = keys[:, order]
+    elif permute:
+        order = np.argsort(keys[0])
+        keys = keys[:, order]
     else:
-        order, keys = None, np.sort(keys, axis=1)
+        order = None
+        keys.sort(axis=1)
     edge = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return order, np.flatnonzero(np.concatenate(([keys.shape[1] > 0], edge)))
+    return order, np.concatenate(([keys.shape[1] > 0], edge))
 
 
-def _group_by(keys, tags, n_tags: int):
-    """Group (k, m) packed keys, each carrying a tag in ``range(n_tags)``.
+def _group_by(keys, ranks, offsets):
+    """Group (k, m) packed keys, each carrying an integer rank; the ascending
+    ``offsets``, the first of them 0, cut the ranks into bins.
 
-    Returns ``(first, counts)`` with one entry per distinct key, in key order:
-    its first input position, and how many of its copies carry each tag, an
-    (R, n_tags) array.
+    Returns ``(rep, low, counts)`` with one entry per distinct key, in key
+    order: the input position of one of its copies, its smallest rank, and
+    how many of its copies fall in each bin, an (R, len(offsets)) array.
     """
     import numpy as np
 
-    order, starts = _runs(keys)
+    order, new = _runs(keys)
+    starts = np.flatnonzero(new)
+    ranks = ranks[order]
     run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
-    counts = np.bincount(run * n_tags + tags[order], minlength=len(starts) * n_tags)
-    return order[starts], counts.reshape(-1, n_tags)
+    bins = np.searchsorted(offsets, ranks, side="right") - 1
+    counts = np.bincount(run * len(offsets) + bins, minlength=len(starts) * len(offsets))
+    return order[starts], np.minimum.reduceat(ranks, starts), counts.reshape(-1, len(offsets))
 
 
 # -- univariate decomposition census --------------------------------------
@@ -251,88 +298,57 @@ class CensusReport:
     def details(self) -> dict[bytes, dict[int, int]]:
         """Each decomposable polynomial's n + 1 coefficient codes (constant
         first) -> {split e: decompositions with deg g = e}, in order of first
-        enumeration.  Built on first read."""
+        enumeration: splits ascending, then g outer and h inner, each in
+        ``enumerate_monic_uni`` order.  Built on first read."""
         return self._details()
 
 
-@lru_cache(maxsize=None)
-def _code_tables(ctx: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The q x q addition and multiplication tables on field codes."""
-    codes = range(ctx.q)
-    add = tuple(tuple(ctx.add(a, b) for b in codes) for a in codes)
-    mul = tuple(tuple(ctx.mul(a, b) for b in codes) for a in codes)
-    return add, mul
-
-
-def _census_pairs_python(ctx: FieldCtx, n: int, e: int):
-    """Yield g(h) for every monic original pair with deg g = e, g outer and h
-    inner, as n + 1 field codes (constant first)."""
-    add, mul = _code_tables(ctx)
-    # h^1..h^e of every inner h, each as n + 1 codes
-    h_powers = []
-    for h in enumerate_monic_uni(ctx, n // e, original=True):
-        powers = [None, h.c + (0,) * (n - n // e)]
-        for _ in range(e - 1):
-            prod = [0] * (n + 1)
-            for i, a in enumerate(powers[-1]):
-                if a:
-                    row = mul[a]
-                    for j, b in enumerate(h.c, i):
-                        if b:
-                            prod[j] = add[prod[j]][row[b]]
-            powers.append(tuple(prod))
-        h_powers.append(powers)
-    # f = g(h) = h^e + sum_i g_i h^i, exponents i = 1..e-1
-    for g in enumerate_monic_uni(ctx, e, original=True):
-        terms = [(i, mul[c]) for i, c in enumerate(g.c[1:e], 1) if c]
-        for powers in h_powers:
-            f = powers[e]
-            for i, row in terms:
-                f = [add[a][row[b]] for a, b in zip(f, powers[i])]
-            yield f
-
-
-def _census_pairs_numpy(p: int, n: int, e: int):
-    """The same compositions over F_p, h outer and g inner, yielded as
-    slot-major (n + 1, m) code blocks of about ``_CHUNK_ROWS`` polynomials."""
+def _census_pairs(ctx: FieldCtx, n: int, e: int):
+    """Compose g(h) for every monic original pair with deg g = e, in blocks
+    of about ``_CHUNK_ROWS`` polynomials.  Yields ``(codes, rank)``: a
+    slot-major (n + 1, m) code array and each column's rank g * n_h + h, its
+    position when g is outer and h inner."""
     import numpy as np
 
+    q = ctx.q
+    add, mul, mod = _field_ops(ctx)
     ne = n // e
-    n_g, n_h = p ** (e - 1), p ** (ne - 1)
-    dtype = _code_dtype(p, max(e - 1, ne))
+    n_g, n_h = q ** (e - 1), q ** (ne - 1)
+    dtype = _code_dtype(q, max(e - 1, ne))
     # coefficient tails g_1..g_{e-1}, and below h_1..h_{ne-1}, in
     # itertools.product order
-    g = _digits(np.arange(n_g, dtype=np.uint64), p, e - 1).astype(dtype)
+    g = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
+    g_rank = np.arange(0, n_g * n_h, n_h)
     step = max(1, _CHUNK_ROWS // n_g)
     for lo in range(0, n_h, step):
-        tails = _digits(np.arange(lo, min(lo + step, n_h), dtype=np.uint64), p, ne - 1)
-        h = np.zeros((n + 1, tails.shape[1]), dtype=dtype)
-        h[1:ne] = tails
+        hs = np.arange(lo, min(lo + step, n_h))
+        h = np.zeros((n + 1, len(hs)), dtype=dtype)
+        h[1:ne] = _digits(hs.astype(np.uint64), q, ne - 1)
         h[ne] = 1
         # h^1..h^e of every h in the block
         powers = [h]
         for _ in range(e - 1):
             nxt = np.zeros_like(h)
             for j in range(1, ne + 1):
-                nxt[j:] += h[j] * powers[-1][: n + 1 - j]
-            powers.append(nxt % p)
-        # f = h^e + sum_i g_i h^i, exponents i = 1..e-1, as (slot, h, g)
-        F = sum(P[:, :, None] * g_i for P, g_i in zip(powers, g)) + powers[-1][:, :, None]
-        yield (F % p).reshape(n + 1, -1)
+                add(nxt[j:], mul(h[j], powers[-1][: n + 1 - j]))
+            powers.append(mod(nxt))
+        # every g(h) of the block, as (slot, h, g)
+        F = _g_of_h(ctx, [P[:, :, None] for P in powers], g)
+        yield F.reshape(n + 1, -1), (hs[:, None] + g_rank).ravel()
 
 
-def _census_details(keys, counts, first, splits: list[int], n: int, q: int) -> dict:
+def _census_details(keys, counts, low, splits: list[int], n: int, q: int) -> dict:
     """``CensusReport.details`` from each distinct row's packed key, its
-    per-split counts and the position of its first enumeration."""
+    per-split counts and the smallest rank among its copies."""
     import numpy as np
 
-    by_first = np.argsort(first)
-    rows = np.zeros((len(first), n + 1), dtype=np.uint8)
-    rows[:, 1:n] = _unpack(keys[:, by_first], q, n - 1).T
+    by_rank = np.argsort(low)
+    rows = np.zeros((len(low), n + 1), dtype=np.uint8)
+    rows[:, 1:n] = _unpack(keys[:, by_rank], q, n - 1).T
     rows[:, n] = 1
     return {
         row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
-        for row, cs in zip(rows, counts[by_first].tolist())
+        for row, cs in zip(rows, counts[by_rank].tolist())
     }
 
 
@@ -347,29 +363,27 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
         raise ValueError("census keys assume q <= 255")
     splits = [e for e in divisors(n) if 1 < e < n]
     b = enumeration_budget(budget)
-    required = sum(q ** (e - 1) * q ** (n // e - 1) for e in splits)
-    if required > b:
-        raise BudgetExceeded(required, b, f"decomposition census at n={n}, q={q}")
+    sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
+    if sum(sizes) > b:
+        raise BudgetExceeded(sum(sizes), b, f"decomposition census at n={n}, q={q}")
     import numpy as np
 
     # a Frobenius composition has nonzero coefficients only at multiples of p
     non_frob = [i for i in range(n + 1) if i % p]
-    keys, tags, frob = [], [], []
-    for t, e in enumerate(splits):
-        if ctx.d == 1 and q ** (e - 1) * q ** (n // e - 1) > _NUMPY_THRESHOLD:
-            blocks = _census_pairs_numpy(p, n, e)
-        else:
-            blocks = [np.array(list(_census_pairs_python(ctx, n, e))).T]
-        for codes in blocks:
+    # a composition's rank is its split's offset plus its rank in the split
+    offsets = list(itertools.accumulate(sizes[:-1], initial=0))
+    keys, ranks, frob = [], [], []
+    for e, offset in zip(splits, offsets):
+        for codes, rank in _census_pairs(ctx, n, e):
             # every composition has code 0 at slot 0 and code 1 at slot n
             keys.append(_pack(codes[1:n], q))
-            tags.append(np.full(codes.shape[1], t))
+            ranks.append(rank + offset)
             frob.append(~codes[non_frob].any(axis=0))
     keys = np.concatenate(keys, axis=1)
-    first, counts = _group_by(keys, np.concatenate(tags), len(splits))
+    rep, low, counts = _group_by(keys, np.concatenate(ranks), offsets)
     hit = counts > 0
     decs = counts.sum(axis=1)
-    frob = np.concatenate(frob)[first]
+    frob = np.concatenate(frob)[rep]
     pair_int, pair_int_nf = {}, {}
     for (i, a), (j, b2) in itertools.combinations(enumerate(splits), 2):
         both = hit[:, i] & hit[:, j]
@@ -383,7 +397,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
     return CensusReport(
         n=n,
         q=q,
-        total=len(first),
+        total=len(rep),
         per_split=dict(zip(splits, hit.sum(axis=0).tolist())),
         pair_intersections=pair_int,
         pair_intersections_nonfrobenius=pair_int_nf,
@@ -391,17 +405,11 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
         frobenius_members=int(frob.sum()),
         frobenius_collisions=int((frob & (decs >= 2)).sum()),
         split_profiles=dict(sorted(profiles.items())),
-        _details=partial(_census_details, keys[:, first], counts, first, splits, n, q),
+        _details=partial(_census_details, keys[:, rep], counts, low, splits, n, q),
     )
 
 
 # -- multivariate decomposables --------------------------------------------
-
-
-def _mv_monomials(r: int, n: int) -> list[tuple[int, ...]]:
-    from .ff import _deglex_monomials
-
-    return _deglex_monomials(r, n)
 
 
 def _mv_monic_original_rows(q: int, r: int, n: int):
@@ -410,7 +418,7 @@ def _mv_monic_original_rows(q: int, r: int, n: int):
     degree <= n."""
     import numpy as np
 
-    monos = _mv_monomials(r, n)
+    monos = _deglex_monomials(r, n)
     width = len(monos)
     top = [i for i, m in enumerate(monos) if sum(m) == n]
     blocks = []
@@ -426,7 +434,7 @@ def _mv_monic_original_rows(q: int, r: int, n: int):
 def _mv_mult_pairs(r: int, n: int) -> list[tuple[int, int, int]]:
     """Index triples (i, j, k): monomial i times monomial j is monomial k,
     over the monomials of degree <= n (products above degree n dropped)."""
-    monos = _mv_monomials(r, n)
+    monos = _deglex_monomials(r, n)
     index = {m: i for i, m in enumerate(monos)}
     out = []
     for i, mi in enumerate(monos):
@@ -437,87 +445,49 @@ def _mv_mult_pairs(r: int, n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _mv_decomp_numpy(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
-    import numpy as np
-
-    q = ctx.q
-    big_monos = _mv_monomials(r, n)
-    width = len(big_monos)
-    big_index = {m: i for i, m in enumerate(big_monos)}
-    pairs = _mv_mult_pairs(r, n)
-    keys = []
-    for e in divisors(n):
-        if e < 2:
-            continue
-        ne = n // e
-        H = _mv_monic_original_rows(q, r, ne)
-        n_h = H.shape[1]
-        n_g = q ** (e - 1)
-        if n_h * n_g > budget:
-            raise BudgetExceeded(n_h * n_g, budget, f"decomposable compositions e={e}")
-        # lift h into the degree-n monomial space
-        lift = [big_index[m] for m in _mv_monomials(r, ne)]
-        Hbig = np.zeros((width, n_h), dtype=np.int64)
-        Hbig[lift] = H
-        powers = [Hbig]
-        for _ in range(e - 1):
-            prev = powers[-1]
-            nxt = np.zeros_like(Hbig)
-            for i, j, k in pairs:
-                col = prev[i] * Hbig[j]
-                if col.any():
-                    nxt[k] += col
-            powers.append(nxt % q)
-        dtype = _code_dtype(q, e - 1)
-        powers = [P[:, None, :].astype(dtype) for P in powers]
-        tails = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
-        # f = h^e + sum_i g_i h^i for a block of g tails at once, as
-        # (slot, g, h); the constant slot is last and always 0
-        step = max(1, _CHUNK_ROWS // n_h)
-        for lo in range(0, n_g, step):
-            g = tails[:, lo : lo + step, None]
-            F = (sum(P * g_i for P, g_i in zip(powers, g)) + powers[-1]) % q
-            keys.append(_pack(F[:-1].reshape(width - 1, -1), q))
-    return len(_runs(np.concatenate(keys, axis=1), stable=False)[1])
-
-
-def _mv_decomp_python(r: int, n: int, ctx: FieldCtx, budget: int) -> int:
-    keys = set()
-    for e in divisors(n):
-        if e < 2:
-            continue
-        ne = n // e
-        n_h = count_monic(ctx.q, r, ne, original=True)
-        n_g = ctx.q ** (e - 1)
-        if n_h * n_g > budget:
-            raise BudgetExceeded(n_h * n_g, budget, f"decomposable compositions e={e}")
-        g_list = list(enumerate_monic_uni(ctx, e, original=True))
-        for h in enumerate_monic_mv(ctx, r, ne, original=True):
-            powers = [MvPoly.const(ctx, r, 1), h]
-            for _ in range(e - 1):
-                powers.append(powers[-1] * h)
-            for g in g_list:
-                f = powers[e]
-                for i in range(1, e):
-                    c = g.coeff(i)
-                    if not c.is_zero():
-                        f = f + powers[i] * c
-                keys.add(f.key())
-    return len(keys)
-
-
 def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx, budget: Optional[int] = None) -> int:
     """Count decomposable monic original r-variate degree-n polynomials by
     composing every (univariate monic original g, multivariate monic
     original h) pair with deg g >= 2 across all degree splits."""
+    q = ctx.q
+    splits = [e for e in divisors(n) if e >= 2]
     b = enumeration_budget(budget)
-    total_pairs = sum(
-        ctx.q ** (e - 1) * count_monic(ctx.q, r, n // e, original=True)
-        for e in divisors(n)
-        if e >= 2
-    )
-    if total_pairs > b:
-        raise BudgetExceeded(total_pairs, b, f"decomposable census r={r}, n={n}")
-    if ctx.d == 1 and total_pairs > _NUMPY_THRESHOLD:
-        return _mv_decomp_numpy(r, n, ctx, b)
-    return _mv_decomp_python(r, n, ctx, b)
+    total = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in splits)
+    if total > b:
+        raise BudgetExceeded(total, b, f"decomposable census r={r}, n={n}")
+    import numpy as np
+
+    add, mul, mod = _field_ops(ctx)
+    monos = _deglex_monomials(r, n)
+    width = len(monos)
+    index = {m: i for i, m in enumerate(monos)}
+    pairs = _mv_mult_pairs(r, n)
+    dtype = _code_dtype(q, len(pairs))  # more terms than any sum below
+    # every composition's packed key, written block by block
+    keys = np.empty((-(-(width - 1) // _digits_per_word(q)), total), dtype=np.uint64)
+    at = 0
+    for e in splits:
+        ne = n // e
+        n_h, n_g = count_monic(q, r, ne, original=True), q ** (e - 1)
+        # every h, lifted into the degree-n monomial space
+        h = np.zeros((width, n_h), dtype=dtype)
+        h[[index[m] for m in _deglex_monomials(r, ne)]] = _mv_monic_original_rows(q, r, ne)
+        powers = [h]
+        for _ in range(e - 1):
+            nxt = np.zeros_like(h)
+            for i, j, k in pairs:
+                col = mul(powers[-1][i], h[j])
+                if col.any():
+                    add(nxt[k], col)
+            powers.append(mod(nxt))
+        powers = [P[:, None, :] for P in powers]
+        tails = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
+        # g(h) for a block of g tails at once, as (slot, g, h); the constant
+        # slot is last and always 0
+        step = max(1, _CHUNK_ROWS // n_h)
+        for lo in range(0, n_g, step):
+            F = _g_of_h(ctx, powers, tails[:, lo : lo + step, None])
+            block = _pack(F[:-1].reshape(width - 1, -1), q)
+            keys[:, at : at + block.shape[1]] = block
+            at += block.shape[1]
+    return int(np.count_nonzero(_runs(keys, permute=False)[1]))

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import ffcount.mv_counts as mc
+from ffcount.ff import field_from_q
+from ffcount.oracle import oracle_mv_decomp
 from ffcount.qrat import QPoly, SymRat, qpow
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -239,10 +241,24 @@ def test_mv_decomp_outer_degree_rule():
 
 def test_mv_decomp_bound_squared():
     assert mc.mv_decomp_bound_sq(2, 4).evaluate(23) == Fraction(23, 121)
-    with pytest.raises(ValueError):
-        mc.mv_decomp_approx(2, 5)
     rep = mc.mv_decomp_approx(2, 4)
     assert rep.exact is None and rep.rel_bound_sq is not None
+    with pytest.raises(ValueError):
+        mc.mv_decomp_approx(2, 1)
+
+
+@pytest.mark.parametrize(
+    "q, n, r", [(2, 3, 2), (3, 3, 2), (2, 5, 2), (4, 3, 2), (5, 3, 2), (2, 3, 3), (2, 2, 2),
+                (3, 2, 2), (8, 3, 2)]
+)
+def test_mv_decomp_exact_at_prime_degree(q, n, r):
+    # h is linear, so (g, h) -> g(h) is injective: q^(n-1) (q^r - 1)/(q - 1)
+    rep = mc.mv_decomp_approx(r, n)
+    assert mc._decomp_outer_degree(r, n) == n
+    assert rep.case == "exact prime n (linear h)" and rep.rel_bound_sq == 0
+    want = q ** (n - 1) * (q**r - 1) // (q - 1)
+    assert rep.exact.evaluate(q) == rep.main_term.evaluate(q) == want
+    assert oracle_mv_decomp(r, n, field_from_q(q)) == want
 
 
 # -- curve bound constants ---------------------------------------------------

@@ -9,7 +9,14 @@ import pytest
 import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
-from ffcount.ff import BudgetExceeded, enumerate_monic_uni, field_make
+from ffcount.ff import (
+    BudgetExceeded,
+    MvPoly,
+    _deglex_monomials,
+    enumerate_monic_mv,
+    enumerate_monic_uni,
+    field_make,
+)
 from ffcount.series import divisors, factor_prime_power
 
 F2 = field_make(2, 1)
@@ -90,52 +97,49 @@ def test_census_frobenius_counts():
 
 
 @lru_cache(maxsize=None)
-def _composed_g_outer(ctx, n, e):
+def _census_pairs_by_compose(ctx, n, e):
+    """Every g(h) with deg g = e by UniPoly.compose, as n + 1 codes, g outer
+    and h inner."""
     gs = list(enumerate_monic_uni(ctx, e, original=True))
     hs = list(enumerate_monic_uni(ctx, n // e, original=True))
-    return len(gs), len(hs), [tuple(g.compose(h).c) for g in gs for h in hs]
+    return [tuple(g.compose(h).c) for g in gs for h in hs]
 
 
-def _census_pairs_by_compose(ctx, n, e, h_outer=False):
-    """Every g(h) with deg g = e by UniPoly.compose, as n + 1 codes, g outer
-    and h inner (or h outer and g inner)."""
-    n_g, n_h, rows = _composed_g_outer(ctx, n, e)
-    if h_outer:
-        return [rows[g * n_h + h] for h in range(n_h) for g in range(n_g)]
-    return rows
-
-
-def test_census_python_numpy_agree(monkeypatch):
-    # the same compositions with the same multiplicities; numpy yields them h
-    # outer, in blocks whose seams a small block size exercises
+@pytest.mark.parametrize(
+    "p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6), (2, 2, 8), (3, 1, 9)]
+)
+def test_census_pairs_python_matches_compose(p, d, n, monkeypatch):
+    # the same rows as g(h) by Horner, and each block's ranks put them in g
+    # outer order; a small block size puts seams inside and across the g tails
     monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
-    for p, n, e in [(5, 6, 2), (3, 9, 3), (2, 12, 3), (3, 8, 4), (2, 12, 6)]:
-        ctx = field_make(p, 1)
-        py = [tuple(f) for f in orc._census_pairs_python(ctx, n, e)]
-        got = [tuple(f) for block in orc._census_pairs_numpy(p, n, e) for f in block.T.tolist()]
-        assert Counter(got) == Counter(py), (p, n, e)
-        assert got == _census_pairs_by_compose(ctx, n, e, h_outer=True), (p, n, e)
-
-
-@pytest.mark.parametrize("p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6)])
-def test_census_pairs_python_matches_compose(p, d, n):
-    # the same rows in the same order as g(h) by Horner
     ctx = field_make(p, d)
     for e in divisors(n):
         if 1 < e < n:
-            got = [tuple(f) for f in orc._census_pairs_python(ctx, n, e)]
-            assert got == _census_pairs_by_compose(ctx, n, e)
+            rows = {}
+            for codes, rank in orc._census_pairs(ctx, n, e):
+                rows.update(zip(rank.tolist(), map(tuple, codes.T.tolist())))
+            assert [rows[i] for i in range(len(rows))] == _census_pairs_by_compose(ctx, n, e)
+
+
+def test_field_ops_match_field_arithmetic():
+    for p, d in [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)]:
+        ctx = field_make(p, d)
+        add, mul, mod = orc._field_ops(ctx)
+        a, b = np.meshgrid(np.arange(ctx.q), np.arange(ctx.q), indexing="ij")
+        codes = range(ctx.q)
+        assert mod(mul(a, b)).tolist() == [[ctx.mul(x, y) for y in codes] for x in codes]
+        # add works in place, so it comes last
+        assert mod(add(a, b)).tolist() == [[ctx.add(x, y) for y in codes] for x in codes]
 
 
 def _census_by_compose(n, ctx):
     """Every CensusReport field, tabulated from UniPoly.compose one pair at a
-    time through a dict keyed by coefficient bytes; splits the census composes
-    with numpy are enumerated h outer, as numpy does."""
+    time through a dict keyed by coefficient bytes, splits ascending, g outer
+    and h inner."""
     splits = [e for e in divisors(n) if 1 < e < n]
     fmap = {}
     for e in splits:
-        h_outer = ctx.d == 1 and ctx.q ** (e - 1 + n // e - 1) > orc._NUMPY_THRESHOLD
-        for f in _census_pairs_by_compose(ctx, n, e, h_outer):
+        for f in _census_pairs_by_compose(ctx, n, e):
             slot = fmap.setdefault(bytes(f), {})
             slot[e] = slot.get(e, 0) + 1
     per_split = {e: 0 for e in splits}
@@ -182,11 +186,13 @@ def _census_fields(rep):
     }
 
 
-@pytest.mark.parametrize("threshold", [orc._NUMPY_THRESHOLD, 0])
+# Rows per composed block: 20000 puts the seams elsewhere than the default
+# 2^15, 7 cuts most blocks unevenly and 0 composes one h per block, so the
+# details order is recovered from ranks across blocks and splits.
+@pytest.mark.parametrize("chunk", [20000, 7, 0])
 @pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4)])
-def test_census_report_matches_compose_tabulation(n, q, threshold, monkeypatch):
-    # threshold 0 sends every prime-field split through numpy
-    monkeypatch.setattr(orc, "_NUMPY_THRESHOLD", threshold)
+def test_census_report_matches_compose_tabulation(n, q, chunk, monkeypatch):
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
     ctx = field_make(*factor_prime_power(q))
     assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
 
@@ -194,7 +200,6 @@ def test_census_report_matches_compose_tabulation(n, q, threshold, monkeypatch):
 def test_census_multiword_keys(monkeypatch):
     # three digits per word, so each census key spans several uint64 words
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
-    monkeypatch.setattr(orc, "_NUMPY_THRESHOLD", 0)
     for n, q in [(12, 5), (9, 9)]:
         ctx = field_make(*factor_prime_power(q))
         assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
@@ -209,53 +214,93 @@ def test_group_by_matches_counter(q, width, m):
     # a small pool of distinct rows, so most rows repeat
     pool = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(m // 5 + 1)]
     rows = [rng.choice(pool) for _ in range(m)]
-    tags = [rng.randrange(3) for _ in range(m)]
+    ranks = rng.sample(range(3 * m), m)  # three bins of m ranks each
     digits = np.array(rows, dtype=np.int64).reshape(m, width).T
     keys = orc._pack(digits, q)
     per_word = orc._digits_per_word(q)
     assert q**per_word <= 1 << 64 < q ** (per_word + 1)
     assert keys.shape == (-(-width // per_word), m)
     assert (orc._unpack(keys, q, width) == digits).all()
-    want: dict = {}  # row -> [first position, Counter of tags]
-    for i, (row, t) in enumerate(zip(rows, tags)):
-        want.setdefault(row, [i, Counter()])[1][t] += 1
-    first, counts = orc._group_by(keys, np.array(tags, dtype=np.int64), 3)
+    want: dict = {}  # row -> [smallest rank, Counter of bins]
+    for row, rank in zip(rows, ranks):
+        entry = want.setdefault(row, [rank, Counter()])
+        entry[0] = min(entry[0], rank)
+        entry[1][rank // m] += 1
+    rep, low, counts = orc._group_by(keys, np.array(ranks, dtype=np.int64), [0, m, 2 * m])
+    # rep holds one position of each distinct row
     got = {
-        tuple(digits[:, i].tolist()): [i, Counter({t: c for t, c in enumerate(cs) if c})]
-        for i, cs in zip(first.tolist(), counts.tolist())
+        tuple(digits[:, i].tolist()): [lo, Counter({t: c for t, c in enumerate(cs) if c})]
+        for i, lo, cs in zip(rep.tolist(), low.tolist(), counts.tolist())
     }
     assert got == want
-    assert len(orc._runs(keys, stable=False)[1]) == len(want)
+    assert orc._runs(keys, permute=False)[1].sum() == len(want)
+
+
+def _mv_decomp_by_compose(r, n, ctx):
+    """The decomposable count by MvPoly arithmetic: g(h) for every pair, one
+    at a time, deduplicated in a set of keys."""
+    keys = set()
+    for e in divisors(n):
+        if e < 2:
+            continue
+        g_list = list(enumerate_monic_uni(ctx, e, original=True))
+        for h in enumerate_monic_mv(ctx, r, n // e, original=True):
+            powers = [MvPoly.const(ctx, r, 1), h]
+            for _ in range(e - 1):
+                powers.append(powers[-1] * h)
+            for g in g_list:
+                f = powers[e]
+                for i in range(1, e):
+                    c = g.coeff(i)
+                    if not c.is_zero():
+                        f = f + powers[i] * c
+                keys.add(f.key())
+    return len(keys)
 
 
 def test_mv_decomp_paths_agree():
-    assert orc._mv_decomp_python(2, 4, F3, 1 << 26) == orc._mv_decomp_numpy(
-        2, 4, F3, 1 << 26
-    )
-    assert orc._mv_decomp_python(2, 6, F2, 1 << 26) == orc._mv_decomp_numpy(
-        2, 6, F2, 1 << 26
-    )
+    assert _mv_decomp_by_compose(2, 4, F3) == orc.oracle_mv_decomp(2, 4, F3)
+    assert _mv_decomp_by_compose(2, 6, F2) == orc.oracle_mv_decomp(2, 6, F2)
 
 
-def test_mv_decomp_numpy_dedups_across_splits():
-    # the e = 2 and e = 4 images overlap, so equal rows land in different chunks
+@pytest.mark.parametrize(
+    "p, d, n, want", [(2, 2, 2, 20), (2, 2, 3, 80), (2, 2, 4, 1584), (2, 3, 2, 72),
+                      (2, 3, 3, 576), (3, 2, 2, 90), (3, 2, 3, 810)]
+)
+def test_mv_decomp_extension_fields(p, d, n, want):
+    # extension fields compose through the q x q code tables
+    ctx = field_make(p, d)
+    assert orc.oracle_mv_decomp(2, n, ctx) == want
+    assert _mv_decomp_by_compose(2, n, ctx) == want
+
+
+def test_mv_decomp_extension_fields_at_degree_4():
+    assert orc.oracle_mv_decomp(2, 4, field_make(2, 3)) == 41408
+    assert orc.oracle_mv_decomp(2, 4, field_make(3, 2)) == 72819
+
+
+def test_mv_decomp_numpy_dedups_across_splits(monkeypatch):
+    # the e = 2 and e = 4 images overlap, so equal rows land in different
+    # blocks; a small block size makes many of them
     f7 = field_make(7, 1)
-    assert orc._mv_decomp_numpy(2, 4, f7, 1 << 26) == 21903
-    assert orc._mv_decomp_python(2, 4, f7, 1 << 26) == 21903
+    assert orc.oracle_mv_decomp(2, 4, f7) == 21903
+    assert _mv_decomp_by_compose(2, 4, f7) == 21903
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
+    assert orc.oracle_mv_decomp(2, 4, f7) == 21903
 
 
 def test_mv_decomp_numpy_wide_keys():
     # 20 free slots over F_11 take two uint64 words.  At prime n every h is
     # linear and g(h) determines (g, h), so each of the q (q^r - 1)/(q - 1)
     # pairs gives its own polynomial.
-    assert len(orc._mv_monomials(5, 2)) - 1 > orc._digits_per_word(11)
-    assert orc._mv_decomp_numpy(5, 2, field_make(11, 1), 1 << 26) == 11 * (11**5 - 1) // 10
+    assert len(_deglex_monomials(5, 2)) - 1 > orc._digits_per_word(11)
+    assert orc.oracle_mv_decomp(5, 2, field_make(11, 1)) == 11 * (11**5 - 1) // 10
 
 
 def test_mv_decomp_prime_degree_uses_linear_h():
     # only the (deg g, deg h) = (n, 1) split exists at prime n
     got = orc.oracle_mv_decomp(2, 3, F2)
-    assert got == orc._mv_decomp_python(2, 3, F2, 1 << 26)
+    assert got == _mv_decomp_by_compose(2, 3, F2)
     assert got > 0
 
 
@@ -305,5 +350,5 @@ def test_mv_decomp_paths_agree_above_one_byte():
     # q = 257 coefficients do not fit in uint8
     f257 = field_make(257, 1)
     want = 257 * 258  # every monic original quadratic decomposes: q(q+1)
-    assert orc._mv_decomp_numpy(2, 2, f257, 1 << 26) == want
-    assert orc._mv_decomp_python(2, 2, f257, 1 << 26) == want
+    assert orc.oracle_mv_decomp(2, 2, f257) == want
+    assert _mv_decomp_by_compose(2, 2, f257) == want
