@@ -252,28 +252,29 @@ def _cmd_decomp(args, out) -> int:
     return 0
 
 
+# each family's constructor in uv_families and the flags it takes, in
+# argument order (argparse destinations; "ctx" is the field itself); the
+# flags in _FAMILY_PARSERS are field elements or polynomials
+_FAMILIES = {
+    "ritt1": ("ritt_family_first", ("l", "k", "w", "a")),
+    "ritt2": ("ritt_family_second", ("l", "m", "z", "a")),
+    "frobenius": ("frobenius_family", ("h",)),
+    "S": ("s_family", ("ctx", "u", "s_elem", "eps", "m", "r_power")),
+    "M": ("m_family", ("ctx", "a", "b", "m", "r_power")),
+}
+_FAMILY_PARSERS = {"w": parse_upoly, "h": parse_upoly, "a": parse_element, "b": parse_element,
+                   "z": parse_element, "u": parse_element, "s_elem": parse_element}
+
+
 def _build_family(args, ctx: FieldCtx) -> uv_families.CollisionFamily:
-    fam = args.family
-    if fam == "ritt1":
-        w = parse_upoly(ctx, args.w)
-        return uv_families.ritt_family_first(args.l, args.k, w, parse_element(ctx, args.a))
-    if fam == "ritt2":
-        return uv_families.ritt_family_second(
-            args.l, args.m, parse_element(ctx, args.z), parse_element(ctx, args.a)
-        )
-    if fam == "frobenius":
-        return uv_families.frobenius_family(parse_upoly(ctx, args.h))
-    if fam == "S":
-        return uv_families.s_family(
-            ctx, parse_element(ctx, args.u), parse_element(ctx, args.s_elem),
-            args.eps, args.m, args.r_power,
-        )
-    if fam == "M":
-        return uv_families.m_family(
-            ctx, parse_element(ctx, args.a), parse_element(ctx, args.b),
-            args.m, args.r_power,
-        )
-    raise ValueError(f"unknown family {fam!r}")
+    name, flags = _FAMILIES[args.family]
+    given = {**vars(args), "ctx": ctx}
+    missing = [f"--{f.replace('_', '-')}" for f in flags if given[f] is None]
+    if missing:
+        raise ValueError(f"--family {args.family} needs {', '.join(missing)}")
+    parse = _FAMILY_PARSERS
+    values = [parse[f](ctx, given[f]) if f in parse else given[f] for f in flags]
+    return getattr(uv_families, name)(*values)
 
 
 def _cmd_families(args, out) -> int:
@@ -453,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_decomp)
 
     sp = sub.add_parser("families", parents=[common], help="build and verify a collision family")
-    sp.add_argument("--family", required=True, choices=("ritt1", "ritt2", "frobenius", "S", "M"))
+    sp.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     sp.add_argument("--q", type=prime_power, required=True)
     sp.add_argument("--l", type=int)
     sp.add_argument("--k", type=int)

@@ -15,13 +15,14 @@ coefficient key:
 
 No symbolic shortcut from the formula side enters any of these.  The
 multivariate class counts keep sets of ``MvPoly`` keys.  The univariate
-census and the multivariate decomposables each have one numpy composer for
-every field: it composes blocks of pairs on field codes (integers mod p over
-F_p, q x q addition and multiplication tables over F_{p^d}), packs each
-composed polynomial's codes into uint64 keys and groups them with one sort
-(see the packed-key group-by below).  numpy is imported inside the functions
-that use it, never at module import.  Budget overruns raise loudly, naming
-the required count.
+census and the multivariate decomposables share one numpy composer for every
+field, ``_compositions``: g is univariate and h has r variables, and the
+census is the case r = 1.  It composes blocks of pairs on field codes
+(integers mod p over F_p, q x q addition and multiplication tables over
+F_{p^d}); each oracle packs the composed polynomials' codes into uint64 keys
+and groups them with one sort (see the packed-key group-by below).  numpy is
+imported inside the functions that use it, never at module import.  Budget
+overruns raise loudly, naming the required count.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ def _g_of_h(ctx: FieldCtx, powers, tails):
     return mod(F)
 
 
-def _digits(words, q: int, width: int):
-    """The ``width`` base-q digits of each uint64, most significant first: a
-    (width, m) array.  The digits of 0..q^width - 1 are the tuples of
-    ``itertools.product(range(q), repeat=width)``, in order."""
-    import numpy as np
-
-    return words // np.uint64(q) ** np.arange(width - 1, -1, -1, dtype=np.uint64)[:, None] % q
-
-
 def _pack(digits, q: int):
     """A (width, m) array of base-q digits as packed keys: a (k, m) uint64
     array, each word holding up to ``_digits_per_word(q)`` digits, most
@@ -229,8 +221,11 @@ def _unpack(keys, q: int, width: int):
     import numpy as np
 
     per = _digits_per_word(q)
-    los = range(0, width, per)
-    return np.concatenate([_digits(w, q, min(per, width - lo)) for w, lo in zip(keys, los)])
+    digits = []
+    for word, lo in zip(keys, range(0, width, per)):
+        places = np.uint64(q) ** np.arange(min(per, width - lo) - 1, -1, -1, dtype=np.uint64)
+        digits.append(word // places[:, None] % q)
+    return np.concatenate(digits)
 
 
 def _runs(keys, permute: bool = True):
@@ -253,7 +248,7 @@ def _runs(keys, permute: bool = True):
         order = None
         keys.sort(axis=1)
     edge = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return order, np.concatenate(([keys.shape[1] > 0], edge))
+    return order, np.concatenate(([True], edge))[: keys.shape[1]]
 
 
 def _group_by(keys, ranks, offsets):
@@ -269,10 +264,87 @@ def _group_by(keys, ranks, offsets):
     order, new = _runs(keys)
     starts = np.flatnonzero(new)
     ranks = ranks[order]
-    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
-    bins = np.searchsorted(offsets, ranks, side="right") - 1
-    counts = np.bincount(run * len(offsets) + bins, minlength=len(starts) * len(offsets))
+    # each sorted key's cell run * bins + bin, built in place: the census
+    # reaches its memory peak here
+    cell = np.cumsum(new) * len(offsets)
+    cell += np.searchsorted(offsets, ranks, side="right")
+    cell -= len(offsets) + 1
+    counts = np.bincount(cell, minlength=len(starts) * len(offsets))
     return order[starts], np.minimum.reduceat(ranks, starts), counts.reshape(-1, len(offsets))
+
+
+# -- composing g(h) in blocks ----------------------------------------------
+#
+# Both oracles compose a univariate g with an r-variate h; the univariate
+# census is the case r = 1.
+
+
+def _mv_monic_original_rows(q: int, r: int, n: int):
+    """All monic original r-variate degree-n polynomials over F_q, slot-major:
+    a (width, count) code array over the deg-lex-descending monomials of
+    degree <= n.  Within each leading monomial the free slot nearest the
+    constant is the most significant digit, so at r = 1 column h holds the
+    h-th polynomial of ``enumerate_monic_uni(ctx, n, original=True)``."""
+    import numpy as np
+
+    monos = _deglex_monomials(r, n)
+    width = len(monos)
+    top = [i for i, m in enumerate(monos) if sum(m) == n]
+    blocks = []
+    for lead_pos in top:
+        free = width - 2 - lead_pos  # the slots between the lead and the constant
+        block = np.zeros((width, q**free), dtype=np.int64)
+        block[lead_pos] = 1
+        block[width - 2 : lead_pos : -1] = np.indices((q,) * free).reshape(free, q**free)
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
+    """Compose g(h) for every univariate monic original g of degree e and
+    every r-variate monic original h of degree n / e, in blocks of at most
+    ``max(1, _CHUNK_ROWS // n_g)`` h's, each with every g.  Yields
+    ``(codes, rank)``: a slot-major (width, m) code array over
+    ``_deglex_monomials(r, n)`` (x^n first, the constant last) and each
+    column's rank g * n_h + h, its position when g is outer and h inner."""
+    import numpy as np
+
+    q = ctx.q
+    add, mul, mod = _field_ops(ctx)
+    monos = _deglex_monomials(r, n)
+    index = {m: i for i, m in enumerate(monos)}
+    ne = n // e
+    h_monos = _deglex_monomials(r, ne)
+    # h^k has degree <= k * ne, so it lives in the slots from low[k] on (the
+    # monomials are deg-lex descending); multiplying it by h's monomial j
+    # moves slot i to the slot of i * j.  h has no constant term.
+    low = [sum(sum(m) > k * ne for m in monos) for k in range(e)]
+    shifts = [
+        (index[j], [index[tuple(map(sum, zip(m, j)))] for m in monos[low[e - 1] :]])
+        for j in h_monos[:-1]
+    ]
+    h_slots = [index[m] for m in h_monos]
+    hs = _mv_monic_original_rows(q, r, ne)
+    n_g, n_h = q ** (e - 1), hs.shape[1]
+    dtype = _code_dtype(q, max(e - 1, len(shifts)))
+    # coefficient tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
+    tails = np.indices((q,) * (e - 1), dtype=dtype).reshape(e - 1, 1, n_g)
+    g_rank = np.arange(0, n_g * n_h, n_h)
+    step = max(1, _CHUNK_ROWS // n_g)
+    for lo in range(0, n_h, step):
+        h = np.zeros((len(monos), min(step, n_h - lo)), dtype=dtype)
+        h[h_slots] = hs[:, lo : lo + step]
+        # h^1..h^e of every h in the block
+        powers = [h]
+        for k in range(1, e):
+            nxt = np.zeros_like(h)
+            for j, dst in shifts:
+                dst = dst[low[k] - low[e - 1] :]
+                nxt[dst] = add(nxt[dst], mul(h[j], powers[-1][low[k] :]))
+            powers.append(mod(nxt))
+        # every g(h) of the block, as (slot, h, g)
+        F = _g_of_h(ctx, [P[:, :, None] for P in powers], tails)
+        yield F.reshape(len(monos), -1), (np.arange(lo, lo + h.shape[1])[:, None] + g_rank).ravel()
 
 
 # -- univariate decomposition census --------------------------------------
@@ -303,40 +375,6 @@ class CensusReport:
         return self._details()
 
 
-def _census_pairs(ctx: FieldCtx, n: int, e: int):
-    """Compose g(h) for every monic original pair with deg g = e, in blocks
-    of about ``_CHUNK_ROWS`` polynomials.  Yields ``(codes, rank)``: a
-    slot-major (n + 1, m) code array and each column's rank g * n_h + h, its
-    position when g is outer and h inner."""
-    import numpy as np
-
-    q = ctx.q
-    add, mul, mod = _field_ops(ctx)
-    ne = n // e
-    n_g, n_h = q ** (e - 1), q ** (ne - 1)
-    dtype = _code_dtype(q, max(e - 1, ne))
-    # coefficient tails g_1..g_{e-1}, and below h_1..h_{ne-1}, in
-    # itertools.product order
-    g = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
-    g_rank = np.arange(0, n_g * n_h, n_h)
-    step = max(1, _CHUNK_ROWS // n_g)
-    for lo in range(0, n_h, step):
-        hs = np.arange(lo, min(lo + step, n_h))
-        h = np.zeros((n + 1, len(hs)), dtype=dtype)
-        h[1:ne] = _digits(hs.astype(np.uint64), q, ne - 1)
-        h[ne] = 1
-        # h^1..h^e of every h in the block
-        powers = [h]
-        for _ in range(e - 1):
-            nxt = np.zeros_like(h)
-            for j in range(1, ne + 1):
-                add(nxt[j:], mul(h[j], powers[-1][: n + 1 - j]))
-            powers.append(mod(nxt))
-        # every g(h) of the block, as (slot, h, g)
-        F = _g_of_h(ctx, [P[:, :, None] for P in powers], g)
-        yield F.reshape(n + 1, -1), (hs[:, None] + g_rank).ravel()
-
-
 def _census_details(keys, counts, low, splits: list[int], n: int, q: int) -> dict:
     """``CensusReport.details`` from each distinct row's packed key, its
     per-split counts and the smallest rank among its copies."""
@@ -359,13 +397,15 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
     Frobenius compositions), the histogram of decomposition counts, and
     Frobenius membership."""
     q, p = ctx.q, ctx.p
-    if q > 255:
-        raise ValueError("census keys assume q <= 255")
+    if q > 256:
+        raise ValueError("census details hold codes in uint8, so q <= 256")
     splits = [e for e in divisors(n) if 1 < e < n]
     b = enumeration_budget(budget)
     sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
     if sum(sizes) > b:
         raise BudgetExceeded(sum(sizes), b, f"decomposition census at n={n}, q={q}")
+    if not splits:  # prime n: nothing decomposes
+        return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, _details=dict)
     import numpy as np
 
     # a Frobenius composition has nonzero coefficients only at multiples of p
@@ -374,7 +414,8 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
     offsets = list(itertools.accumulate(sizes[:-1], initial=0))
     keys, ranks, frob = [], [], []
     for e, offset in zip(splits, offsets):
-        for codes, rank in _census_pairs(ctx, n, e):
+        for codes, rank in _compositions(ctx, 1, n, e):
+            codes = codes[::-1]  # constant first
             # every composition has code 0 at slot 0 and code 1 at slot n
             keys.append(_pack(codes[1:n], q))
             ranks.append(rank + offset)
@@ -412,39 +453,6 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
 # -- multivariate decomposables --------------------------------------------
 
 
-def _mv_monic_original_rows(q: int, r: int, n: int):
-    """All monic original r-variate degree-n polynomials over F_q, slot-major:
-    a (width, count) code array over the deg-lex-descending monomials of
-    degree <= n."""
-    import numpy as np
-
-    monos = _deglex_monomials(r, n)
-    width = len(monos)
-    top = [i for i, m in enumerate(monos) if sum(m) == n]
-    blocks = []
-    for lead_pos in top:
-        free = width - 2 - lead_pos  # the slots between the lead and the constant
-        block = np.zeros((width, q**free), dtype=np.int64)
-        block[lead_pos] = 1
-        block[lead_pos + 1 : width - 1] = _digits(np.arange(q**free, dtype=np.uint64), q, free)
-        blocks.append(block)
-    return np.hstack(blocks)
-
-
-def _mv_mult_pairs(r: int, n: int) -> list[tuple[int, int, int]]:
-    """Index triples (i, j, k): monomial i times monomial j is monomial k,
-    over the monomials of degree <= n (products above degree n dropped)."""
-    monos = _deglex_monomials(r, n)
-    index = {m: i for i, m in enumerate(monos)}
-    out = []
-    for i, mi in enumerate(monos):
-        for j, mj in enumerate(monos):
-            prod = tuple(a + b for a, b in zip(mi, mj))
-            if sum(prod) <= n:
-                out.append((i, j, index[prod]))
-    return out
-
-
 def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx, budget: Optional[int] = None) -> int:
     """Count decomposable monic original r-variate degree-n polynomials by
     composing every (univariate monic original g, multivariate monic
@@ -457,37 +465,13 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx, budget: Optional[int] = None
         raise BudgetExceeded(total, b, f"decomposable census r={r}, n={n}")
     import numpy as np
 
-    add, mul, mod = _field_ops(ctx)
-    monos = _deglex_monomials(r, n)
-    width = len(monos)
-    index = {m: i for i, m in enumerate(monos)}
-    pairs = _mv_mult_pairs(r, n)
-    dtype = _code_dtype(q, len(pairs))  # more terms than any sum below
-    # every composition's packed key, written block by block
+    width = len(_deglex_monomials(r, n))
+    # every composition's packed key, written block by block; the constant
+    # slot is last and always 0
     keys = np.empty((-(-(width - 1) // _digits_per_word(q)), total), dtype=np.uint64)
     at = 0
     for e in splits:
-        ne = n // e
-        n_h, n_g = count_monic(q, r, ne, original=True), q ** (e - 1)
-        # every h, lifted into the degree-n monomial space
-        h = np.zeros((width, n_h), dtype=dtype)
-        h[[index[m] for m in _deglex_monomials(r, ne)]] = _mv_monic_original_rows(q, r, ne)
-        powers = [h]
-        for _ in range(e - 1):
-            nxt = np.zeros_like(h)
-            for i, j, k in pairs:
-                col = mul(powers[-1][i], h[j])
-                if col.any():
-                    add(nxt[k], col)
-            powers.append(mod(nxt))
-        powers = [P[:, None, :] for P in powers]
-        tails = _digits(np.arange(n_g, dtype=np.uint64), q, e - 1).astype(dtype)
-        # g(h) for a block of g tails at once, as (slot, g, h); the constant
-        # slot is last and always 0
-        step = max(1, _CHUNK_ROWS // n_h)
-        for lo in range(0, n_g, step):
-            F = _g_of_h(ctx, powers, tails[:, lo : lo + step, None])
-            block = _pack(F[:-1].reshape(width - 1, -1), q)
-            keys[:, at : at + block.shape[1]] = block
-            at += block.shape[1]
+        for codes, _ in _compositions(ctx, r, n, e):
+            keys[:, at : at + codes.shape[1]] = _pack(codes[:-1], q)
+            at += codes.shape[1]
     return int(np.count_nonzero(_runs(keys, permute=False)[1]))

@@ -112,7 +112,8 @@ def wild_intersection_bounds(ell: int, m: int, q: int) -> Bracket:
     collisions excluded.  Upper bounds need only p | l*m; lower bounds need
     l prime dividing m and come in two clauses by whether p equals l.
     Vacuous divisor guards count as satisfied.  When nothing applies the
-    bracket falls back to [0, q^(l+m-2)]."""
+    bracket falls back to [0, q^(l+m-2)].  The p = l lower clause is
+    withdrawn at (l, m) = (2, 4) for q > 2, where the census refutes it."""
     p, d = factor_prime_power(q)
     if (ell * m) % p != 0:
         raise ValueError("tame case; use tame_intersection")
@@ -133,7 +134,12 @@ def wild_intersection_bounds(ell: int, m: int, q: int) -> Bracket:
     if smallest_prime_factor(ell) == ell and m % ell == 0 and m > ell:
         if p == ell:
             quot = m // p
-            if all(not (1 < t < quot) or t > p for t in divisors(quot)):
+            if (ell, m) == (2, 4) and q > 2:
+                # the census refutes the clause here (36 > 30, 392 > 302 and
+                # 3600 > 2670 at q = 4, 8, 16); its full hypothesis is not
+                # known, so the lower bound falls back to 0
+                lower_label = "lower(p = l) refuted at (2, 4), q > 2: 0"
+            elif all(not (1 < t < quot) or t > p for t in divisors(quot)):
                 lower = (
                     qf ** (2 * p + m // p - 3) * (1 - 1 / qf) * (1 - qf ** (-p + 1))
                 )

@@ -129,6 +129,37 @@ def test_census_command():
     assert rec["collision_histogram"] == {"1": "2", "2": "1"}
 
 
+def test_census_at_prime_degree_is_empty():
+    rc, out = run(["census", "--n", "5", "--q", "2", "--format", "json"])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["total"] == "0" and rec["frobenius_members"] == "0"
+    assert rec["per_split"] == rec["pair_intersections"] == rec["collision_histogram"] == {}
+
+
+# one complete argv per family; each test drops one of its flags
+FAMILY_ARGV = {
+    "ritt1": ["--q", "5", "--l", "2", "--k", "1", "--w", "x+1", "--a", "0"],
+    "ritt2": ["--q", "5", "--l", "2", "--m", "3", "--z", "1", "--a", "0"],
+    "frobenius": ["--q", "2", "--h", "x^2+x"],
+    "S": ["--q", "4", "--u", "1", "--s-elem", "1", "--eps", "0", "--m", "1", "--r-power", "2"],
+    "M": ["--q", "5", "--a", "2", "--b", "1", "--m", "2", "--r-power", "5"],
+}
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [(fam, flag) for fam, argv in FAMILY_ARGV.items() for flag in argv[2::2]],
+)
+def test_families_missing_flag_is_a_usage_error(family, flag, capsys):
+    argv = FAMILY_ARGV[family]
+    assert run(["families", "--family", family] + argv)[0] == 0
+    at = argv.index(flag)
+    rc, out = run(["families", "--family", family] + argv[:at] + argv[at + 2 :])
+    assert rc == 2 and out == ""
+    assert f"needs {flag}" in capsys.readouterr().err
+
+
 def test_families_command_verifies():
     rc, out = run(
         ["families", "--family", "ritt1", "--q", "5", "--l", "2", "--k", "1",

@@ -9,6 +9,7 @@ import pytest
 import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
+import ffcount.uv_counts as uc
 from ffcount.ff import (
     BudgetExceeded,
     MvPoly,
@@ -109,15 +110,17 @@ def _census_pairs_by_compose(ctx, n, e):
     "p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6), (2, 2, 8), (3, 1, 9)]
 )
 def test_census_pairs_python_matches_compose(p, d, n, monkeypatch):
-    # the same rows as g(h) by Horner, and each block's ranks put them in g
-    # outer order; a small block size puts seams inside and across the g tails
+    # the univariate compositions (r = 1) are the same rows as g(h) by
+    # Horner, and each block's ranks put them in g outer order; a small block
+    # size puts seams inside and across the g tails
     monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
     ctx = field_make(p, d)
     for e in divisors(n):
         if 1 < e < n:
             rows = {}
-            for codes, rank in orc._census_pairs(ctx, n, e):
-                rows.update(zip(rank.tolist(), map(tuple, codes.T.tolist())))
+            for codes, rank in orc._compositions(ctx, 1, n, e):
+                # slots run from x^n down to the constant
+                rows.update(zip(rank.tolist(), map(tuple, codes[::-1].T.tolist())))
             assert [rows[i] for i in range(len(rows))] == _census_pairs_by_compose(ctx, n, e)
 
 
@@ -197,6 +200,22 @@ def test_census_report_matches_compose_tabulation(n, q, chunk, monkeypatch):
     assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
 
 
+def test_census_at_prime_degree_is_empty():
+    rep = orc.oracle_decomp_census(5, F2)
+    assert (rep.total, rep.frobenius_members, rep.frobenius_collisions) == (0, 0, 0)
+    assert rep.per_split == rep.pair_intersections == rep.collision_histogram == {}
+    assert rep.pair_intersections_nonfrobenius == rep.split_profiles == rep.details == {}
+
+
+def test_census_over_f256():
+    # codes 0..255 fit the uint8 details rows; q = 257 does not
+    rep = orc.oracle_decomp_census(4, field_make(2, 8))
+    assert rep.total == uc.d_p2_exact(2, 8) == 43691
+    assert rep.frobenius_collisions == 255 and len(rep.details) == 43691
+    with pytest.raises(ValueError, match="q <= 256"):
+        orc.oracle_decomp_census(4, field_make(257, 1))
+
+
 def test_census_multiword_keys(monkeypatch):
     # three digits per word, so each census key spans several uint64 words
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
@@ -236,6 +255,7 @@ def test_group_by_matches_counter(q, width, m):
     assert orc._runs(keys, permute=False)[1].sum() == len(want)
 
 
+@lru_cache(maxsize=None)
 def _mv_decomp_by_compose(r, n, ctx):
     """The decomposable count by MvPoly arithmetic: g(h) for every pair, one
     at a time, deduplicated in a set of keys."""
@@ -279,14 +299,22 @@ def test_mv_decomp_extension_fields_at_degree_4():
     assert orc.oracle_mv_decomp(2, 4, field_make(3, 2)) == 72819
 
 
-def test_mv_decomp_numpy_dedups_across_splits(monkeypatch):
+def test_mv_decomp_numpy_dedups_across_splits():
     # the e = 2 and e = 4 images overlap, so equal rows land in different
-    # blocks; a small block size makes many of them
+    # blocks
     f7 = field_make(7, 1)
     assert orc.oracle_mv_decomp(2, 4, f7) == 21903
     assert _mv_decomp_by_compose(2, 4, f7) == 21903
-    monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
-    assert orc.oracle_mv_decomp(2, 4, f7) == 21903
+
+
+# 7 rows per block cuts the h list unevenly and 0 composes one h per block
+@pytest.mark.parametrize("chunk", [7, 0])
+@pytest.mark.parametrize("p, d", [(7, 1), (2, 2)])
+def test_mv_decomp_block_seams(p, d, chunk, monkeypatch):
+    ctx = field_make(p, d)
+    want = _mv_decomp_by_compose(2, 4, ctx)
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    assert orc.oracle_mv_decomp(2, 4, ctx) == want
 
 
 def test_mv_decomp_numpy_wide_keys():
@@ -332,8 +360,6 @@ def test_per_split_counts_respect_the_composition_bound():
 
 
 def test_nu_degree4_accumulation_values():
-    import ffcount.uv_counts as uc
-
     # odd characteristic: tame uniqueness makes every pair distinct
     for q in (3, 5, 7):
         ctx = field_make(q, 1)

@@ -1,9 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import ffcount.uv_counts as uc
 from ffcount.bounds import BoundExpr
+from ffcount.ff import field_make
+from ffcount.oracle import oracle_decomp_census
+from ffcount.series import divisors, factor_prime_power
 
 
 def test_alpha_values():
@@ -105,6 +109,16 @@ def test_wild_bounds_no_clause():
     assert br.lower.as_fraction() == 0
 
 
+def test_wild_bounds_p_equals_l_clause_withdrawn_above_q2():
+    # the census finds 30, 302 and 2670 non-Frobenius polynomials in the
+    # (2, 4) intersection at q = 4, 8, 16, below the clause's 36, 392, 3600
+    for q in (4, 8, 16):
+        br = uc.wild_intersection_bounds(2, 4, q)
+        assert br.lower.as_fraction() == 0
+        assert "lower(p = l) refuted" in br.case_label
+    assert uc.wild_intersection_bounds(2, 4, 2).case_label == "upper(p | l); lower(p = l)"
+
+
 def test_wild_bounds_tame_guard():
     with pytest.raises(ValueError, match="tame"):
         uc.wild_intersection_bounds(2, 3, 5)
@@ -158,3 +172,32 @@ def test_bound_expr_comparisons():
     d = BoundExpr.power(2, 4, Fraction(-1, 3), base=4)  # 4 + 4*2^(-1/3)
     assert d >= 7
     assert d <= 8
+
+
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+@pytest.mark.parametrize("q", SWEEP_QS)
+def test_bounds_hold_on_the_census_sweep(q):
+    # every composite n <= 26 whose census needs at most 4 * 10^5 pairs
+    p, d = factor_prime_power(q)
+    ctx = field_make(p, d)
+    for n in range(4, 27):
+        splits = [e for e in divisors(n) if 1 < e < n]
+        if not splits or sum(q ** (e + n // e - 2) for e in splits) > 4 * 10**5:
+            continue
+        rep = oracle_decomp_census(n, ctx)
+        assert uc.d_n_bracket(n, q).contains(rep.total), (n, q)
+        if n == p * p:
+            assert rep.total == uc.d_p2_exact(p, d), (n, q)
+            assert rep.frobenius_collisions == q ** (p - 1) - 1, (n, q)
+        for ell, m in itertools.combinations(splits, 2):
+            if ell * m != n:
+                continue
+            if n % p:
+                assert rep.pair_intersections[ell, m] == uc.tame_intersection(ell, m, q), (n, q)
+            else:
+                br = uc.wild_intersection_bounds(ell, m, q)
+                nonfrob = rep.pair_intersections_nonfrobenius[ell, m]
+                assert br.lower <= nonfrob <= br.upper, (n, q, ell, m, nonfrob, br.case_label)
+
