@@ -6,6 +6,8 @@ decompositions.  This module constructs every family with a known closed
 form: the two monomial/Dickson families behind distinct-degree collisions,
 Frobenius collisions in characteristic p, and the additive/multiplicative
 families that exhaust degree p^2 together with a classifier for that degree.
+The classifier builds those families once per field and looks each shift of
+f up in them.
 
 Everything is built over a concrete ``FieldCtx`` and verified by exact
 polynomial composition; constructors raise on parameter sets outside their
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
-from .ff import FieldCtx, FqElem, UniPoly
+from .ff import FieldCtx, FqElem, UniPoly, enumerate_monic_uni
 from .series import divisors
 
 
@@ -38,9 +41,6 @@ class Decomposition:
 
     def compose(self) -> UniPoly:
         return self.g(self.h)
-
-    def shifted(self, a: FqElem) -> "Decomposition":
-        return Decomposition(_shift(self.g, self.h(a)), _shift(self.h, a))
 
 
 @dataclass
@@ -297,8 +297,6 @@ def count_decompositions(f: UniPoly) -> list[Decomposition]:
     for e in divisors(n):
         if e < 2 or n // e < 2:
             continue
-        from .ff import enumerate_monic_uni
-
         for h in enumerate_monic_uni(ctx, n // e, original=True):
             g = _left_component(f, h, e)
             if g is not None:
@@ -307,29 +305,48 @@ def count_decompositions(f: UniPoly) -> list[Decomposition]:
 
 
 def _left_component(f: UniPoly, h: UniPoly, e: int) -> Optional[UniPoly]:
-    # the unique monic original g of degree e with g(h) = f, if any:
-    # peel coefficients of g from the top by division by powers of h
-    ctx = f.ctx
+    # the unique monic original g of degree e with g(h) = f, if any: the
+    # coefficients of g are the h-adic digits of f, lowest first
     codes = []
     rem = f
-    for i in range(e, -1, -1):
-        hi = h**i
-        c, rem2 = rem.divmod(hi) if i > 0 else (rem, UniPoly(ctx, []))
-        if i == 0:
-            codes.append(0 if rem.is_zero() else None)
-            if codes[-1] is None:
-                return None
-            break
-        if c.degree > 0:
+    for _ in range(e + 1):
+        rem, digit = rem.divmod(h)
+        if digit.degree > 0:
             return None
-        code = c.c[0] if c.c else 0
-        codes.append(code)
-        rem = rem - hi * UniPoly.from_codes(ctx, (code,))
-    codes.reverse()
-    g = UniPoly.from_codes(ctx, codes)
+        codes.append(digit.c[0] if digit.c else 0)
+    if not rem.is_zero():
+        return None
+    g = UniPoly.from_codes(f.ctx, codes)
     if g.degree != e or not g.is_monic() or not g.is_original():
         return None
     return g if g(h) == f else None
+
+
+@lru_cache(maxsize=None)
+def _family_index(ctx: FieldCtx) -> dict[tuple[int, ...], dict[str, dict]]:
+    # codes of every S or M family polynomial of degree p^2 with two or more
+    # decompositions -> {label: the first parameters that build it, in the
+    # order m, eps, u, s for S and m, b, a for M}
+    p = ctx.p
+    index: dict[tuple[int, ...], dict[str, dict]] = {}
+
+    def add(fam: CollisionFamily, **params) -> None:
+        if len(fam.decompositions) >= 2:
+            by_label = index.setdefault(fam.f.c, {})
+            if fam.label not in by_label:
+                by_label[fam.label] = dict(params, t_count=len(fam.decompositions))
+
+    for m in divisors(p - 1):
+        for eps in (0, 1):
+            for u in ctx.nonzero_elements():
+                for s in ctx.nonzero_elements():
+                    add(s_family(ctx, u, s, eps, m, p), u=u, s=s, eps=eps, m=m)
+    for m in range(2, p - 1):
+        for b in ctx.nonzero_elements():
+            for a in ctx.elements():
+                if not (a.is_zero() or a == b**p):
+                    add(m_family(ctx, a, b, m, p), a=a, b=b, m=m)
+    return index
 
 
 def classify_p2(f: UniPoly) -> tuple[str, dict]:
@@ -342,7 +359,9 @@ def classify_p2(f: UniPoly) -> tuple[str, dict]:
         with at least two roots (witness carries the root count);
       - ("M", ...) when some shift lands in the multiply-original family.
     The three collision cases are mutually exclusive; the witness shift is
-    the smallest one in the field's element order.
+    the smallest one in the field's element order.  The S and M families of
+    the field are built once, on the first call, and every shift of f is
+    looked up in them.
     """
     ctx = f.ctx
     p = ctx.p
@@ -355,57 +374,16 @@ def classify_p2(f: UniPoly) -> tuple[str, dict]:
         return "none", {"decompositions": len(decs)}
 
     is_frob = all(c == 0 for e, c in enumerate(f.c) if e % p)
-    s_witness = _search_s(f)
-    m_witness = _search_m(f)
-    hits = [h for h in (("F", is_frob), ("S", s_witness), ("M", m_witness)) if h[1]]
+    index = _family_index(ctx)
+    witness = {}
+    for w in ctx.elements():
+        for label, params in index.get(_shift(f, w).c, {}).items():
+            if label not in witness:
+                witness[label] = {"w": w, **params}
+    hits = (["F"] if is_frob else []) + [label for label in ("S", "M") if label in witness]
     if len(hits) != 1:
-        raise RuntimeError(
-            f"classification not exclusive for {f}: {[h[0] for h in hits]}"
-        )
-    label, witness = hits[0]
-    info = {"decompositions": len(decs)}
-    if label == "S":
-        info.update(witness)
-    elif label == "M":
-        info.update(witness)
-    return label, info
-
-
-def _search_s(f: UniPoly) -> Optional[dict]:
-    ctx = f.ctx
-    p = ctx.p
-    for w in ctx.elements():
-        shifted = _shift(f, w)
-        for m in divisors(p - 1) if p > 2 else [1]:
-            for eps in (0, 1):
-                for u in ctx.nonzero_elements():
-                    for s in ctx.nonzero_elements():
-                        fam = s_family(ctx, u, s, eps, m, p)
-                        if fam.f == shifted and len(fam.decompositions) >= 2:
-                            return {
-                                "w": w, "u": u, "s": s, "eps": eps, "m": m,
-                                "t_count": len(fam.decompositions),
-                            }
-    return None
-
-
-def _search_m(f: UniPoly) -> Optional[dict]:
-    ctx = f.ctx
-    p = ctx.p
-    admissible_m = [m for m in range(2, p - 1) if m % p != 0]
-    if not admissible_m:
-        return None
-    for w in ctx.elements():
-        shifted = _shift(f, w)
-        for m in admissible_m:
-            for b in ctx.nonzero_elements():
-                for a in ctx.elements():
-                    if a.is_zero() or a == b**p:
-                        continue
-                    fam = m_family(ctx, a, b, m, p)
-                    if fam.f == shifted:
-                        return {"w": w, "a": a, "b": b, "m": m, "t_count": 2}
-    return None
+        raise RuntimeError(f"classification not exclusive for {f}: {hits}")
+    return hits[0], {"decompositions": len(decs), **witness.get(hits[0], {})}
 
 
 def frobenius_collision_count(p: int, q: int, n: int) -> int:

@@ -314,7 +314,7 @@ def test_criterion_10_family_identities():
 
 def test_criterion_11_classification():
     start = time.perf_counter()
-    for q, n in ((2, 4), (3, 9), (4, 4)):
+    for q, n in ((2, 4), (3, 9), (4, 4), (8, 4), (16, 4), (9, 9)):
         rep = census(n, q)
         ctx = field_make(*__import__("ffcount.series", fromlist=["factor_prime_power"]).factor_prime_power(q))
         for key, by_split in rep.details.items():

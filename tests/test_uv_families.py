@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import ffcount.uv_families as uf
-from ffcount.ff import UniPoly, field_make
+from ffcount.ff import UniPoly, enumerate_monic_uni, field_from_q, field_make
+from ffcount.oracle import oracle_decomp_census
 
 rng = random.Random(0xC0111DE)
 
@@ -264,12 +266,48 @@ def test_classify_examples():
     assert uf.classify_p2(UniPoly(F2, [0, 0, 0, 0, 1]))[0] == "none"
     label, info = uf.classify_p2(UniPoly(F4, [0, 1, 0, 0, 1]))
     assert label == "S" and info["t_count"] == 3
+    # the witness is the smallest shift with the first parameters in the
+    # search order (m, eps, u, s for S; m, b, a for M), keys in that order
+    F9 = field_make(3, 2)
+    label, info = uf.classify_p2(UniPoly.from_codes(F9, [0, 0, 1, 3, 7, 8, 8, 0, 0, 1]))
+    assert label == "S"
+    assert [(k, getattr(v, "code", v)) for k, v in info.items()] == [
+        ("decompositions", 2), ("w", 3), ("u", 4), ("s", 2), ("eps", 1), ("m", 2), ("t_count", 2)]
+    f = UniPoly(F5, [0, 0, 0, 2, 0, 4, 0, 4, 0, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0, 4, 0, 0, 0, 0, 0, 1])
+    label, info = uf.classify_p2(f)
+    assert label == "M"
+    assert [(k, getattr(v, "code", v)) for k, v in info.items()] == [
+        ("decompositions", 2), ("w", 1), ("a", 4), ("b", 3), ("m", 2), ("t_count", 2)]
 
 
 def test_classify_m_case():
-    fam = uf.m_family(F5, 2, 1, 2, 5)
-    label, info = uf.classify_p2(fam.f)
-    assert label == "M" and info["t_count"] == 2
+    # each f is a shift of an M family; the witness rebuilds the family that
+    # its own shift of f lands in
+    for a, b, w in ((2, 1, 0), (2, 1, 3), (1, 2, 1), (4, 3, 2), (3, 4, 4)):
+        f = uf.original_shift(uf.m_family(F5, a, b, 2, 5).f, w)
+        label, info = uf.classify_p2(f)
+        assert label == "M" and info["t_count"] == 2, (a, b, w)
+        fam = uf.m_family(F5, info["a"], info["b"], info["m"], 5)
+        assert fam.f == uf.original_shift(f, info["w"]), (a, b, w)
+
+
+@pytest.mark.parametrize("q", [3, 4, 8])  # F_2's one collision is Frobenius
+def test_s_witnesses_rebuild_their_family(q):
+    ctx = field_from_q(q)
+    p = ctx.p
+    seen = 0
+    for key, by_split in oracle_decomp_census(p * p, ctx).details.items():
+        if sum(by_split.values()) < 2:
+            continue
+        f = UniPoly.from_codes(ctx, list(key))
+        label, info = uf.classify_p2(f)
+        if label != "S":
+            continue
+        seen += 1
+        fam = uf.s_family(ctx, info["u"], info["s"], info["eps"], info["m"], p)
+        assert fam.f == uf.original_shift(f, info["w"]), key
+        assert len(fam.decompositions) == info["t_count"], key
+    assert seen, q
 
 
 def test_classify_requires_degree_p_squared():
@@ -277,10 +315,21 @@ def test_classify_requires_degree_p_squared():
         uf.classify_p2(UniPoly(F2, [0, 1, 1]))
 
 
+@pytest.mark.parametrize("n, q", [(4, 2), (6, 2), (8, 2), (9, 2), (12, 2), (4, 3), (6, 3),
+                                  (8, 3), (9, 3), (4, 4), (6, 4), (4, 5), (4, 8)])
+def test_count_decompositions_matches_census(n, q):
+    ctx = field_from_q(q)
+    details = oracle_decomp_census(n, ctx).details
+    for key, by_split in details.items():
+        f = UniPoly.from_codes(ctx, list(key))
+        assert len(uf.count_decompositions(f)) == sum(by_split.values()), key
+    outside = (f for f in enumerate_monic_uni(ctx, n, original=True) if bytes(f.c) not in details)
+    for f in itertools.islice(outside, 5):
+        assert uf.count_decompositions(f) == [], f
+
+
 def test_tame_uniqueness_from_census():
     # p does not divide deg g: the pair is determined by f and deg g
-    from ffcount.oracle import oracle_decomp_census
-
     for n, ctx in [(6, F5), (4, F3), (9, F2)]:
         rep = oracle_decomp_census(n, ctx)
         for by_split in rep.details.values():
