@@ -9,7 +9,8 @@ its class choices from the table.
 Every entry looks its function up when called (``mv_counts.red_exact``, not
 the function object), so a module attribute rebound after import, such as a
 tracing wrapper, is the one that runs.  Oracle entries call only ``oracle``
-code: the formula layer never reaches the ground truth.
+code and ``ff.count_monic``, which counts monic polynomials by their
+coefficient positions: the formula layer never reaches the ground truth.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import mv_counts, oracle
-from .ff import FieldCtx
+from .ff import FieldCtx, count_monic
 from .qrat import QPoly
+
+
+def _irreducible(ctx: FieldCtx, r: int, n: int) -> int:
+    """Monic degree-n polynomials that are not reducible; none at n = 0."""
+    return 0 if n == 0 else count_monic(ctx.q, r, n) - len(oracle._reducible_keys(ctx, r, n))
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ CLASSES: dict[str, PolyClass] = {
     "irreducible": PolyClass(
         lambda r, n, s: mv_counts.irr_exact(r, n),
         None,
-        lambda r, n, ctx, s: len(oracle._irreducible_keys(ctx, r, n)),
+        lambda r, n, ctx, s: _irreducible(ctx, r, n),
     ),
     "powerful": PolyClass(
         lambda r, n, s: mv_counts.powerful_exact(r, n, s),
@@ -55,8 +61,7 @@ CLASSES: dict[str, PolyClass] = {
     "powerfree": PolyClass(
         lambda r, n, s: mv_counts.powerfree_exact(r, n, s),
         None,
-        lambda r, n, ctx, s: (1 if n == 0 else len(oracle._all_keys(ctx, r, n)))
-        - len(oracle._powerful_keys(ctx, r, n, s)),
+        lambda r, n, ctx, s: count_monic(ctx.q, r, n) - len(oracle._powerful_keys(ctx, r, n, s)),
         needs_s=True,
     ),
     "rel_irreducible": PolyClass(
@@ -67,8 +72,7 @@ CLASSES: dict[str, PolyClass] = {
     "abs_irreducible": PolyClass(
         lambda r, n, s: mv_counts.absirr_exact(r, n),
         None,
-        lambda r, n, ctx, s: len(oracle._irreducible_keys(ctx, r, n))
-        - len(oracle._rel_irreducible_keys(ctx, r, n)),
+        lambda r, n, ctx, s: _irreducible(ctx, r, n) - len(oracle._rel_irreducible_keys(ctx, r, n)),
     ),
     "decomposable_mv": PolyClass(
         None,
@@ -108,4 +112,7 @@ def count_report(cls: str, r: int, n: int, s: Optional[int] = None) -> mv_counts
 
 def oracle_count(cls: str, r: int, n: int, ctx: FieldCtx, s: Optional[int] = None) -> int:
     """The exact count of a class over ``ctx`` by exhaustive enumeration."""
-    return _lookup(cls, s, "oracle")(r, n, ctx, s)
+    fn = _lookup(cls, s, "oracle")
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+    return fn(r, n, ctx, s)

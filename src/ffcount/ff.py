@@ -5,7 +5,8 @@ digits of the code are the coordinates with respect to the power basis of
 the generator (the residue class of x modulo the field's modulus).  Codes
 0..p-1 are therefore exactly the prime subfield.  Multiplication runs
 through discrete-log tables built once per field; addition is digitwise
-mod p (a plain XOR when p = 2).
+mod p: a plain XOR when p = 2, integer addition mod p over F_p, and
+otherwise Zech logarithms (g^i + 1 = g^zech[i]) tabulated once per field.
 
 The default modulus for F_{p^d} is deterministic: the monic irreducible
 degree-d polynomial over F_p whose non-leading coefficient vector, read as
@@ -80,7 +81,7 @@ def _is_irreducible_mod_p(f: tuple[int, ...], p: int) -> bool:
 class FieldCtx:
     """The finite field F_{p^d} with an explicit modulus (absent when d = 1)."""
 
-    __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_pow_p")
+    __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_pow_p", "_zech", "_neg")
 
     def __init__(self, p: int, d: int, modulus: Optional[tuple[int, ...]] = None):
         if not is_prime(p):
@@ -156,6 +157,13 @@ class FieldCtx:
             log[code] = i
         self._exp = tuple(exp)
         self._log = tuple(log)
+        self._zech = self._neg = None
+        if self.p > 2 and self.d > 1:
+            p = self.p
+            # adding 1 changes only the lowest base-p digit
+            one_plus = [c - c % p + (c + 1) % p for c in exp]
+            self._zech = tuple(log[c] if c else -1 for c in one_plus)  # -1 where g^i = -1
+            self._neg = tuple(self.encode(-x for x in self.digits(c)) for c in range(q))
 
     # -- arithmetic on codes -------------------------------------------
 
@@ -164,14 +172,20 @@ class FieldCtx:
             return a ^ b
         if self.d == 1:
             return (a + b) % self.p
-        return self.encode(x + y for x, y in zip(self.digits(a), self.digits(b)))
+        if a == 0 or b == 0:
+            return a or b
+        # a + b = a (1 + b / a) = g^(log a + zech[log b - log a])
+        order = self.q - 1
+        log_a = self._log[a]
+        z = self._zech[(self._log[b] - log_a) % order]
+        return 0 if z < 0 else self._exp[(log_a + z) % order]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.d == 1:
             return (-a) % self.p
-        return self.encode(-x for x in self.digits(a))
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -5,24 +5,27 @@ coefficient key:
 
 * reducible      = image of {g * h} over all degree splits;
 * s-powerful     = image of {g^s * h} over nonconstant g;
-* irreducible    = everything enumerated minus the reducible image;
-* relatively irreducible = irreducible polynomials hit by a conjugate-factor
-  product over the degree-t extension for some prime t dividing the degree
-  (an irreducible polynomial's absolutely irreducible components are
-  conjugate and equinumerous, so reducibility first shows up over prime
-  extension degrees, with factors of equal degree);
+* irreducible    = every monic polynomial (``count_monic``) minus the
+  reducible image;
+* relatively irreducible = products of the t conjugates of each monic u over
+  the degree-t extension, for every prime t dividing the degree, that lie
+  over the base field and are not reducible (an irreducible polynomial's
+  absolutely irreducible components are conjugate and equinumerous, so
+  reducibility first shows up over prime extension degrees, with factors of
+  equal degree);
 * decomposables  = image of {g(h)} over monic original component pairs.
 
-No symbolic shortcut from the formula side enters any of these.  The
-multivariate class counts keep sets of ``MvPoly`` keys.  The univariate
-census and the multivariate decomposables share one numpy composer for every
-field, ``_compositions``: g is univariate and h has r variables, and the
-census is the case r = 1.  It composes blocks of pairs on field codes
+No symbolic shortcut from the formula side enters any of these.  Every
+builder works on numpy arrays of field codes, one polynomial per column
 (integers mod p over F_p, q x q addition and multiplication tables over
-F_{p^d}); each oracle packs the composed polynomials' codes into uint64 keys
-and groups them with one sort (see the packed-key group-by below).  numpy is
-imported inside the functions that use it, never at module import.  Budget
-overruns raise loudly, naming the required count.
+F_{p^d}): products of r-variate polynomials go through one kernel, ``_mul``,
+and compositions g(h), g univariate and h in r variables, through one
+composer, ``_compositions``, which serves both the univariate census (the
+case r = 1) and the multivariate decomposables.  Each builder packs its
+polynomials' codes into uint64 keys block by block and groups them with one
+sort (see the packed keys below).  numpy is imported inside the
+functions that use it, never at module import.  Budget overruns raise
+loudly, naming the required count, before any work.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from math import comb
 from typing import Callable, Optional
 
 from .ff import (
@@ -38,104 +42,20 @@ from .ff import (
     _deglex_monomials,
     count_monic,
     enumeration_budget,
-    enumerate_monic_mv,
     field_embed,
 )
 from .series import divisors, smallest_prime_factor
 
-
-# -- multivariate class counts -------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _all_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
-    return frozenset(f.key() for f in enumerate_monic_mv(ctx, r, n))
-
-
-@lru_cache(maxsize=None)
-def _reducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
-    budget = enumeration_budget()
-    required = 0
-    for d in range(1, n // 2 + 1):
-        a, b = count_monic(ctx.q, r, d), count_monic(ctx.q, r, n - d)
-        required += a * (a + 1) // 2 if d == n - d else a * b
-    if required > budget:
-        raise BudgetExceeded(required, budget, f"reducible witness products at n={n}")
-    keys = set()
-    for d in range(1, n // 2 + 1):
-        gs = list(enumerate_monic_mv(ctx, r, d))
-        if d == n - d:
-            for i, g in enumerate(gs):
-                for h in gs[i:]:
-                    keys.add((g * h).key())
-        else:
-            hs = list(enumerate_monic_mv(ctx, r, n - d))
-            for g in gs:
-                for h in hs:
-                    keys.add((g * h).key())
-    return frozenset(keys)
-
-
-@lru_cache(maxsize=None)
-def _powerful_keys(ctx: FieldCtx, r: int, n: int, s: int) -> frozenset:
-    budget = enumeration_budget()
-    required = sum(
-        count_monic(ctx.q, r, a) * count_monic(ctx.q, r, n - a * s)
-        for a in range(1, n // s + 1)
-    )
-    if required > budget:
-        raise BudgetExceeded(required, budget, f"powerful witness products at n={n}")
-    keys = set()
-    for a in range(1, n // s + 1):
-        for g in enumerate_monic_mv(ctx, r, a):
-            gs_pow = g**s
-            for h in enumerate_monic_mv(ctx, r, n - a * s):
-                keys.add((gs_pow * h).key())
-    return frozenset(keys)
-
-
-@lru_cache(maxsize=None)
-def _irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
-    if n < 1:
-        return frozenset()
-    return _all_keys(ctx, r, n) - _reducible_keys(ctx, r, n)
-
-
-@lru_cache(maxsize=None)
-def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int) -> frozenset:
-    if n < 1:
-        return frozenset()
-    irred = _irreducible_keys(ctx, r, n)
-    budget = enumeration_budget()
-    found = set()
-    for t in divisors(n):
-        if t == 1 or smallest_prime_factor(t) != t:
-            continue
-        ext, emb = field_embed(ctx, t)
-        required = count_monic(ext.q, r, n // t)
-        if required > budget:
-            raise BudgetExceeded(required, budget, f"conjugate factors over F_{ext.q}")
-        for u in enumerate_monic_mv(ext, r, n // t):
-            prod = u
-            conj = u
-            for _ in range(t - 1):
-                conj = conj.map_coeffs(lambda c: ext.pow(c, ctx.q))
-                prod = prod * conj
-            try:
-                key = emb.pullback(prod).key()
-            except ValueError:
-                continue
-            if key in irred:
-                found.add(key)
-    return frozenset(found)
-
-
-# -- packed-key group-by ---------------------------------------------------
+# -- field codes and packed keys -------------------------------------------
 #
-# Composed polynomials are held slot-major, a (width, m) array of codes with
-# one polynomial per column, and composed in blocks of about _CHUNK_ROWS, so
-# the full code array never exists.  Each block's free codes are packed base
-# q into k uint64 words (k = 1 unless q^free >= 2^64) before the next block.
+# A polynomial is held slot-major, a (width, m) array of codes with one
+# polynomial per column over the deg-lex-descending monomials of
+# ``_deglex_monomials(r, n)``.  Those of degree <= d are its last C(r + d, r)
+# in the same order, so a degree-d polynomial's own array is the tail of its
+# array at any degree n >= d.  Polynomials are built in blocks of about
+# _CHUNK_ROWS, so the full code array never exists.  Each block's codes are
+# packed base q into k uint64 words (k = 1 unless q^width >= 2^64) before the
+# next block.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -155,6 +75,13 @@ def _code_dtype(q: int, terms: int):
     return np.int32 if terms * (q - 1) ** 2 + q - 1 < 1 << 31 else np.int64
 
 
+def _check_tables(ctx: FieldCtx, budget: int) -> None:
+    """Raise before ``_field_ops`` builds an extension field's two q x q code
+    tables when their q^2 entries exceed the budget; prime fields need none."""
+    if ctx.d > 1 and ctx.q**2 > budget:
+        raise BudgetExceeded(ctx.q**2, budget, f"q x q code tables over F_{ctx.q}")
+
+
 @lru_cache(maxsize=None)
 def _field_ops(ctx: FieldCtx):
     """``(add, mul, mod)`` on numpy arrays of field codes: ``add(acc, x)``
@@ -164,7 +91,8 @@ def _field_ops(ctx: FieldCtx):
     Over F_p codes are integers: add and mul are exact integer operations,
     valid while the dtype holds the sum (see ``_code_dtype``), and mod takes
     the remainder mod p once a sum is complete.  Over F_{p^d} add and mul
-    look codes up in q x q tables and mod does nothing.
+    look codes up in q x q tables of the smallest dtype that holds a code,
+    and mod does nothing; callers check their size with ``_check_tables``.
     """
     import numpy as np
 
@@ -175,11 +103,19 @@ def _field_ops(ctx: FieldCtx):
             np.multiply,
             lambda acc: np.remainder(acc, p, out=acc),
         )
-    weights = np.array(ctx._pow_p)
-    coords = np.arange(q)[:, None] // weights % p  # each code's d coordinates
-    add = ((coords[:, None] + coords) % p) @ weights
-    log = np.array(ctx._log)
-    mul = np.array(ctx._exp)[(log[:, None] + log) % (q - 1)]
+    code = np.min_scalar_type(q - 1)
+    codes = np.arange(q, dtype=code)
+    # digitwise mod p, one base-p digit at a time: every temporary is q x q
+    add = np.zeros((q, q), dtype=code)
+    for w in ctx._pow_p:
+        digit = codes // w % p
+        both = np.add.outer(digit, digit)
+        both %= p
+        both *= w
+        add += both
+    # discrete logs; the exp table is doubled so log a + log b needs no remainder
+    log = np.array(ctx._log, dtype=np.int32)
+    mul = np.array(ctx._exp * 2, dtype=code)[np.add.outer(log, log)]
     mul[0] = mul[:, 0] = 0
 
     def add_into(acc, x):
@@ -187,16 +123,6 @@ def _field_ops(ctx: FieldCtx):
         return acc
 
     return add_into, (lambda a, b: mul[a, b]), (lambda acc: acc)
-
-
-def _g_of_h(ctx: FieldCtx, powers, tails):
-    """g(h) = h^e + sum_i g_i h^i, from the powers h^1..h^e and the tails
-    g_1..g_{e-1} as arrays that broadcast against each other."""
-    add, mul, mod = _field_ops(ctx)
-    F = add(mul(powers[0], tails[0]), powers[-1])
-    for P, g_i in zip(powers[1:], tails[1:]):
-        add(F, mul(P, g_i))
-    return mod(F)
 
 
 def _pack(digits, q: int):
@@ -251,6 +177,25 @@ def _runs(keys, permute: bool = True):
     return order, np.concatenate(([True], edge))[: keys.shape[1]]
 
 
+def _distinct(keys, banned: int = 0):
+    """The sorted distinct keys among (k, m) packed keys, as a read-only
+    (m', k) array with one key per row, leaving out every key that also
+    occurs in the last ``banned`` columns."""
+    import numpy as np
+
+    order, new = _runs(keys, permute=banned > 0)
+    if order is not None:
+        keys = keys[:, order]
+    if banned:
+        run = np.cumsum(new) - 1
+        hit = np.zeros(len(new), dtype=bool)
+        hit[run[order >= len(order) - banned]] = True
+        new &= ~hit[run]
+    out = keys[:, new].T
+    out.flags.writeable = False  # lru_cache hands the same array to every caller
+    return out
+
+
 def _group_by(keys, ranks, offsets):
     """Group (k, m) packed keys, each carrying an integer rank; the ascending
     ``offsets``, the first of them 0, cut the ranks into bins.
@@ -273,31 +218,199 @@ def _group_by(keys, ranks, offsets):
     return order[starts], np.minimum.reduceat(ranks, starts), counts.reshape(-1, len(offsets))
 
 
+# -- products of r-variate polynomials -------------------------------------
+
+
+def _monic_rows(q: int, r: int, n: int, original: bool):
+    """All monic (optionally original) r-variate degree-n polynomials over
+    F_q, slot-major: a (width, ``count_monic(q, r, n, original)``) code array
+    over ``_deglex_monomials(r, n)``, in the smallest dtype that holds a code.
+    Within each leading monomial the free slot nearest the constant is the
+    most significant digit, so at r = 1 column h of the original rows holds
+    the h-th polynomial of ``enumerate_monic_uni(ctx, n, original=True)``."""
+    import numpy as np
+
+    monos = _deglex_monomials(r, n)
+    width = len(monos)
+    end = width - 1 if original else width  # the free slots end before it
+    code = np.min_scalar_type(q - 1)
+    blocks = []
+    for lead, mono in enumerate(monos):
+        if sum(mono) < n:
+            break
+        free = end - 1 - lead  # the slots between the lead and the end
+        block = np.zeros((width, q**free), dtype=code)
+        block[lead] = 1
+        block[end - 1 : lead : -1] = np.indices((q,) * free, dtype=code).reshape(free, q**free)
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+@lru_cache(maxsize=None)
+def _product_slots(r: int, a: int, b: int):
+    """``(width, slots)``: the width of ``_deglex_monomials(r, a + b)`` and,
+    for each monomial of degree <= a, the slots there of its products with
+    the monomials of degree <= b, an index array in their order."""
+    import numpy as np
+
+    index = {m: i for i, m in enumerate(_deglex_monomials(r, a + b))}
+    right = _deglex_monomials(r, b)
+    slots = [np.array([index[tuple(map(sum, zip(j, m)))] for m in right]) for j in _deglex_monomials(r, a)]
+    return len(index), slots
+
+
+def _mul(ctx: FieldCtx, r: int, a: int, b: int, G, H):
+    """The column-wise product of slot-major r-variate polynomials: G of
+    degree <= a times H of degree <= b, as a (width, m) code array over
+    ``_deglex_monomials(r, a + b)``.  It does one gather and scatter per slot
+    of G, so G should be the factor of lower degree; G may leave out trailing
+    slots that are zero in every column, such as an original polynomial's
+    constant."""
+    import numpy as np
+
+    add, mul, mod = _field_ops(ctx)
+    width, slots = _product_slots(r, a, b)
+    dtype = _code_dtype(ctx.q, len(G))
+    H = H.astype(dtype, copy=False)
+    out = np.zeros((width, H.shape[1]), dtype=dtype)
+    for g_j, dst in zip(G.astype(dtype, copy=False), slots):
+        out[dst] = add(out[dst], mul(g_j, H))
+    return mod(out)
+
+
+def _pair_blocks(n_g: int, n_h: int, triangle: bool):
+    """Index arrays ``(i, j)`` of the pairs (g_i, h_j) for every g and h, or
+    only those with j >= i when ``triangle``, g outer and h inner, in blocks
+    of at most ``max(1, _CHUNK_ROWS)`` pairs."""
+    import numpy as np
+
+    first = np.arange(n_g) if triangle else np.zeros(n_g, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(n_h - first)))
+    total, step = int(starts[-1]), max(1, _CHUNK_ROWS)
+    for lo in range(0, total, step):
+        k = np.arange(lo, min(lo + step, total))
+        i = np.searchsorted(starts, k, side="right") - 1
+        yield i, first[i] + k - starts[i]
+
+
+def _product_keys(ctx: FieldCtx, r: int, n: int, total: int, factors):
+    """The sorted distinct keys (see ``_distinct``) of the degree-n products
+    g * h.  ``factors`` yields ``(a, G, b, H, triangle)``: slot-major rows of
+    degree a and b, each g paired with every h, or with the h from its own
+    column on when ``triangle`` (then H is G); ``total`` counts the pairs."""
+    import numpy as np
+
+    q = ctx.q
+    keys = np.empty((-(-comb(r + n, r) // _digits_per_word(q)), total), dtype=np.uint64)
+    at = 0
+    for a, G, b, H, triangle in factors:
+        if a > b:  # the kernel loops over the slots of its first factor
+            a, G, b, H = b, H, a, G
+        for i, j in _pair_blocks(G.shape[1], H.shape[1], triangle):
+            keys[:, at : at + len(i)] = _pack(_mul(ctx, r, a, b, G[:, i], H[:, j]), q)
+            at += len(i)
+    return _distinct(keys)
+
+
+# -- multivariate class counts -------------------------------------------
+#
+# Each builder returns the sorted distinct packed keys of its class (see
+# ``_distinct``), so its len() is the class's count.
+
+
+@lru_cache(maxsize=None)
+def _reducible_keys(ctx: FieldCtx, r: int, n: int):
+    budget = enumeration_budget()
+    required = 0
+    for d in range(1, n // 2 + 1):
+        a, b = count_monic(ctx.q, r, d), count_monic(ctx.q, r, n - d)
+        required += a * (a + 1) // 2 if d == n - d else a * b
+    if required > budget:
+        raise BudgetExceeded(required, budget, f"reducible witness products at n={n}")
+    _check_tables(ctx, budget)
+
+    def factors():
+        for d in range(1, n // 2 + 1):
+            G = _monic_rows(ctx.q, r, d, original=False)
+            H = G if d == n - d else _monic_rows(ctx.q, r, n - d, original=False)
+            yield d, G, n - d, H, d == n - d
+
+    return _product_keys(ctx, r, n, required, factors())
+
+
+@lru_cache(maxsize=None)
+def _powerful_keys(ctx: FieldCtx, r: int, n: int, s: int):
+    budget = enumeration_budget()
+    required = sum(
+        count_monic(ctx.q, r, a) * count_monic(ctx.q, r, n - a * s)
+        for a in range(1, n // s + 1)
+    )
+    if required > budget:
+        raise BudgetExceeded(required, budget, f"powerful witness products at n={n}")
+    _check_tables(ctx, budget)
+
+    def factors():
+        for a in range(1, n // s + 1):
+            G = power = _monic_rows(ctx.q, r, a, original=False)
+            for k in range(1, s):
+                power = _mul(ctx, r, a, k * a, G, power)
+            yield a * s, power, n - a * s, _monic_rows(ctx.q, r, n - a * s, original=False), False
+
+    return _product_keys(ctx, r, n, required, factors())
+
+
+@lru_cache(maxsize=None)
+def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
+    import numpy as np
+
+    if n < 1:
+        return np.empty((0, 1), dtype=np.uint64)
+    budget = enumeration_budget()
+    primes = [t for t in divisors(n) if t > 1 and smallest_prime_factor(t) == t]
+    fields = [field_embed(ctx, t) for t in primes]
+    for t, (ext, _) in zip(primes, fields):
+        required = count_monic(ext.q, r, n // t)
+        if required > budget:
+            raise BudgetExceeded(required, budget, f"conjugate factors over F_{ext.q}")
+        _check_tables(ext, budget)
+    reducible = _reducible_keys(ctx, r, n)
+    found, step = [], max(1, _CHUNK_ROWS)
+    for t, (ext, emb) in zip(primes, fields):
+        d = n // t
+        frobenius = np.array([ext.pow(c, ctx.q) for c in range(ext.q)])  # c -> c^q
+        pullback = np.full(ext.q, -1)
+        pullback[list(emb.table)] = np.arange(ctx.q)
+        us = _monic_rows(ext.q, r, d, original=False)
+        for lo in range(0, us.shape[1], step):
+            # u times its t - 1 conjugates: monic of degree n over F_{q^t}
+            conj = product = us[:, lo : lo + step]
+            for k in range(1, t):
+                conj = frobenius[conj]
+                product = _mul(ext, r, d, k * d, conj, product)
+            codes = pullback[product]
+            found.append(_pack(codes[:, (codes >= 0).all(axis=0)], ctx.q))
+    # a monic degree-n product over F_q is irreducible unless it is reducible
+    return _distinct(np.concatenate(found + [reducible.T], axis=1), banned=len(reducible))
+
+
 # -- composing g(h) in blocks ----------------------------------------------
 #
 # Both oracles compose a univariate g with an r-variate h; the univariate
 # census is the case r = 1.
 
 
-def _mv_monic_original_rows(q: int, r: int, n: int):
-    """All monic original r-variate degree-n polynomials over F_q, slot-major:
-    a (width, count) code array over the deg-lex-descending monomials of
-    degree <= n.  Within each leading monomial the free slot nearest the
-    constant is the most significant digit, so at r = 1 column h holds the
-    h-th polynomial of ``enumerate_monic_uni(ctx, n, original=True)``."""
+def _g_of_h(ctx: FieldCtx, powers, tails):
+    """g(h) = h^e + sum_i g_i h^i as a (width, m, n_g) code array, from the
+    powers h^1..h^e, each slot-major (width, m) over the monomials of its
+    own degree, and the tails g_1..g_{e-1} as an (e - 1, 1, n_g) array."""
     import numpy as np
 
-    monos = _deglex_monomials(r, n)
-    width = len(monos)
-    top = [i for i, m in enumerate(monos) if sum(m) == n]
-    blocks = []
-    for lead_pos in top:
-        free = width - 2 - lead_pos  # the slots between the lead and the constant
-        block = np.zeros((width, q**free), dtype=np.int64)
-        block[lead_pos] = 1
-        block[width - 2 : lead_pos : -1] = np.indices((q,) * free).reshape(free, q**free)
-        blocks.append(block)
-    return np.hstack(blocks)
+    add, mul, mod = _field_ops(ctx)
+    F = np.empty(powers[-1].shape + tails.shape[-1:], dtype=np.result_type(powers[-1], tails))
+    F[...] = powers[-1][:, :, None]
+    for P, g_i in zip(powers, tails):
+        add(F[len(F) - len(P) :], mul(P[:, :, None], g_i))  # h^i fills the last slots
+    return mod(F)
 
 
 def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
@@ -309,42 +422,21 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
     column's rank g * n_h + h, its position when g is outer and h inner."""
     import numpy as np
 
-    q = ctx.q
-    add, mul, mod = _field_ops(ctx)
-    monos = _deglex_monomials(r, n)
-    index = {m: i for i, m in enumerate(monos)}
-    ne = n // e
-    h_monos = _deglex_monomials(r, ne)
-    # h^k has degree <= k * ne, so it lives in the slots from low[k] on (the
-    # monomials are deg-lex descending); multiplying it by h's monomial j
-    # moves slot i to the slot of i * j.  h has no constant term.
-    low = [sum(sum(m) > k * ne for m in monos) for k in range(e)]
-    shifts = [
-        (index[j], [index[tuple(map(sum, zip(m, j)))] for m in monos[low[e - 1] :]])
-        for j in h_monos[:-1]
-    ]
-    h_slots = [index[m] for m in h_monos]
-    hs = _mv_monic_original_rows(q, r, ne)
+    q, ne = ctx.q, n // e
+    hs = _monic_rows(q, r, ne, original=True)
     n_g, n_h = q ** (e - 1), hs.shape[1]
-    dtype = _code_dtype(q, max(e - 1, len(shifts)))
     # coefficient tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
-    tails = np.indices((q,) * (e - 1), dtype=dtype).reshape(e - 1, 1, n_g)
+    tails = np.indices((q,) * (e - 1), dtype=_code_dtype(q, e - 1)).reshape(e - 1, 1, n_g)
     g_rank = np.arange(0, n_g * n_h, n_h)
     step = max(1, _CHUNK_ROWS // n_g)
     for lo in range(0, n_h, step):
-        h = np.zeros((len(monos), min(step, n_h - lo)), dtype=dtype)
-        h[h_slots] = hs[:, lo : lo + step]
-        # h^1..h^e of every h in the block
+        h = hs[:, lo : lo + step]
+        # h^1..h^e of every h in the block; h's constant slot, its last, is 0
         powers = [h]
         for k in range(1, e):
-            nxt = np.zeros_like(h)
-            for j, dst in shifts:
-                dst = dst[low[k] - low[e - 1] :]
-                nxt[dst] = add(nxt[dst], mul(h[j], powers[-1][low[k] :]))
-            powers.append(mod(nxt))
-        # every g(h) of the block, as (slot, h, g)
-        F = _g_of_h(ctx, [P[:, :, None] for P in powers], tails)
-        yield F.reshape(len(monos), -1), (np.arange(lo, lo + h.shape[1])[:, None] + g_rank).ravel()
+            powers.append(_mul(ctx, r, ne, k * ne, h[:-1], powers[-1]))
+        F = _g_of_h(ctx, powers, tails)
+        yield F.reshape(len(F), -1), (np.arange(lo, lo + h.shape[1])[:, None] + g_rank).ravel()
 
 
 # -- univariate decomposition census --------------------------------------
@@ -401,6 +493,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
         raise ValueError("census details hold codes in uint8, so q <= 256")
     splits = [e for e in divisors(n) if 1 < e < n]
     b = enumeration_budget(budget)
+    # at least q^2 pairs in every split, so they bound the code tables too
     sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
     if sum(sizes) > b:
         raise BudgetExceeded(sum(sizes), b, f"decomposition census at n={n}, q={q}")
@@ -463,6 +556,7 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx, budget: Optional[int] = None
     total = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in splits)
     if total > b:
         raise BudgetExceeded(total, b, f"decomposable census r={r}, n={n}")
+    _check_tables(ctx, b)
     import numpy as np
 
     width = len(_deglex_monomials(r, n))

@@ -61,6 +61,14 @@ def test_verify_conjugate_classes_at_degree_zero(cls):
     assert rec["oracle"] == rec["formula"] == "0" and rec["verified"] is True
 
 
+@pytest.mark.parametrize("cls, r, n", [("decomposable_mv", 0, 1), ("reducible", 0, 2),
+                                        ("irreducible", 2, -1)])
+def test_verify_rejects_r_below_1_and_negative_n(cls, r, n):
+    # r = 0 used to recurse without end in the monomial enumeration
+    rc, _ = run(["verify", "--class", cls, "--r", str(r), "--n", str(n), "--q", "2"])
+    assert rc == 2
+
+
 def test_verify_decomposable_bracket():
     rc, out = run(["verify", "--class", "decomposable_mv", "--r", "2", "--n", "4", "--q", "2"])
     assert rc == 0

@@ -58,6 +58,18 @@ def test_field_axioms_and_frobenius(p, d):
         assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3)])
+def test_zech_add_and_neg_match_digit_arithmetic(p, d):
+    # odd characteristic extension fields add through Zech logarithms;
+    # digitwise addition mod p is the reference, on every pair of codes
+    ctx = field_make(p, d)
+    digits = [ctx.digits(c) for c in range(ctx.q)]
+    for a, da in enumerate(digits):
+        assert ctx.neg(a) == ctx.encode(-x for x in da)
+        for b, db in enumerate(digits):
+            assert ctx.add(a, b) == ctx.encode(x + y for x, y in zip(da, db)), (a, b)
+
+
 def test_embed_prime_subfield_is_identity_on_bits():
     F4_, emb = field_embed(F2, 2)
     assert emb(F2.zero).code == 0

@@ -14,11 +14,13 @@ from ffcount.ff import (
     BudgetExceeded,
     MvPoly,
     _deglex_monomials,
+    count_monic,
     enumerate_monic_mv,
     enumerate_monic_uni,
+    field_embed,
     field_make,
 )
-from ffcount.series import divisors, factor_prime_power
+from ffcount.series import divisors, factor_prime_power, smallest_prime_factor
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -50,6 +52,184 @@ def test_oracle_matches_formulas_on_a_grid():
         ).evaluate(q)
     assert fc.oracle_count("rel_irreducible", 1, 2, F2) == mc.relirr_exact(1, 2).evaluate(2)
     assert fc.oracle_count("rel_irreducible", 2, 2, F3) == mc.relirr_exact(2, 2).evaluate(3)
+
+
+# -- the MvPoly reference for the multivariate class counts ---------------
+#
+# Witnesses one at a time by MvPoly arithmetic, deduplicated in frozensets of
+# MvPoly keys, class by class as the oracle defined them before it moved onto
+# code arrays and packed keys.
+
+
+@lru_cache(maxsize=None)
+def _ref_all_keys(ctx, r, n):
+    return frozenset(f.key() for f in enumerate_monic_mv(ctx, r, n))
+
+
+@lru_cache(maxsize=None)
+def _ref_reducible_keys(ctx, r, n):
+    keys = set()
+    for d in range(1, n // 2 + 1):
+        gs = list(enumerate_monic_mv(ctx, r, d))
+        hs = gs if d == n - d else list(enumerate_monic_mv(ctx, r, n - d))
+        for i, g in enumerate(gs):
+            for h in hs[i:] if d == n - d else hs:
+                keys.add((g * h).key())
+    return frozenset(keys)
+
+
+@lru_cache(maxsize=None)
+def _ref_powerful_keys(ctx, r, n, s):
+    keys = set()
+    for a in range(1, n // s + 1):
+        for g in enumerate_monic_mv(ctx, r, a):
+            g_s = g**s
+            for h in enumerate_monic_mv(ctx, r, n - a * s):
+                keys.add((g_s * h).key())
+    return frozenset(keys)
+
+
+@lru_cache(maxsize=None)
+def _ref_irreducible_keys(ctx, r, n):
+    if n < 1:
+        return frozenset()
+    return _ref_all_keys(ctx, r, n) - _ref_reducible_keys(ctx, r, n)
+
+
+@lru_cache(maxsize=None)
+def _ref_rel_irreducible_keys(ctx, r, n):
+    if n < 1:
+        return frozenset()
+    irred = _ref_irreducible_keys(ctx, r, n)
+    found = set()
+    for t in divisors(n):
+        if t == 1 or smallest_prime_factor(t) != t:
+            continue
+        ext, emb = field_embed(ctx, t)
+        for u in enumerate_monic_mv(ext, r, n // t):
+            prod = conj = u
+            for _ in range(t - 1):
+                conj = conj.map_coeffs(lambda c: ext.pow(c, ctx.q))
+                prod = prod * conj
+            try:
+                key = emb.pullback(prod).key()
+            except ValueError:
+                continue
+            if key in irred:
+                found.add(key)
+    return frozenset(found)
+
+
+def _reference_count(cls, r, n, ctx, s=None):
+    irreducible = lambda: len(_ref_irreducible_keys(ctx, r, n))  # noqa: E731
+    return {
+        "reducible": lambda: 1 if n == 0 else len(_ref_reducible_keys(ctx, r, n)),
+        "irreducible": irreducible,
+        "powerful": lambda: len(_ref_powerful_keys(ctx, r, n, s)),
+        "powerfree": lambda: (1 if n == 0 else len(_ref_all_keys(ctx, r, n)))
+        - len(_ref_powerful_keys(ctx, r, n, s)),
+        "rel_irreducible": lambda: len(_ref_rel_irreducible_keys(ctx, r, n)),
+        "abs_irreducible": lambda: irreducible() - len(_ref_rel_irreducible_keys(ctx, r, n)),
+    }[cls]()
+
+
+def _reference_work(q, r, n):
+    """Polynomials the reference enumerates or multiplies for every class at
+    (q, r, n) and s in {2, 3}."""
+    work = count_monic(q, r, n)
+    for d in range(1, n // 2 + 1):
+        work += count_monic(q, r, d) * count_monic(q, r, n - d)
+    for s in (2, 3):
+        work += sum(count_monic(q, r, a) * count_monic(q, r, n - a * s) for a in range(1, n // s + 1))
+    t_primes = [t for t in range(2, n + 1) if n % t == 0 and smallest_prime_factor(t) == t]
+    return work + sum(t * count_monic(q**t, r, n // t) for t in t_primes)
+
+
+_CLASS_CASES = [("reducible", None), ("irreducible", None), ("powerful", 2), ("powerful", 3),
+                ("powerfree", 2), ("powerfree", 3), ("rel_irreducible", None), ("abs_irreducible", None)]
+# r in {1, 2, 3}, n <= 4 and q in {2, 3, 4, 5, 8, 9} wherever the reference
+# handles at most 10^5 polynomials (65 of the 90 points, about 2 s)
+_MV_GRID = [(r, n, q) for r in (1, 2, 3) for n in range(5) for q in (2, 3, 4, 5, 8, 9)
+            if _reference_work(q, r, n) <= 10**5]
+
+
+@pytest.mark.parametrize("r, n, q", _MV_GRID)
+def test_class_counts_match_the_mvpoly_reference(r, n, q):
+    ctx = field_make(*factor_prime_power(q))
+    for cls, s in _CLASS_CASES:
+        assert fc.oracle_count(cls, r, n, ctx, s) == _reference_count(cls, r, n, ctx, s), (cls, s)
+
+
+@pytest.fixture
+def uncached_key_builders():
+    # keys built under a patched block size or word width stay out of the
+    # caches other tests read
+    builders = (orc._reducible_keys, orc._powerful_keys, orc._rel_irreducible_keys)
+    for builder in builders:
+        builder.cache_clear()
+    yield
+    for builder in builders:
+        builder.cache_clear()
+
+
+@pytest.mark.parametrize("r, n, q", [(2, 4, 2), (2, 2, 9), (3, 2, 3), (1, 4, 4), (2, 3, 3)])
+def test_class_counts_across_block_seams_and_words(r, n, q, monkeypatch, uncached_key_builders):
+    # 7 products per block cuts the pair lists, the triangle of equal-degree
+    # factors and the conjugate products unevenly; three digits per word
+    # spread every key over several uint64 words
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
+    ctx = field_make(*factor_prime_power(q))
+    for cls, s in _CLASS_CASES:
+        assert fc.oracle_count(cls, r, n, ctx, s) == _reference_count(cls, r, n, ctx, s), (cls, s)
+
+
+def _slot_codes(mv_keys, r, n):
+    """MvPoly keys as tuples of codes over ``_deglex_monomials(r, n)``."""
+    slot = {m: i for i, m in enumerate(_deglex_monomials(r, n))}
+    rows = set()
+    for key in mv_keys:
+        row = [0] * len(slot)
+        for exp, code in key:
+            row[slot[exp]] = code
+        rows.add(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("r, n, q", [(2, 4, 2), (3, 2, 3), (2, 2, 9), (1, 4, 5)])
+def test_key_builders_hold_their_class(r, n, q):
+    # the bench's trace counts len() of each builder's cached result as the
+    # distinct polynomials it found, so the keys must be exactly the class
+    ctx = field_make(*factor_prime_power(q))
+    width = len(_deglex_monomials(r, n))
+    for builder, cls, s, ref in [
+        (orc._reducible_keys, "reducible", None, _ref_reducible_keys(ctx, r, n)),
+        (orc._powerful_keys, "powerful", 2, _ref_powerful_keys(ctx, r, n, 2)),
+        (orc._rel_irreducible_keys, "rel_irreducible", None, _ref_rel_irreducible_keys(ctx, r, n)),
+    ]:
+        keys = builder(ctx, r, n, *([s] if s else []))
+        assert len(keys) == fc.oracle_count(cls, r, n, ctx, s) == len(ref)
+        assert not keys.flags.writeable
+        codes = orc._unpack(np.ascontiguousarray(keys.T), q, width).T.tolist()
+        assert len(set(map(tuple, codes))) == len(codes)
+        assert set(map(tuple, codes)) == _slot_codes(ref, r, n)
+
+
+def test_field_tables_are_budgeted_before_they_are_built(monkeypatch):
+    def unbuilt(ctx):
+        raise AssertionError("q x q tables built before the budget check")
+
+    monkeypatch.setattr(orc, "_field_ops", unbuilt)
+    with pytest.raises(BudgetExceeded, match="1048576") as exc:
+        orc.oracle_mv_decomp(1, 2, field_make(2, 10), budget=10**5)
+    assert exc.value.required == 1024**2
+    # 4096 table entries over F_64 against at most 2080 products
+    monkeypatch.setenv("FFCOUNT_BUDGET", "3000")
+    for cls, ctx, s in [("reducible", field_make(2, 6), None), ("powerful", field_make(2, 6), 2),
+                        ("rel_irreducible", field_make(2, 3), None)]:
+        with pytest.raises(BudgetExceeded, match="F_64") as exc:
+            fc.oracle_count(cls, 1, 2, ctx, s)
+        assert exc.value.required == 4096
 
 
 def test_census_degree4_binary():
