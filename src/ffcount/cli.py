@@ -18,22 +18,19 @@ from fractions import Fraction
 from . import mv_counts, oracle, uv_counts, uv_families
 from .classes import CLASSES, count_report, exact_count, oracle_count
 from .ff import BudgetExceeded, FieldCtx, FqElem, UniPoly, field_from_q
-from .qrat import QPoly, SymRat
+from .qrat import QPoly
 from .series import factor_prime_power
 
 SCHEMA_VERSION = "1"
 
 
-def _sym_str(x) -> str:
-    if isinstance(x, QPoly):
-        return str(SymRat(x))
-    return str(x)
+def _sym_str(count: QPoly) -> str:
+    """An exact count as its integer coefficients over its one denominator."""
+    return f"({count * count.den})/({count.den})"
 
 
-def _int_str(val) -> str:
-    if isinstance(val, Fraction):
-        assert val.denominator == 1
-        return str(val.numerator)
+def _int_str(val: Fraction) -> str:
+    assert val.denominator == 1
     return str(val)
 
 
@@ -64,7 +61,7 @@ def parse_upoly(ctx: FieldCtx, text: str) -> UniPoly:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and i > 0:
+        if ch in "+-" and depth == 0 and i > 0 and text[i - 1] != "^":
             terms.append(cur)
             cur = ch if ch == "-" else ""
             continue
@@ -79,9 +76,10 @@ def parse_upoly(ctx: FieldCtx, text: str) -> UniPoly:
             term = term[1:]
         if "x" in term:
             coef_txt, _, exp_txt = term.partition("x")
-            exp = int(exp_txt[1:]) if exp_txt.startswith("^") else (1 if not exp_txt else None)
-            if exp is None:
-                raise ValueError(f"bad term in {text!r}")
+            if exp_txt and not (exp_txt[0] == "^" and exp_txt[1:].isdecimal()):
+                raise ValueError(f"bad term {term!r} in {text!r}: "
+                                 "write a power of x as x^k with k a nonnegative integer")
+            exp = int(exp_txt[1:]) if exp_txt else 1
             coef = parse_element(ctx, coef_txt) if coef_txt else ctx.one
         else:
             coef = parse_element(ctx, term)

@@ -285,6 +285,8 @@ def _default_field(p: int, d: int) -> FieldCtx:
 
 def field_make(p: int, d: int, modulus=None) -> FieldCtx:
     """F_{p^d}; the deterministic smallest modulus unless one is supplied."""
+    if p**d > enumeration_budget():
+        raise BudgetExceeded(p**d, enumeration_budget(), f"log tables of F_{p**d}")
     if modulus is None:
         return _default_field(p, d)
     return FieldCtx(p, d, tuple(modulus))

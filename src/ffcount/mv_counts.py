@@ -43,10 +43,7 @@ def p_count(r: int, n: int) -> QPoly:
     below = comb(r + n, r) - 1
     top = comb(r + n - 1, r - 1)
     # sum over leading-monomial choices: q^below + q^(below-1) + ... (top terms)
-    coeffs = [Fraction(0)] * (below + 1)
-    for i in range(top):
-        coeffs[below - i] = Fraction(1)
-    return QPoly(coeffs)
+    return QPoly([0] * (below + 1 - top) + [1] * top)
 
 
 def p_series(r: int, order: int) -> TruncSeries:

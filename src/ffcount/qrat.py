@@ -2,18 +2,21 @@
 
 Two layers:
 
-* ``QPoly`` -- a dense polynomial in q with exact rational coefficients
-  (index = exponent of q; the trailing coefficient is nonzero unless the
-  polynomial is zero).
+* ``QPoly`` -- a dense polynomial in q with rational coefficients, held as
+  integer coefficients ``nums`` (index = exponent of q; the last one is
+  nonzero unless the polynomial is zero) over one common denominator
+  ``den``, with ``den > 0`` and ``gcd(den, *nums) == 1``.  Every exact count
+  is such a polynomial, and ``(nums)/(den)`` is the form the CLI prints.
 * ``SymRat`` -- a quotient of two polynomials, normalized on construction so
   that equality is plain structural comparison.  Normalized form: numerator
-  and denominator have integer coefficients, are coprime as polynomials,
-  carry no common integer content, and the denominator's leading coefficient
-  is positive.
+  and denominator have integer coefficients (``den == 1`` in both QPolys),
+  are coprime as polynomials, carry no common integer content, and the
+  denominator's leading coefficient is positive.
 
 Expressions with negative powers of q are cleared to this form as they are
-built, so no Laurent representation is needed.  Plain Python ints serve as
-arbitrary-precision integers and ``fractions.Fraction`` as exact rationals.
+built, so no Laurent representation is needed.  All arithmetic runs on
+Python ints; ``fractions.Fraction`` appears only at the edges, as the
+coefficients a QPoly hands out and the values ``evaluate`` returns.
 """
 
 from __future__ import annotations
@@ -25,24 +28,34 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _check_scalar(x) -> Scalar:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class QPoly:
     """Polynomial in the symbolic field size q over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [_check_scalar(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        self.nums = tuple(c // g for c in nums) if g != 1 else tuple(nums)
+        self.den = den // g
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int = 1) -> "QPoly":
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -70,56 +83,64 @@ class QPoly:
     @property
     def degree(self) -> int:
         """Degree in q; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == QPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self[i] + other[i] for i in range(n)])
+        other = _coerce_qpoly(other)
+        a = [c * other.den for c in self.nums]
+        b = [c * self.den for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return QPoly._from_ints(a, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._from_ints([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "QPoly":
-        return self + (-self._coerce(other))
+        return self + (-_coerce_qpoly(other))
 
     def __rsub__(self, other) -> "QPoly":
-        return self._coerce(other) - self
+        return _coerce_qpoly(other) - self
 
     def __mul__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in terms:
-                out[i + j] += a * b
-        return QPoly(out)
+        other = _coerce_qpoly(other)
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        terms = [(j, c) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                for j, d in terms:
+                    out[i + j] += c * d
+        return QPoly._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -135,113 +156,70 @@ class QPoly:
             e >>= 1
         return result
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("zero divisor")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / lead
-            quot[i - dq] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i - dq + j] -= f * b
-        return QPoly(quot), QPoly(rem)
-
     def subs_power(self, k: int) -> "QPoly":
         """Substitute q -> q^k (counts over an extension field)."""
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
-        out = [Fraction(0)] * (k * self.degree + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return QPoly(out)
+        out = [0] * (k * self.degree + 1) if self.nums else []
+        out[::k] = self.nums
+        return QPoly._from_ints(out, self.den)
 
     def evaluate(self, q0: Scalar) -> Fraction:
-        q0 = _as_fraction(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
-
-    def _coerce(self, other) -> "QPoly":
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPoly.const(other)
-        raise TypeError(f"cannot combine QPoly with {type(other).__name__}")
+        # Horner at q0 = a/b: acc = sum of c_i a^i b^(deg - i), bpow = b^(deg + 1)
+        q0 = _check_scalar(q0)
+        a, b = q0.numerator, q0.denominator
+        acc, bpow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return Fraction(acc * b, self.den * bpow)
 
     # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
-        parts = []
+        text = ""
         for k in range(self.degree, -1, -1):
-            c = self[k]
+            c = self.nums[k]
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            if c < 0:
+                text += "-"
+            elif text:
+                text += "+"
+            mag = _frac_str(abs(c), self.den)
             if k == 0:
-                body = _frac_str(mag)
+                text += mag
             else:
                 var = "q" if k == 1 else f"q^{k}"
-                body = var if mag == 1 else f"{_frac_str(mag)}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
+                text += var if mag == "1" else mag + var
         return text
 
     def __repr__(self) -> str:
         return f"QPoly({str(self)})"
 
 
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-# -- integer-polynomial gcd (primitive PRS, keeps coefficients tame) ----
-
-
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g or 1
+# -- integer-polynomial gcd (primitive PRS, keeps coefficients tame) ------
 
 
 def _int_primitive(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return cs
-    g = _int_content(cs)
+    g = math.gcd(*cs)
     return [c // g for c in cs]
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # b nonzero; returns lc(b)^(da-db+1) * a mod b, as int coefficients
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= db and rem:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - db
+    # a trimmed, b nonzero; returns lc(b)^(da-db+1) * a mod b, as int coefficients
+    rem = a
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
         top = rem[-1]
-        rem = [c * lead for c in rem]
+        rem = [c * b[-1] for c in rem]
         for j, bc in enumerate(b):
             rem[shift + j] -= top * bc
         while rem and rem[-1] == 0:
@@ -250,27 +228,28 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
+    # a, b trimmed and nonzero; the gcd up to sign
+    a, b = _int_primitive(a), _int_primitive(b)
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a or [1]
+    return a
 
 
-def _to_int_poly(p: QPoly) -> tuple[list[int], Fraction]:
-    """Write p = scale * P with P a primitive integer polynomial, scale > 0 sign-free."""
-    if p.is_zero():
-        return [], Fraction(0)
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    content = _int_content(ints)
-    sign = 1 if ints[-1] > 0 else -1
-    ints = [c // (content * sign) for c in ints]
-    return ints, Fraction(content * sign, denom_lcm)
+def _exact_int_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a exactly in Z[q]."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        assert r == 0
+        quot[i] = c
+        if c:
+            for j, bc in enumerate(b):
+                rem[i + j] -= c * bc
+    assert not any(rem)
+    return quot
 
 
 class SymRat:
@@ -287,21 +266,20 @@ class SymRat:
             self.num = QPoly.zero()
             self.den = QPoly.one()
             return
-        n_ints, n_scale = _to_int_poly(n)
-        d_ints, d_scale = _to_int_poly(d)
-        g = _int_poly_gcd(n_ints, d_ints)
-        if len(g) > 1 or g[0] != 1:
-            n_ints = _exact_int_div(n_ints, g)
-            d_ints = _exact_int_div(d_ints, g)
-        scale = n_scale / d_scale
-        a, b = scale.numerator, scale.denominator
-        num_ints = [c * a for c in n_ints]
-        den_ints = [c * b for c in d_ints]
-        if den_ints[-1] < 0:
-            num_ints = [-c for c in num_ints]
-            den_ints = [-c for c in den_ints]
-        self.num = QPoly(num_ints)
-        self.den = QPoly(den_ints)
+        # n / d = (n.nums * d.den) / (d.nums * n.den)
+        top, bottom = list(n.nums), list(d.nums)
+        if len(top) > 1 and len(bottom) > 1:
+            g = _int_poly_gcd(top, bottom)
+            if len(g) > 1:
+                top = _exact_int_div(top, g)
+                bottom = _exact_int_div(bottom, g)
+        top = [c * d.den for c in top]
+        bottom = [c * n.den for c in bottom]
+        c = math.gcd(*top, *bottom)
+        if bottom[-1] < 0:
+            c = -c
+        self.num = QPoly._from_ints([x // c for x in top])
+        self.den = QPoly._from_ints([x // c for x in bottom])
 
     # -- structure ----------------------------------------------------
 
@@ -312,8 +290,7 @@ class SymRat:
         """The underlying QPoly; requires a constant denominator."""
         if self.den.degree != 0:
             raise ValueError(f"not a polynomial: {self}")
-        d = self.den.coeffs[0]
-        return QPoly([c / d for c in self.num.coeffs])
+        return QPoly._from_ints(list(self.num.nums), self.den.nums[0])
 
     @property
     def qdegree(self) -> int:
@@ -393,12 +370,6 @@ class SymRat:
         return f"SymRat({str(self)})"
 
 
-def _exact_int_div(a: list[int], b: list[int]) -> list[int]:
-    qa, ra = QPoly(a).divmod(QPoly(b))
-    assert ra.is_zero()
-    return [int(c) for c in qa.coeffs]
-
-
 def _coerce_qpoly(x) -> QPoly:
     if isinstance(x, QPoly):
         return x
@@ -422,7 +393,3 @@ def qpow(k: int) -> SymRat:
     if k >= 0:
         return SymRat(QPoly.q_power(k))
     return SymRat(QPoly.one(), QPoly.q_power(-k))
-
-
-def qdegree(f: SymRat) -> int:
-    return f.qdegree

@@ -24,18 +24,14 @@ def moebius(k: int) -> int:
     """Number-theoretic Moebius function: 0 unless squarefree, else (-1)^#primes."""
     if k < 1:
         raise ValueError("moebius needs k >= 1")
-    count = 0
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            count += 1
-        d += 1
-    if k > 1:
-        count += 1
-    return -1 if count & 1 else 1
+    sign = 1
+    while k > 1:
+        p = smallest_prime_factor(k)
+        k //= p
+        if k % p == 0:
+            return 0
+        sign = -sign
+    return sign
 
 
 def divisors(n: int) -> list[int]:
@@ -64,23 +60,58 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+# Miller-Rabin with the primes 2..41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Primality by deterministic Miller-Rabin; ValueError from MR_EXACT_BELOW up."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {n} is prime: primality is "
+                         f"decided only below {MR_EXACT_BELOW}")
+    odd = n - 1
+    twos = (odd & -odd).bit_length() - 1
+    odd >>= twos
+    for b in _MR_BASES:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^d with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = smallest_prime_factor(q)
-    d = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        d += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, d
+    if q >= 2:
+        # q = m^d has a prime m only for the d of q = p^d; the largest d is
+        # tried first, so a power of a small prime is never tested as a whole
+        for d in range(q.bit_length() - 1, 0, -1):
+            p = _iroot(q, d)
+            if p**d == q and is_prime(p):
+                return p, d
+    raise ValueError(f"{q} is not a prime power")
 
 
 # -- truncated series ----------------------------------------------------

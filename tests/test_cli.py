@@ -363,3 +363,75 @@ def test_cli_import_leaves_numpy_out():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+# recorded before exact counts moved to integer coefficients over one denominator
+PINNED_OUTPUT = {
+    ("count", "--class", "irreducible", "--r", "2", "--n", "4", "--symbolic"):
+        "(4q^14+4q^13+4q^12-6q^10-8q^9-3q^8+4q^7+4q^6-2q^5-2q^4+q^2)/(4)\n",
+    ("series", "--class", "powerful", "--r", "2", "--max-n", "6"):
+        "[z^0] (0)/(1)\n"
+        "[z^1] (0)/(1)\n"
+        "[z^2] (q^2+q)/(1)\n"
+        "[z^3] (q^4+2q^3+q^2)/(1)\n"
+        "[z^4] (q^7+2q^6+3q^5+q^4-q^3-q^2)/(1)\n"
+        "[z^5] (q^11+2q^10+2q^9+2q^8+2q^7+q^6-q^5-2q^4-q^3)/(1)\n"
+        "[z^6] (q^16+2q^15+2q^14+2q^13+2q^12+q^11+q^10+2q^9+q^8-3q^7-4q^6-2q^5+q^4+q^3)/(1)\n",
+    ("approx", "--class", "rel_irreducible", "--r", "2", "--n", "4", "--symbolic"):
+        "case: bound composite n\n"
+        "exact: (2q^10+q^8-2q^5-2q^4+q^2)/(4)\n"
+        "main_term: (q^12)/(2q^2-2)\n"
+        "gap_exponent: 2\n"
+        "rel_error_bound: (3)/(q^2)\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUT))
+def test_symbolic_output_is_pinned(argv):
+    assert run(list(argv)) == (0, PINNED_OUTPUT[argv])
+
+
+def test_large_prime_q_answers_at_once():
+    import time
+
+    from ffcount.mv_counts import irr_exact
+
+    q = 10**18 + 3  # prime
+    start = time.perf_counter()
+    rc, out = run(["count", "--class", "irreducible", "--r", "2", "--n", "2", "--q", str(q)])
+    elapsed = time.perf_counter() - start
+    assert rc == 0 and out.strip() == str(irr_exact(2, 2).evaluate(q))
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "4"],
+    ["families", "--family", "frobenius", "--h", "x^2+x"],
+    ["verify", "--class", "irreducible", "--r", "2", "--n", "2"],
+])
+@pytest.mark.parametrize("q", [10**18 + 3, 2**60])
+def test_field_beyond_the_budget_exits_3_before_any_table(argv, q, capsys):
+    import time
+
+    start = time.perf_counter()
+    rc, out = run(argv + ["--q", str(q)])
+    assert rc == 3 and out == ""
+    assert f"log tables of F_{q}" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("q, message", [
+    ((10**9 + 7) * (10**9 + 9), "is not a prime power"),
+    (2**89 - 1, "decided only below 3317044064679887385961981"),
+])
+def test_large_q_without_a_certified_prime_power_is_a_usage_error(q, message, capsys):
+    rc, out = run(["count", "--class", "irreducible", "--r", "2", "--n", "2", "--q", str(q)])
+    assert rc == 2 and out == ""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, term", [("x^-1+x^2", "'x^-1'"), ("x^2+x^+1", "'x^+1'")])
+def test_families_signed_exponent_is_a_usage_error(h, term, capsys):
+    rc, out = run(["families", "--family", "frobenius", "--q", "2", "--h", h])
+    assert rc == 2 and out == ""
+    assert f"bad term {term}" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcount.qrat import QPoly, SymRat, qpow, qvar
 
@@ -138,3 +140,130 @@ def test_as_qpoly_guard():
     with pytest.raises(ValueError, match="not a polynomial"):
         (1 / qvar).as_qpoly()
     assert (qpow(2) / SymRat(2)).as_qpoly() == QPoly([0, 0, Fraction(1, 2)])
+
+
+# -- QPoly against a plain list-of-Fractions reference ---------------------
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_pow(a, e):
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_subs(a, k):
+    out = [Fraction(0)] * (k * (len(a) - 1) + 1) if a else []
+    for i, c in enumerate(a):
+        out[i * k] = c
+    return out
+
+
+def ref_rem(a, b):
+    a = ref_trim(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        a = ref_trim(x - (f * b[i - shift] if i >= shift else 0) for i, x in enumerate(a))
+    return a
+
+
+def ref_gcd_degree(a, b):
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_rem(a, b)
+    return len(a) - 1
+
+
+def ref_eval(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coeff_lists = st.lists(rationals, max_size=6)
+points = st.one_of(st.integers(-50, 50), rationals)
+
+
+def assert_invariants(p):
+    assert p.den > 0 and all(type(c) is int for c in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, coeff_lists, st.integers(0, 3), st.integers(1, 3), points)
+def test_qpoly_matches_fraction_list_reference(a, b, e, k, x):
+    pa, pb = QPoly(a), QPoly(b)
+    ra, rb = ref_trim(a), ref_trim(b)
+    cases = [
+        (pa, ra),
+        (pa + pb, ref_add(ra, rb)),
+        (pa - pb, ref_add(ra, [-c for c in rb])),
+        (-pa, [-c for c in ra]),
+        (pa * pb, ref_mul(ra, rb)),
+        (pa**e, ref_pow(ra, e)),
+        (pa.subs_power(k), ref_subs(ra, k)),
+    ]
+    for got, want in cases:
+        assert_invariants(got)
+        assert got.coeffs == tuple(want)
+        assert [got[i] for i in range(len(want) + 2)] == want + [0, 0]
+        assert got.evaluate(x) == ref_eval(want, Fraction(x))
+        assert got == QPoly(want) and hash(got) == hash(QPoly(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, coeff_lists, coeff_lists, points)
+def test_symrat_is_canonical(a, b, c, x):
+    num, den, common = QPoly(a), QPoly(b), QPoly(c)
+    if den.is_zero():
+        den = QPoly.one()
+    f = SymRat(num, den)
+    if not common.is_zero():
+        assert SymRat(num * common, den * common) == f
+    for p in (f.num, f.den):
+        assert_invariants(p)
+        assert p.den == 1
+    assert math.gcd(*f.num.nums, *f.den.nums) == 1
+    assert f.den.nums[-1] > 0
+    assert ref_gcd_degree(list(f.num.coeffs), list(f.den.coeffs)) <= 0
+    if den.evaluate(x) != 0:
+        assert f.evaluate(x) == num.evaluate(x) / den.evaluate(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists)
+def test_symrat_of_a_qpoly_prints_its_numerators_over_its_denominator(a):
+    p = QPoly(a)
+    assert str(SymRat(p)) == f"({QPoly(p.nums)})/({p.den})"
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        QPoly([0.5])
+    with pytest.raises(TypeError):
+        QPoly([1, 2]).evaluate(2.0)
+    with pytest.raises(TypeError):
+        SymRat(QPoly.one(), QPoly([1, 1])).evaluate(2.0)
+    with pytest.raises(TypeError):
+        QPoly([1]) + 0.5

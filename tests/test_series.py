@@ -156,3 +156,33 @@ def test_division_by_q_constant_term_raises(c0, cs):
     for const in (QPoly.q_power(1), c0):
         with pytest.raises(ZeroDivisionError):
             TruncSeries.one(ORDER) / TruncSeries(ORDER, [const] + cs)
+
+
+def test_prime_power_tests_agree_with_trial_division():
+    from ffcount.series import factor_prime_power, is_prime, smallest_prime_factor
+
+    for q in range(-2, 3000):
+        p = smallest_prime_factor(q) if q >= 2 else 0
+        assert is_prime(q) == (q >= 2 and p == q)
+        d = 0
+        while p and q % p**(d + 1) == 0:
+            d += 1
+        if p and p**d == q:
+            assert factor_prime_power(q) == (p, d)
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                factor_prime_power(q)
+
+
+def test_factor_prime_power_at_large_q():
+    from ffcount.series import MR_EXACT_BELOW, factor_prime_power
+
+    assert factor_prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert factor_prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert factor_prime_power(2**200) == (2, 200)
+    # a Carmichael number and strong pseudoprimes to the primes up to 7, 23 and 37
+    for q in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(q)
+    with pytest.raises(ValueError, match=str(MR_EXACT_BELOW)):
+        factor_prime_power(2**89 - 1)
