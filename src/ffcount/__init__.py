@@ -5,7 +5,6 @@ from .qrat import QPoly, SymRat, qpow, qvar
 from .series import TruncSeries, divisors, moebius
 from .ff import (
     BudgetExceeded,
-    Embedding,
     FieldCtx,
     FqElem,
     MvPoly,

@@ -28,6 +28,16 @@ def _irreducible(ctx: FieldCtx, r: int, n: int) -> int:
     return 0 if n == 0 else count_monic(ctx.q, r, n) - len(oracle._reducible_keys(ctx, r, n))
 
 
+def _abs_irreducible(ctx: FieldCtx, r: int, n: int) -> int:
+    """Irreducible minus relatively irreducible.  The reducible products are
+    sized first, then ``_rel_irreducible_keys`` sizes its extension fields,
+    and only then is anything built."""
+    if n:
+        oracle._reducible_products(ctx, r, n)
+    relative = len(oracle._rel_irreducible_keys(ctx, r, n))
+    return _irreducible(ctx, r, n) - relative
+
+
 @dataclass(frozen=True)
 class PolyClass:
     """The functions serving one class, or None: ``exact(r, n, s)`` gives a
@@ -72,7 +82,7 @@ CLASSES: dict[str, PolyClass] = {
     "abs_irreducible": PolyClass(
         lambda r, n, s: mv_counts.absirr_exact(r, n),
         None,
-        lambda r, n, ctx, s: _irreducible(ctx, r, n) - len(oracle._rel_irreducible_keys(ctx, r, n)),
+        lambda r, n, ctx, s: _abs_irreducible(ctx, r, n),
     ),
     "decomposable_mv": PolyClass(
         None,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import mv_counts, oracle, uv_counts, uv_families
 from .classes import CLASSES, count_report, exact_count, oracle_count
-from .ff import BudgetExceeded, FieldCtx, FqElem, UniPoly, field_from_q
+from .ff import BudgetExceeded, FieldCtx, FqElem, UniPoly, check_log_tables, field_from_q
 from .qrat import QPoly
 from .series import factor_prime_power
 
@@ -296,8 +296,10 @@ def _cmd_families(args, out) -> int:
 
 
 def _cmd_census(args, out) -> int:
-    ctx = field_from_q(args.q)
-    rep = oracle.oracle_decomp_census(args.n, ctx)
+    # the field's budget and the census bound, both before the field is built
+    check_log_tables(args.q)
+    oracle.check_census_q(args.q)
+    rep = oracle.oracle_decomp_census(args.n, field_from_q(args.q))
     record = {
         "command": "census",
         "query": {"n": str(args.n), "q": str(args.q)},

@@ -13,6 +13,12 @@ degree-d polynomial over F_p whose non-leading coefficient vector, read as
 a base-p integer (constant coefficient least significant), is smallest.
 All counts produced by this package are modulus-independent; that is
 tested, not assumed.
+
+``check_budget`` is the package's one budget gate, and the only reader of
+``FFCOUNT_BUDGET``: ``field_make`` checks a field's q log-table entries
+(``check_log_tables``) before it builds them, and the enumerators check
+their count before the first polynomial.  The oracle sizes its own work
+through it the same way.
 """
 
 from __future__ import annotations
@@ -24,26 +30,32 @@ from typing import Iterator, Optional, Union
 
 from .series import is_prime
 
-DEFAULT_BUDGET = 1 << 26
-
 
 class BudgetExceeded(Exception):
     """An enumeration would need more items than the configured budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(self, required: int, budget: int, what: str):
         self.required = required
         self.budget = budget
         super().__init__(
             f"{what} requires {required} items, exceeding the budget of {budget}"
-            " (override with FFCOUNT_BUDGET or the budget argument)"
+            " (override with FFCOUNT_BUDGET)"
         )
 
 
-def enumeration_budget(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("FFCOUNT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def check_budget(required: int, what: str) -> None:
+    """Raise ``BudgetExceeded`` when ``what`` needs more than ``FFCOUNT_BUDGET``
+    items (default 2^26).  Every budget check in the package goes through
+    here, before the work it sizes starts."""
+    budget = int(os.environ.get("FFCOUNT_BUDGET") or 1 << 26)
+    if required > budget:
+        raise BudgetExceeded(required, budget, what)
+
+
+def check_log_tables(q: int) -> None:
+    """Check the q entries of F_q's log tables against the budget, from q
+    alone, before the field is built."""
+    check_budget(q, f"log tables of F_{q}")
 
 
 # -- polynomial helpers over the prime field (used only to build moduli) --
@@ -285,8 +297,7 @@ def _default_field(p: int, d: int) -> FieldCtx:
 
 def field_make(p: int, d: int, modulus=None) -> FieldCtx:
     """F_{p^d}; the deterministic smallest modulus unless one is supplied."""
-    if p**d > enumeration_budget():
-        raise BudgetExceeded(p**d, enumeration_budget(), f"log tables of F_{p**d}")
+    check_log_tables(p**d)
     if modulus is None:
         return _default_field(p, d)
     return FieldCtx(p, d, tuple(modulus))
@@ -449,11 +460,6 @@ class UniPoly:
         code = self.c[k] if 0 <= k < len(self.c) else 0
         return FqElem(self.ctx, code)
 
-    def lc(self) -> FqElem:
-        if not self.c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FqElem(self.ctx, self.c[-1])
-
     def _check(self, other: "UniPoly"):
         if self.ctx != other.ctx:
             raise ValueError("field mismatch")
@@ -534,24 +540,6 @@ class UniPoly:
                 if cb:
                     rem[i - db + j] = ctx.sub(rem[i - db + j], ctx.mul(f, cb))
         return UniPoly.from_codes(ctx, quot), UniPoly.from_codes(ctx, rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        return other.divmod(self)[1].is_zero()
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * a.lc().inv()
 
     def derivative(self) -> "UniPoly":
         ctx = self.ctx
@@ -742,29 +730,6 @@ class MvPoly:
             e >>= 1
         return result
 
-    def divides(self, other: "MvPoly") -> bool:
-        """Exact multivariate division test: does self divide other?"""
-        if self.is_zero():
-            return other.is_zero()
-        ctx = self.ctx
-        lead = self.leading_monomial()
-        lead_inv = ctx.inv(self.terms[lead])
-        rem = dict(other.terms)
-        while rem:
-            rexp = max(rem, key=_deglex_key)
-            diff = tuple(a - b for a, b in zip(rexp, lead))
-            if any(d < 0 for d in diff):
-                return False
-            f = ctx.mul(rem[rexp], lead_inv)
-            for exp, c in self.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, exp))
-                s = ctx.sub(rem.get(tgt, 0), ctx.mul(f, c))
-                if s:
-                    rem[tgt] = s
-                else:
-                    rem.pop(tgt, None)
-        return True
-
     def map_coeffs(self, fn) -> "MvPoly":
         return MvPoly.from_code_terms(
             self.ctx, self.nvars, {e: fn(c) for e, c in self.terms.items()}
@@ -797,60 +762,18 @@ class MvPoly:
 # -- embeddings ----------------------------------------------------------
 
 
-class Embedding:
-    """An injective field homomorphism F_{p^d} -> F_{p^{dk}} as a code table."""
-
-    __slots__ = ("src", "dst", "table", "_inverse")
-
-    def __init__(self, src: FieldCtx, dst: FieldCtx, table: tuple[int, ...]):
-        self.src = src
-        self.dst = dst
-        self.table = table
-        self._inverse = {t: s for s, t in enumerate(table)}
-
-    def __call__(self, x):
-        if isinstance(x, FqElem):
-            if x.ctx != self.src:
-                raise ValueError("field mismatch")
-            return FqElem(self.dst, self.table[x.code])
-        if isinstance(x, UniPoly):
-            return UniPoly.from_codes(self.dst, (self.table[c] for c in x.c))
-        if isinstance(x, MvPoly):
-            return MvPoly.from_code_terms(
-                self.dst, x.nvars, {e: self.table[c] for e, c in x.terms.items()}
-            )
-        raise TypeError(f"cannot embed {type(x).__name__}")
-
-    def pull_code(self, code: int) -> int:
-        try:
-            return self._inverse[code]
-        except KeyError:
-            raise ValueError("element not in the embedded subfield") from None
-
-    def pullback(self, x):
-        if isinstance(x, FqElem):
-            return FqElem(self.src, self.pull_code(x.code))
-        if isinstance(x, UniPoly):
-            return UniPoly.from_codes(self.src, (self.pull_code(c) for c in x.c))
-        if isinstance(x, MvPoly):
-            return MvPoly.from_code_terms(
-                self.src, x.nvars, {e: self.pull_code(c) for e, c in x.terms.items()}
-            )
-        raise TypeError(f"cannot pull back {type(x).__name__}")
-
-
 @lru_cache(maxsize=None)
-def field_embed(base: FieldCtx, k: int) -> tuple[FieldCtx, Embedding]:
-    """F_{p^{dk}} together with the embedding sending the base generator to
+def field_embed(base: FieldCtx, k: int) -> tuple[FieldCtx, tuple[int, ...]]:
+    """F_{p^{dk}} together with an embedding of ``base`` into it, as a code
+    table: ``table[c]`` is the image of code c.  The base generator goes to
     the smallest root of the base modulus found by exhaustive search."""
     if k < 1:
         raise ValueError("extension factor must be >= 1")
     if k == 1:
-        return base, Embedding(base, base, tuple(range(base.q)))
+        return base, tuple(range(base.q))
     ext = field_make(base.p, base.d * k)
     if base.d == 1:
-        table = tuple(range(base.p))
-        return ext, Embedding(base, ext, table)
+        return ext, tuple(range(base.p))
     root = None
     for cand in range(ext.q):
         acc = 0
@@ -866,7 +789,7 @@ def field_embed(base: FieldCtx, k: int) -> tuple[FieldCtx, Embedding]:
         for c in reversed(base.digits(code)):
             acc = ext.add(ext.mul(acc, root), c)
         table.append(acc)
-    return ext, Embedding(base, ext, tuple(table))
+    return ext, tuple(table)
 
 
 # -- exhaustive enumeration ----------------------------------------------
@@ -904,17 +827,12 @@ def count_monic(q: int, r: int, n: int, original: bool = False) -> int:
     return total
 
 
-def enumerate_monic_uni(
-    ctx: FieldCtx, n: int, original: bool = False, budget: Optional[int] = None
-) -> Iterator[UniPoly]:
+def enumerate_monic_uni(ctx: FieldCtx, n: int, original: bool = False) -> Iterator[UniPoly]:
     """All monic univariate polynomials of degree n, optionally with f(0)=0."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    b = enumeration_budget(budget)
     free = n - (1 if original and n > 0 else 0)
-    required = ctx.q**free if n > 0 else 1
-    if required > b:
-        raise BudgetExceeded(required, b, f"enumerating monic degree-{n} polynomials")
+    check_budget(ctx.q**free if n > 0 else 1, f"enumerating monic degree-{n} polynomials")
     if n == 0:
         if not original:
             yield UniPoly.const(ctx, 1)
@@ -925,19 +843,14 @@ def enumerate_monic_uni(
             yield UniPoly.from_codes(ctx, (low,) + mid + (1,))
 
 
-def enumerate_monic_mv(
-    ctx: FieldCtx, r: int, n: int, original: bool = False, budget: Optional[int] = None
-) -> Iterator[MvPoly]:
+def enumerate_monic_mv(ctx: FieldCtx, r: int, n: int, original: bool = False) -> Iterator[MvPoly]:
     """All monic r-variate polynomials of total degree n (deg-lex leading
     coefficient 1), optionally with vanishing constant term."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    b = enumeration_budget(budget)
-    required = count_monic(ctx.q, r, n, original)
-    if required > b:
-        raise BudgetExceeded(
-            required, b, f"enumerating monic {r}-variate degree-{n} polynomials"
-        )
+    check_budget(
+        count_monic(ctx.q, r, n, original), f"enumerating monic {r}-variate degree-{n} polynomials"
+    )
     if n == 0:
         if not original:
             yield MvPoly.const(ctx, r, 1)

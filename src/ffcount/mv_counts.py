@@ -74,8 +74,8 @@ def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
 
     Both routes return the identical polynomial: ``composition_sum`` runs the
     Moebius-weighted sum over integer compositions by number of parts,
-    ``series_log`` extracts the coefficient from the formal logarithm of the
-    generating series.
+    ``series_log`` takes the formal logarithm of the generating series once
+    and Moebius-inverts its coefficients at the divisors of n.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
@@ -92,14 +92,13 @@ def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
                 acc = acc - by_parts * Fraction(mu * (-1) ** j, k * j)
         return acc
     if route == "series_log":
-        ps = p_series(r, n)
-        acc = TruncSeries.zero(n)
-        for k in range(1, n + 1):
-            mu = moebius(k)
-            if mu == 0:
-                continue
-            acc = acc + ps.substitute_power(k).log() * Fraction(mu, k)
-        return acc.coeff(n)
+        # log P = sum_d I_d sum_j z^(dj) / j; Moebius inversion gives
+        # I_n = sum_{k | n} mu(k) / k [z^(n/k)] log P
+        log_p = p_series(r, n).log()
+        acc = QPoly.zero()
+        for k in divisors(n):
+            acc = acc + log_p.coeff(n // k) * Fraction(moebius(k), k)
+        return acc
     raise ValueError(f"unknown route {route!r}")
 
 

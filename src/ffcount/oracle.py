@@ -24,8 +24,9 @@ composer, ``_compositions``, which serves both the univariate census (the
 case r = 1) and the multivariate decomposables.  Each builder packs its
 polynomials' codes into uint64 keys block by block and groups them with one
 sort (see the packed keys below).  numpy is imported inside the
-functions that use it, never at module import.  Budget overruns raise
-loudly, naming the required count, before any work.
+functions that use it, never at module import.  Every builder sizes all it
+builds (products or compositions, q x q code tables, extension fields) from
+q, r, n and t through ``ff.check_budget`` before it builds any of it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable, Optional
+from typing import Callable
 
-from .ff import (
-    BudgetExceeded,
-    FieldCtx,
-    _deglex_monomials,
-    count_monic,
-    enumeration_budget,
-    field_embed,
-)
+from .ff import FieldCtx, _deglex_monomials, check_budget, check_log_tables, count_monic, field_embed
 from .series import divisors, smallest_prime_factor
 
 # -- field codes and packed keys -------------------------------------------
@@ -75,11 +69,12 @@ def _code_dtype(q: int, terms: int):
     return np.int32 if terms * (q - 1) ** 2 + q - 1 < 1 << 31 else np.int64
 
 
-def _check_tables(ctx: FieldCtx, budget: int) -> None:
-    """Raise before ``_field_ops`` builds an extension field's two q x q code
-    tables when their q^2 entries exceed the budget; prime fields need none."""
-    if ctx.d > 1 and ctx.q**2 > budget:
-        raise BudgetExceeded(ctx.q**2, budget, f"q x q code tables over F_{ctx.q}")
+def _check_tables(q: int, d: int) -> None:
+    """Check the q^2 entries of the two q x q code tables that ``_field_ops``
+    builds over F_q = F_{p^d} against the budget, from q and d alone, so the
+    field itself need not exist yet; prime fields need no tables."""
+    if d > 1:
+        check_budget(q**2, f"q x q code tables over F_{q}")
 
 
 @lru_cache(maxsize=None)
@@ -318,16 +313,21 @@ def _product_keys(ctx: FieldCtx, r: int, n: int, total: int, factors):
 # ``_distinct``), so its len() is the class's count.
 
 
-@lru_cache(maxsize=None)
-def _reducible_keys(ctx: FieldCtx, r: int, n: int):
-    budget = enumeration_budget()
+def _reducible_products(ctx: FieldCtx, r: int, n: int) -> int:
+    """The products g * h that ``_reducible_keys`` forms at degree n, checked
+    against the budget together with the field's code tables."""
     required = 0
     for d in range(1, n // 2 + 1):
         a, b = count_monic(ctx.q, r, d), count_monic(ctx.q, r, n - d)
         required += a * (a + 1) // 2 if d == n - d else a * b
-    if required > budget:
-        raise BudgetExceeded(required, budget, f"reducible witness products at n={n}")
-    _check_tables(ctx, budget)
+    check_budget(required, f"reducible witness products at n={n}")
+    _check_tables(ctx.q, ctx.d)
+    return required
+
+
+@lru_cache(maxsize=None)
+def _reducible_keys(ctx: FieldCtx, r: int, n: int):
+    required = _reducible_products(ctx, r, n)
 
     def factors():
         for d in range(1, n // 2 + 1):
@@ -340,14 +340,12 @@ def _reducible_keys(ctx: FieldCtx, r: int, n: int):
 
 @lru_cache(maxsize=None)
 def _powerful_keys(ctx: FieldCtx, r: int, n: int, s: int):
-    budget = enumeration_budget()
     required = sum(
         count_monic(ctx.q, r, a) * count_monic(ctx.q, r, n - a * s)
         for a in range(1, n // s + 1)
     )
-    if required > budget:
-        raise BudgetExceeded(required, budget, f"powerful witness products at n={n}")
-    _check_tables(ctx, budget)
+    check_budget(required, f"powerful witness products at n={n}")
+    _check_tables(ctx.q, ctx.d)
 
     def factors():
         for a in range(1, n // s + 1):
@@ -365,21 +363,23 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
 
     if n < 1:
         return np.empty((0, 1), dtype=np.uint64)
-    budget = enumeration_budget()
+    # size every F_{q^t} from q and t before any of them is built: its log
+    # tables, its conjugate factors and its code tables; _reducible_keys
+    # then sizes its own products before it builds them
     primes = [t for t in divisors(n) if t > 1 and smallest_prime_factor(t) == t]
-    fields = [field_embed(ctx, t) for t in primes]
-    for t, (ext, _) in zip(primes, fields):
-        required = count_monic(ext.q, r, n // t)
-        if required > budget:
-            raise BudgetExceeded(required, budget, f"conjugate factors over F_{ext.q}")
-        _check_tables(ext, budget)
+    for t in primes:
+        check_log_tables(ctx.q**t)
+    for t in primes:
+        check_budget(count_monic(ctx.q**t, r, n // t), f"conjugate factors over F_{ctx.q**t}")
+        _check_tables(ctx.q**t, ctx.d * t)
     reducible = _reducible_keys(ctx, r, n)
     found, step = [], max(1, _CHUNK_ROWS)
-    for t, (ext, emb) in zip(primes, fields):
+    for t in primes:
+        ext, table = field_embed(ctx, t)
         d = n // t
         frobenius = np.array([ext.pow(c, ctx.q) for c in range(ext.q)])  # c -> c^q
         pullback = np.full(ext.q, -1)
-        pullback[list(emb.table)] = np.arange(ctx.q)
+        pullback[list(table)] = np.arange(ctx.q)
         us = _monic_rows(ext.q, r, d, original=False)
         for lo in range(0, us.shape[1], step):
             # u times its t - 1 conjugates: monic of degree n over F_{q^t}
@@ -482,21 +482,25 @@ def _census_details(keys, counts, low, splits: list[int], n: int, q: int) -> dic
     }
 
 
-def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) -> CensusReport:
+def check_census_q(q: int) -> None:
+    """Reject a census whose ``details`` rows, one uint8 per code, cannot
+    hold F_q's codes; a caller can check this before building the field."""
+    if q > 256:
+        raise ValueError("census details hold codes in uint8, so q <= 256")
+
+
+def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     """Compose every monic original pair (g, h) over every degree split of n,
     deduplicate by packed coefficient key, and tabulate everything the bounds
     need: per-split counts, pairwise intersections (with and without
     Frobenius compositions), the histogram of decomposition counts, and
     Frobenius membership."""
     q, p = ctx.q, ctx.p
-    if q > 256:
-        raise ValueError("census details hold codes in uint8, so q <= 256")
+    check_census_q(q)
     splits = [e for e in divisors(n) if 1 < e < n]
-    b = enumeration_budget(budget)
     # at least q^2 pairs in every split, so they bound the code tables too
     sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
-    if sum(sizes) > b:
-        raise BudgetExceeded(sum(sizes), b, f"decomposition census at n={n}, q={q}")
+    check_budget(sum(sizes), f"decomposition census at n={n}, q={q}")
     if not splits:  # prime n: nothing decomposes
         return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, _details=dict)
     import numpy as np
@@ -546,17 +550,15 @@ def oracle_decomp_census(n: int, ctx: FieldCtx, budget: Optional[int] = None) ->
 # -- multivariate decomposables --------------------------------------------
 
 
-def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx, budget: Optional[int] = None) -> int:
+def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     """Count decomposable monic original r-variate degree-n polynomials by
     composing every (univariate monic original g, multivariate monic
     original h) pair with deg g >= 2 across all degree splits."""
     q = ctx.q
     splits = [e for e in divisors(n) if e >= 2]
-    b = enumeration_budget(budget)
     total = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in splits)
-    if total > b:
-        raise BudgetExceeded(total, b, f"decomposable census r={r}, n={n}")
-    _check_tables(ctx, b)
+    check_budget(total, f"decomposable census r={r}, n={n}")
+    _check_tables(q, ctx.d)
     import numpy as np
 
     width = len(_deglex_monomials(r, n))

@@ -420,6 +420,31 @@ def test_field_beyond_the_budget_exits_3_before_any_table(argv, q, capsys):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("cls", ["rel_irreducible", "abs_irreducible"])
+@pytest.mark.parametrize("q, seconds", [(256, 1.0), (1024, 2.0)])
+def test_extension_field_beyond_the_budget_exits_3_before_it_is_built(cls, q, seconds, capsys):
+    # F_{q^2}'s q x q tables exceed the budget; building F_{q^2} itself takes
+    # seconds at q = 256 and most of a minute at q = 1024, so the time gate
+    # shows that it is refused before it is built
+    import time
+
+    start = time.perf_counter()
+    rc, out = run(["verify", "--class", cls, "--r", "1", "--n", "2", "--q", str(q)])
+    assert rc == 3 and out == ""
+    assert f"q x q code tables over F_{q * q}" in capsys.readouterr().err
+    assert time.perf_counter() - start < seconds
+
+
+def test_census_bound_is_checked_before_the_field_is_built(capsys):
+    import time
+
+    start = time.perf_counter()
+    rc, out = run(["census", "--n", "4", "--q", "1048573"])
+    assert rc == 2 and out == ""
+    assert "q <= 256" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("q, message", [
     ((10**9 + 7) * (10**9 + 9), "is not a prime power"),
     (2**89 - 1, "decided only below 3317044064679887385961981"),

@@ -71,35 +71,34 @@ def test_zech_add_and_neg_match_digit_arithmetic(p, d):
 
 
 def test_embed_prime_subfield_is_identity_on_bits():
-    F4_, emb = field_embed(F2, 2)
-    assert emb(F2.zero).code == 0
-    assert emb(F2.one).code == 1
+    F4_, table = field_embed(F2, 2)
+    assert table[F2.zero.code] == 0
+    assert table[F2.one.code] == 1
 
 
 def test_embed_f4_into_f16_respects_modulus():
-    F16, emb = field_embed(F4, 2)
-    g = emb(F4.from_code(2))
+    F16, table = field_embed(F4, 2)
+    g = F16.from_code(table[2])
     assert (g * g + g + F16.one).is_zero()
 
 
 def test_embed_k1_is_identity():
-    same, emb = field_embed(F4, 1)
+    same, table = field_embed(F4, 1)
     assert same is F4
-    for a in F4.elements():
-        assert emb(a) == a
+    assert table == tuple(range(F4.q))
 
 
 @pytest.mark.parametrize("p,d,k", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 3, 2), (5, 1, 2)])
 def test_embed_is_a_homomorphism(p, d, k):
     base = field_make(p, d)
-    ext, emb = field_embed(base, k)
+    ext, table = field_embed(base, k)
     for _ in range(40):
-        a = base.from_code(rng.randrange(base.q))
-        b = base.from_code(rng.randrange(base.q))
-        assert emb(a + b) == emb(a) + emb(b)
-        assert emb(a * b) == emb(a) * emb(b)
+        a = rng.randrange(base.q)
+        b = rng.randrange(base.q)
+        assert table[base.add(a, b)] == ext.add(table[a], table[b])
+        assert table[base.mul(a, b)] == ext.mul(table[a], table[b])
     # injectivity
-    assert len({emb(a).code for a in base.elements()}) == base.q
+    assert len(set(table)) == base.q
 
 
 def test_upoly_compose():
@@ -117,8 +116,6 @@ def test_upoly_divrem_gcd():
     a = UniPoly(F3, [2, 0, 1]) * UniPoly(F3, [1, 1]) + UniPoly(F3, [1])
     q, r = a.divmod(UniPoly(F3, [2, 0, 1]))
     assert q == UniPoly(F3, [1, 1]) and r == UniPoly(F3, [1])
-    g = UniPoly(F3, [1, 1])
-    assert (g * UniPoly(F3, [2, 1])).gcd(g * UniPoly(F3, [1, 0, 1])) == g
     with pytest.raises(ZeroDivisionError):
         a.divmod(UniPoly(F3, []))
 
@@ -148,15 +145,6 @@ def test_mvpoly_monic_flag():
     y = MvPoly.variable(F3, 2, 1)
     assert not (x * x * 2 + y).is_monic()
     assert (x * x + 2 * y).is_monic()
-
-
-def test_mvpoly_divides():
-    x = MvPoly.variable(F3, 2, 0)
-    y = MvPoly.variable(F3, 2, 1)
-    f = (x + y) * (x * x + y * 2)
-    assert (x + y).divides(f)
-    assert (x * x + y * 2).divides(f)
-    assert not (x + y * 2).divides(f)
 
 
 def test_mvpoly_product_of_leading_terms():
@@ -212,9 +200,10 @@ def test_enumerate_mv_original():
     assert got == 28  # half of the 56 monic ones have zero constant term
 
 
-def test_enumeration_budget_error_names_required_count():
+def test_enumeration_budget_error_names_required_count(monkeypatch):
+    monkeypatch.setenv("FFCOUNT_BUDGET", "1000")
     with pytest.raises(BudgetExceeded) as exc:
-        list(enumerate_monic_mv(F3, 3, 4, budget=1000))
+        list(enumerate_monic_mv(F3, 3, 4))
     assert exc.value.required > 1000
     assert "budget" in str(exc.value)
 

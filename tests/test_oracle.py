@@ -105,16 +105,16 @@ def _ref_rel_irreducible_keys(ctx, r, n):
     for t in divisors(n):
         if t == 1 or smallest_prime_factor(t) != t:
             continue
-        ext, emb = field_embed(ctx, t)
+        ext, table = field_embed(ctx, t)
+        inverse = {image: code for code, image in enumerate(table)}
         for u in enumerate_monic_mv(ext, r, n // t):
             prod = conj = u
             for _ in range(t - 1):
                 conj = conj.map_coeffs(lambda c: ext.pow(c, ctx.q))
                 prod = prod * conj
-            try:
-                key = emb.pullback(prod).key()
-            except ValueError:
-                continue
+            if not all(c in inverse for c in prod.terms.values()):
+                continue  # the product leaves the subfield
+            key = tuple(sorted((e, inverse[c]) for e, c in prod.terms.items()))
             if key in irred:
                 found.add(key)
     return frozenset(found)
@@ -220,8 +220,9 @@ def test_field_tables_are_budgeted_before_they_are_built(monkeypatch):
         raise AssertionError("q x q tables built before the budget check")
 
     monkeypatch.setattr(orc, "_field_ops", unbuilt)
+    monkeypatch.setenv("FFCOUNT_BUDGET", str(10**5))
     with pytest.raises(BudgetExceeded, match="1048576") as exc:
-        orc.oracle_mv_decomp(1, 2, field_make(2, 10), budget=10**5)
+        orc.oracle_mv_decomp(1, 2, field_make(2, 10))
     assert exc.value.required == 1024**2
     # 4096 table entries over F_64 against at most 2080 products
     monkeypatch.setenv("FFCOUNT_BUDGET", "3000")
@@ -230,6 +231,39 @@ def test_field_tables_are_budgeted_before_they_are_built(monkeypatch):
         with pytest.raises(BudgetExceeded, match="F_64") as exc:
             fc.oracle_count(cls, 1, 2, ctx, s)
         assert exc.value.required == 4096
+
+
+@pytest.mark.parametrize("cls", ["rel_irreducible", "abs_irreducible"])
+def test_extension_fields_are_budgeted_before_they_are_built(cls, monkeypatch):
+    # F_65536 needs 2^32 table entries: nothing may be built before that shows
+    import ffcount.ff as ff
+
+    monkeypatch.delenv("FFCOUNT_BUDGET", raising=False)
+    ctx = field_make(2, 8)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    for module, name in [(orc, "field_embed"), (ff, "field_make"), (orc, "_field_ops"), (orc, "_monic_rows")]:
+        monkeypatch.setattr(module, name, unbuilt)
+    with pytest.raises(BudgetExceeded, match="F_65536") as exc:
+        fc.oracle_count(cls, 1, 2, ctx)
+    assert exc.value.required == 65536**2
+
+
+def test_each_class_reports_its_first_overrun(monkeypatch):
+    # over F_2 at r = n = 2: 21 reducible products, 20 conjugate factors over
+    # F_4; abs_irreducible checks first what irreducible does.  The builders
+    # run uncached, so earlier tests cannot answer from the cache.
+    for name in ("_reducible_keys", "_rel_irreducible_keys"):
+        monkeypatch.setattr(orc, name, getattr(orc, name).__wrapped__)
+    monkeypatch.setenv("FFCOUNT_BUDGET", "10")
+    for cls, what, required in [("irreducible", "reducible witness products", 21),
+                                ("rel_irreducible", "conjugate factors over F_4", 20),
+                                ("abs_irreducible", "reducible witness products", 21)]:
+        with pytest.raises(BudgetExceeded, match=what) as exc:
+            fc.oracle_count(cls, 2, 2, F2)
+        assert exc.value.required == required
 
 
 def test_census_degree4_binary():
@@ -523,12 +557,14 @@ def test_modulus_independence_f8():
     assert orc.oracle_decomp_census(4, f8a).total == orc.oracle_decomp_census(4, f8b).total
 
 
-def test_budget_errors_are_loud():
+def test_budget_errors_are_loud(monkeypatch):
+    monkeypatch.setenv("FFCOUNT_BUDGET", "1000")
     with pytest.raises(BudgetExceeded) as exc:
-        orc.oracle_decomp_census(25, F5, budget=1000)
+        orc.oracle_decomp_census(25, F5)
     assert exc.value.required == 390625
+    monkeypatch.setenv("FFCOUNT_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        orc.oracle_mv_decomp(2, 4, field_make(23, 1), budget=100)
+        orc.oracle_mv_decomp(2, 4, field_make(23, 1))
 
 
 def test_per_split_counts_respect_the_composition_bound():
