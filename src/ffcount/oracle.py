@@ -23,7 +23,12 @@ and compositions g(h), g univariate and h in r variables, through one
 composer, ``_compositions``, which serves both the univariate census (the
 case r = 1) and the multivariate decomposables.  Each builder packs its
 polynomials' codes into uint64 keys block by block and groups them with one
-sort (see the packed keys below).  numpy is imported inside the
+sort (see the packed keys below).  The census writes each composition's key
+at its g-outer rank, its position in one preallocated key array, so the sort
+permutation alone gives each polynomial's first enumeration and its count
+per split (``_group``); per pair it holds the keys, the permutation and a
+Frobenius byte, at most 40 bytes with one-word keys, so the pair budget
+bounds its memory too.  numpy is imported inside the
 functions that use it, never at module import.  Every builder sizes all it
 builds (products or compositions, q x q code tables, extension fields) from
 q, r, n and t through ``ff.check_budget`` before it builds any of it.
@@ -150,26 +155,26 @@ def _unpack(keys, q: int, width: int):
 
 
 def _runs(keys, permute: bool = True):
-    """Sort (k, m) packed keys and mark the runs of equal ones.
+    """Sort (k, m) packed keys in place and mark the runs of equal ones.
 
     Returns ``(order, new)``: the sorting permutation and a bool mask over
     the sorted keys, True where a run begins, so ``order[new]`` holds an
     input position of each distinct key.  With ``permute=False`` one-word
-    keys are sorted in place, several times faster, and ``order`` is None.
+    keys are sorted directly, several times faster, and ``order`` is None.
     """
     import numpy as np
 
-    if len(keys) > 1:
-        order = np.lexsort(keys)
-        keys = keys[:, order]
-    elif permute:
-        order = np.argsort(keys[0])
-        keys = keys[:, order]
-    else:
+    if len(keys) == 1 and not permute:
         order = None
         keys.sort(axis=1)
-    edge = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return order, np.concatenate(([True], edge))[: keys.shape[1]]
+    else:
+        order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+        for w in range(len(keys)):  # a word at a time, so one word of scratch
+            keys[w] = keys[w][order]
+    new = np.empty(keys.shape[1], dtype=bool)
+    new[:1] = True
+    (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=new[1:])
+    return order, new
 
 
 def _distinct(keys, banned: int = 0):
@@ -179,8 +184,6 @@ def _distinct(keys, banned: int = 0):
     import numpy as np
 
     order, new = _runs(keys, permute=banned > 0)
-    if order is not None:
-        keys = keys[:, order]
     if banned:
         run = np.cumsum(new) - 1
         hit = np.zeros(len(new), dtype=bool)
@@ -191,26 +194,41 @@ def _distinct(keys, banned: int = 0):
     return out
 
 
-def _group_by(keys, ranks, offsets):
-    """Group (k, m) packed keys, each carrying an integer rank; the ascending
-    ``offsets``, the first of them 0, cut the ranks into bins.
+def _group(k: int, total: int, blocks, offsets):
+    """Group ``total`` packed keys of k words each, written block by block:
+    ``blocks`` yields ``(at, keys)``, a (k, m) block of keys and their
+    positions, an index array.  The ascending ``offsets``, the first of them
+    0, cut the positions into bins.
 
-    Returns ``(rep, low, counts)`` with one entry per distinct key, in key
-    order: the input position of one of its copies, its smallest rank, and
-    how many of its copies fall in each bin, an (R, len(offsets)) array.
+    Returns ``(keys, low, counts)`` with one entry per distinct key, in sort
+    order: the key, a (k, R) array; its smallest position; and how many of
+    its copies fall in each bin, an (R, len(offsets)) array.  Per position
+    it holds the keys, sorted in place, and the sort permutation, which
+    gives way to a byte per position (its bin) before the counts are taken.
     """
     import numpy as np
 
+    keys = np.empty((k, total), dtype=np.uint64)
+    for at, block in blocks:
+        keys[:, at] = block
     order, new = _runs(keys)
     starts = np.flatnonzero(new)
-    ranks = ranks[order]
-    # each sorted key's cell run * bins + bin, built in place: the census
-    # reaches its memory peak here
-    cell = np.cumsum(new) * len(offsets)
-    cell += np.searchsorted(offsets, ranks, side="right")
-    cell -= len(offsets) + 1
-    counts = np.bincount(cell, minlength=len(starts) * len(offsets))
-    return order[starts], np.minimum.reduceat(ranks, starts), counts.reshape(-1, len(offsets))
+    del new
+    keys = keys[:, starts]  # the sorted copies go
+    low = np.minimum.reduceat(order, starts)
+    bins = np.zeros(total, dtype=np.min_scalar_type(len(offsets)))
+    for lo in offsets[1:]:
+        bins += order >= lo
+    del order
+    # no count exceeds the longest run, so the counts take the smallest
+    # dtype that holds it, and a byte-wide one needs no cast of the masks
+    runs = np.append(starts[1:], total)[: len(starts)]  # each run's end
+    runs -= starts
+    counts = np.empty((len(offsets), len(starts)), dtype=np.min_scalar_type(runs.max(initial=0)))
+    del runs
+    for b, row in enumerate(counts):
+        np.add.reduceat((bins == b).view(np.uint8), starts, out=row)
+    return keys, low, counts.T
 
 
 # -- products of r-variate polynomials -------------------------------------
@@ -315,13 +333,15 @@ def _product_keys(ctx: FieldCtx, r: int, n: int, total: int, factors):
 
 def _reducible_products(ctx: FieldCtx, r: int, n: int) -> int:
     """The products g * h that ``_reducible_keys`` forms at degree n, checked
-    against the budget together with the field's code tables."""
+    against the budget together with the field's code tables, which only a
+    product looks up."""
     required = 0
     for d in range(1, n // 2 + 1):
         a, b = count_monic(ctx.q, r, d), count_monic(ctx.q, r, n - d)
         required += a * (a + 1) // 2 if d == n - d else a * b
     check_budget(required, f"reducible witness products at n={n}")
-    _check_tables(ctx.q, ctx.d)
+    if required:
+        _check_tables(ctx.q, ctx.d)
     return required
 
 
@@ -345,7 +365,8 @@ def _powerful_keys(ctx: FieldCtx, r: int, n: int, s: int):
         for a in range(1, n // s + 1)
     )
     check_budget(required, f"powerful witness products at n={n}")
-    _check_tables(ctx.q, ctx.d)
+    if required:  # the code tables serve the products alone
+        _check_tables(ctx.q, ctx.d)
 
     def factors():
         for a in range(1, n // s + 1):
@@ -469,7 +490,7 @@ class CensusReport:
 
 def _census_details(keys, counts, low, splits: list[int], n: int, q: int) -> dict:
     """``CensusReport.details`` from each distinct row's packed key, its
-    per-split counts and the smallest rank among its copies."""
+    per-split counts and the smallest position among its copies."""
     import numpy as np
 
     by_rank = np.argsort(low)
@@ -507,27 +528,35 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
 
     # a Frobenius composition has nonzero coefficients only at multiples of p
     non_frob = [i for i in range(n + 1) if i % p]
-    # a composition's rank is its split's offset plus its rank in the split
+    # a composition's position is its split's offset plus its rank there,
+    # so a key's smallest position is its first enumeration
     offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-    keys, ranks, frob = [], [], []
-    for e, offset in zip(splits, offsets):
-        for codes, rank in _compositions(ctx, 1, n, e):
-            codes = codes[::-1]  # constant first
-            # every composition has code 0 at slot 0 and code 1 at slot n
-            keys.append(_pack(codes[1:n], q))
-            ranks.append(rank + offset)
-            frob.append(~codes[non_frob].any(axis=0))
-    keys = np.concatenate(keys, axis=1)
-    rep, low, counts = _group_by(keys, np.concatenate(ranks), offsets)
+    frob = np.empty(sum(sizes), dtype=bool)
+
+    def blocks():
+        for e, offset in zip(splits, offsets):
+            for codes, rank in _compositions(ctx, 1, n, e):
+                codes = codes[::-1]  # constant first
+                rank += offset
+                frob[rank] = ~codes[non_frob].any(axis=0)
+                # every composition has code 0 at slot 0 and code 1 at slot n
+                yield rank, _pack(codes[1:n], q)
+
+    words = -(-(n - 1) // _digits_per_word(q))
+    keys, low, counts = _group(words, len(frob), blocks(), offsets)
+    frob = frob[low]
     hit = counts > 0
-    decs = counts.sum(axis=1)
-    frob = np.concatenate(frob)[rep]
+    decs = counts.sum(axis=1, dtype=np.intp)
     pair_int, pair_int_nf = {}, {}
     for (i, a), (j, b2) in itertools.combinations(enumerate(splits), 2):
         both = hit[:, i] & hit[:, j]
         pair_int[(a, b2)] = int(both.sum())
         pair_int_nf[(a, b2)] = int((both & ~frob).sum())
-    masks, mask_counts = np.unique(hit @ (1 << np.arange(len(splits))), return_counts=True)
+    # each distinct key's splits as a bit mask in the smallest dtype
+    code = np.zeros(len(low), dtype=np.min_scalar_type((1 << len(splits)) - 1))
+    for t in range(len(splits)):
+        code[hit[:, t]] |= 1 << t
+    masks, mask_counts = np.unique(code, return_counts=True)
     profiles = {
         tuple(e for t, e in enumerate(splits) if m >> t & 1): c
         for m, c in zip(masks.tolist(), mask_counts.tolist())
@@ -535,7 +564,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     return CensusReport(
         n=n,
         q=q,
-        total=len(rep),
+        total=len(low),
         per_split=dict(zip(splits, hit.sum(axis=0).tolist())),
         pair_intersections=pair_int,
         pair_intersections_nonfrobenius=pair_int_nf,
@@ -543,7 +572,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
         frobenius_members=int(frob.sum()),
         frobenius_collisions=int((frob & (decs >= 2)).sum()),
         split_profiles=dict(sorted(profiles.items())),
-        _details=partial(_census_details, keys[:, rep], counts, low, splits, n, q),
+        _details=partial(_census_details, keys, counts, low, splits, n, q),
     )
 
 

@@ -460,3 +460,24 @@ def test_families_signed_exponent_is_a_usage_error(h, term, capsys):
     rc, out = run(["families", "--family", "frobenius", "--q", "2", "--h", h])
     assert rc == 2 and out == ""
     assert f"bad term {term}" in capsys.readouterr().err
+
+
+# F_{101^2}: its q x q code tables (104,060,401 entries) exceed the default
+# budget, yet its log tables build in a fraction of a second
+@pytest.mark.parametrize("cls", [
+    ["reducible"], ["irreducible"], ["rel_irreducible"], ["abs_irreducible"], ["powerful", "--s", "2"],
+])
+def test_degree_one_forms_no_product_so_needs_no_code_tables(cls):
+    import time
+
+    start = time.perf_counter()
+    rc, out = run(["verify", "--class", *cls, "--r", "2", "--n", "1", "--q", "10201"])
+    assert rc == 0 and "verified: True" in out
+    assert time.perf_counter() - start < 2.0
+
+
+def test_products_over_a_field_beyond_the_table_budget_exit_3(capsys):
+    # 52,035,301 products of linear factors fit the budget; the tables do not
+    rc, out = run(["verify", "--class", "reducible", "--r", "1", "--n", "2", "--q", "10201"])
+    assert rc == 3 and out == ""
+    assert "q x q code tables over F_10201 requires 104060401 items" in capsys.readouterr().err

@@ -447,26 +447,52 @@ def test_group_by_matches_counter(q, width, m):
     # a small pool of distinct rows, so most rows repeat
     pool = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(m // 5 + 1)]
     rows = [rng.choice(pool) for _ in range(m)]
-    ranks = rng.sample(range(3 * m), m)  # three bins of m ranks each
     digits = np.array(rows, dtype=np.int64).reshape(m, width).T
     keys = orc._pack(digits, q)
     per_word = orc._digits_per_word(q)
     assert q**per_word <= 1 << 64 < q ** (per_word + 1)
     assert keys.shape == (-(-width // per_word), m)
     assert (orc._unpack(keys, q, width) == digits).all()
-    want: dict = {}  # row -> [smallest rank, Counter of bins]
-    for row, rank in zip(rows, ranks):
-        entry = want.setdefault(row, [rank, Counter()])
-        entry[0] = min(entry[0], rank)
-        entry[1][rank // m] += 1
-    rep, low, counts = orc._group_by(keys, np.array(ranks, dtype=np.int64), [0, m, 2 * m])
-    # rep holds one position of each distinct row
+    offsets = [0, m // 3, 2 * m // 3]  # three bins of positions
+    want: dict = {}  # row -> [smallest position, Counter of bins]
+    for at, row in enumerate(rows):
+        entry = want.setdefault(row, [at, Counter()])
+        entry[1][sum(at >= lo for lo in offsets) - 1] += 1
+    # the positions arrive shuffled, in blocks of uneven sizes
+    shuffled = np.array(rng.sample(range(m), m), dtype=np.int64)
+    cuts = sorted(rng.sample(range(1, m), min(m - 1, 9))) if m > 1 else []
+    blocks = [(at, keys[:, at]) for at in np.split(shuffled, cuts)]
+    distinct, low, counts = orc._group(len(keys), m, iter(blocks), offsets)
+    rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).T.tolist()]
+    assert len(rows_got) == len(want)  # one entry per distinct key
     got = {
-        tuple(digits[:, i].tolist()): [lo, Counter({t: c for t, c in enumerate(cs) if c})]
-        for i, lo, cs in zip(rep.tolist(), low.tolist(), counts.tolist())
+        row: [lo, Counter({t: c for t, c in enumerate(cs) if c})]
+        for row, lo, cs in zip(rows_got, low.tolist(), counts.tolist())
     }
     assert got == want
     assert orc._runs(keys, permute=False)[1].sum() == len(want)
+
+
+# The budget counts composed pairs; at most 40 bytes per pair, measured by
+# tracemalloc after a warm-up call (code tables, monomial slots), make it a
+# bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2; and
+# 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of degree 4 times 14.
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: orc.oracle_decomp_census(25, F5), 390_625),
+    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441),
+    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809),
+], ids=["census-25-F5", "census-9-F27", "mv-2-4-F13"])
+def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs):
+    import tracemalloc
+
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs > 300_000 and peak / pairs <= 40
 
 
 @lru_cache(maxsize=None)
