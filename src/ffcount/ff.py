@@ -4,7 +4,9 @@ Elements of F_{p^d} are stored as integer codes in [0, p^d): the base-p
 digits of the code are the coordinates with respect to the power basis of
 the generator (the residue class of x modulo the field's modulus).  Codes
 0..p-1 are therefore exactly the prime subfield.  Multiplication runs
-through discrete-log tables built once per field; addition is digitwise
+through discrete-log tables built once per field, powers of the smallest
+code of order q - 1 (found by square and multiply), each from the last by
+the F_p-linear map "multiply by it" on the digits; addition is digitwise
 mod p: a plain XOR when p = 2, integer addition mod p over F_p, and
 otherwise Zech logarithms (g^i + 1 = g^zech[i]) tabulated once per field.
 
@@ -24,11 +26,12 @@ through it the same way.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .series import is_prime
+from .series import is_prime, smallest_prime_factor
 
 
 class BudgetExceeded(Exception):
@@ -145,33 +148,46 @@ class FieldCtx:
             prod = prod[:1]
         return self.encode(prod + [0] * self.d)
 
+    def _raw_pow(self, a: int, e: int) -> int:
+        # square and multiply on _raw_mul, before the log tables exist
+        result = 1
+        while e:
+            if e & 1:
+                result = self._raw_mul(result, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return result
+
     def _build_log_tables(self):
-        q = self.q
+        q, p = self.q, self.p
         order = q - 1
-        gen = None
-        for cand in range(1, q):
-            seen = 1
-            x = cand
-            while x != 1:
-                x = self._raw_mul(x, cand)
-                seen += 1
-                if seen > order:
-                    break
-            if seen == order:
-                gen = cand
-                break
-        assert gen is not None
-        exp = [1] * order
+        primes, m = [], order
+        while m > 1:
+            primes.append(smallest_prime_factor(m))
+            while m % primes[-1] == 0:
+                m //= primes[-1]
+        # the generator is the smallest code of order q - 1: none of its
+        # powers (q - 1) / l, l a prime factor of q - 1, is 1
+        gen = next(c for c in range(1, q) if all(self._raw_pow(c, order // l) != 1 for l in primes))
+        # multiplying by gen is F_p-linear on the base-p digits: the image of
+        # a code sums its digits times the images of the basis codes p^j, as
+        # integers in bit fields wide enough not to carry, reduced field by field
+        width = (self.d * (p - 1) ** 2).bit_length()
+        fields, mask = range(0, width * self.d, width), (1 << width) - 1
+        images = [self.digits(self._raw_mul(gen, w)) for w in self._pow_p]
+        images = [sum(c << k for c, k in zip(image, fields)) for image in images]
+        exp, digits = [1] * order, self.digits(1)
         for i in range(1, order):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
+            image = sum(map(operator.mul, digits, images))
+            digits = [(image >> k & mask) % p for k in fields]
+            exp[i] = sum(map(operator.mul, digits, self._pow_p))
         log = [0] * q
         for i, code in enumerate(exp):
             log[code] = i
         self._exp = tuple(exp)
         self._log = tuple(log)
         self._zech = self._neg = None
-        if self.p > 2 and self.d > 1:
-            p = self.p
+        if p > 2 and self.d > 1:
             # adding 1 changes only the lowest base-p digit
             one_plus = [c - c % p + (c + 1) % p for c in exp]
             self._zech = tuple(log[c] if c else -1 for c in one_plus)  # -1 where g^i = -1

@@ -17,11 +17,12 @@ coefficient key:
 
 No symbolic shortcut from the formula side enters any of these.  Every
 builder works on numpy arrays of field codes, one polynomial per column
-(integers mod p over F_p, q x q addition and multiplication tables over
-F_{p^d}): products of r-variate polynomials go through one kernel, ``_mul``,
-and compositions g(h), g univariate and h in r variables, through one
-composer, ``_compositions``, which serves both the univariate census (the
-case r = 1) and the multivariate decomposables.  Each builder packs its
+(over F_p unsigned integers in the narrowest dtype that holds a kernel's
+sums, reduced mod p by conditional subtraction; over F_{p^d} q x q addition
+and multiplication tables): products of r-variate polynomials go through
+one kernel, ``_mul``, and compositions g(h), g univariate and h in r
+variables, through one composer, ``_compositions``, which serves both the
+univariate census (the case r = 1) and the multivariate decomposables.  Each builder packs its
 polynomials' codes into uint64 keys block by block and groups them with one
 sort (see the packed keys below).  The census writes each composition's key
 at its g-outer rank, its position in one preallocated key array, so the sort
@@ -66,12 +67,20 @@ def _digits_per_word(q: int) -> int:
     return s
 
 
-def _code_dtype(q: int, terms: int):
-    """int32 when a sum of ``terms`` products of two codes, plus one code,
-    cannot overflow it (its remainder is several times faster), else int64."""
+def _code_bound(q: int, terms: int) -> int:
+    """The largest sum of ``terms`` products of two codes plus one code."""
+    return terms * (q - 1) ** 2 + q - 1
+
+
+def _code_dtype(ctx: FieldCtx, terms: int):
+    """The dtype of a kernel's code arrays when a sum holds ``terms``
+    products of two codes plus one code.  Over F_p it is the smallest
+    unsigned dtype that holds ``_code_bound(p, terms)``, so the kernels move
+    as few bytes as they can; over F_{p^d} codes index the q x q tables, in
+    int32."""
     import numpy as np
 
-    return np.int32 if terms * (q - 1) ** 2 + q - 1 < 1 << 31 else np.int64
+    return np.min_scalar_type(_code_bound(ctx.q, terms)) if ctx.d == 1 else np.int32
 
 
 def _check_tables(q: int, d: int) -> None:
@@ -86,23 +95,36 @@ def _check_tables(q: int, d: int) -> None:
 def _field_ops(ctx: FieldCtx):
     """``(add, mul, mod)`` on numpy arrays of field codes: ``add(acc, x)``
     adds x into acc in place and returns acc, ``mul(a, b)`` returns a new
-    array, ``mod(acc)`` brings acc back to codes in place and returns it.
+    array, ``mod(acc, terms)`` brings acc, a sum of at most ``terms``
+    products plus one code, back to codes in place and returns it.
 
-    Over F_p codes are integers: add and mul are exact integer operations,
-    valid while the dtype holds the sum (see ``_code_dtype``), and mod takes
-    the remainder mod p once a sum is complete.  Over F_{p^d} add and mul
-    look codes up in q x q tables of the smallest dtype that holds a code,
-    and mod does nothing; callers check their size with ``_check_tables``.
+    Over F_p codes are unsigned integers in ``_code_dtype(ctx, terms)``: add
+    and mul are exact integer operations, and mod reduces a complete sum
+    without dividing.  For k from the top down, it subtracts p * 2^k and
+    keeps the minimum of the difference and acc: where acc < p * 2^k the
+    unsigned difference wraps above acc, so acc stays, and after step k
+    acc < p * 2^k.  The steps come from the bound of ``terms``, never from
+    the data; past six of them ``np.remainder`` is faster, so it takes over.
+    Over F_{p^d} add and mul look codes up in q x q tables of the smallest
+    dtype that holds a code, and mod does nothing; callers check their size
+    with ``_check_tables``.
     """
     import numpy as np
 
     q, p = ctx.q, ctx.p
     if ctx.d == 1:
-        return (
-            lambda acc, x: np.add(acc, x, out=acc),
-            np.multiply,
-            lambda acc: np.remainder(acc, p, out=acc),
-        )
+
+        def mod(acc, terms):
+            steps = (_code_bound(p, terms) // p).bit_length()
+            if steps > 6:
+                return np.remainder(acc, p, out=acc)
+            tmp = np.empty_like(acc)
+            for k in reversed(range(steps)):
+                np.subtract(acc, acc.dtype.type(p << k), out=tmp)
+                np.minimum(acc, tmp, out=acc)
+            return acc
+
+        return (lambda acc, x: np.add(acc, x, out=acc)), np.multiply, mod
     code = np.min_scalar_type(q - 1)
     codes = np.arange(q, dtype=code)
     # digitwise mod p, one base-p digit at a time: every temporary is q x q
@@ -122,7 +144,7 @@ def _field_ops(ctx: FieldCtx):
         acc[...] = add[acc, x]
         return acc
 
-    return add_into, (lambda a, b: mul[a, b]), (lambda acc: acc)
+    return add_into, (lambda a, b: mul[a, b]), (lambda acc, terms: acc)
 
 
 def _pack(digits, q: int):
@@ -283,12 +305,12 @@ def _mul(ctx: FieldCtx, r: int, a: int, b: int, G, H):
 
     add, mul, mod = _field_ops(ctx)
     width, slots = _product_slots(r, a, b)
-    dtype = _code_dtype(ctx.q, len(G))
+    dtype = _code_dtype(ctx, len(G))
     H = H.astype(dtype, copy=False)
     out = np.zeros((width, H.shape[1]), dtype=dtype)
     for g_j, dst in zip(G.astype(dtype, copy=False), slots):
         out[dst] = add(out[dst], mul(g_j, H))
-    return mod(out)
+    return mod(out, len(G))
 
 
 def _pair_blocks(n_g: int, n_h: int, triangle: bool):
@@ -423,15 +445,17 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
 def _g_of_h(ctx: FieldCtx, powers, tails):
     """g(h) = h^e + sum_i g_i h^i as a (width, m, n_g) code array, from the
     powers h^1..h^e, each slot-major (width, m) over the monomials of its
-    own degree, and the tails g_1..g_{e-1} as an (e - 1, 1, n_g) array."""
+    own degree, and the tails g_1..g_{e-1} as an (e - 1, 1, n_g) array in
+    ``_code_dtype(ctx, e - 1)``, the dtype of the result."""
     import numpy as np
 
     add, mul, mod = _field_ops(ctx)
-    F = np.empty(powers[-1].shape + tails.shape[-1:], dtype=np.result_type(powers[-1], tails))
+    F = np.empty(powers[-1].shape + tails.shape[-1:], dtype=tails.dtype)
     F[...] = powers[-1][:, :, None]
     for P, g_i in zip(powers, tails):
+        P = P.astype(F.dtype, copy=False)
         add(F[len(F) - len(P) :], mul(P[:, :, None], g_i))  # h^i fills the last slots
-    return mod(F)
+    return mod(F, len(tails))
 
 
 def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
@@ -447,7 +471,7 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
     hs = _monic_rows(q, r, ne, original=True)
     n_g, n_h = q ** (e - 1), hs.shape[1]
     # coefficient tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
-    tails = np.indices((q,) * (e - 1), dtype=_code_dtype(q, e - 1)).reshape(e - 1, 1, n_g)
+    tails = np.indices((q,) * (e - 1), dtype=_code_dtype(ctx, e - 1)).reshape(e - 1, 1, n_g)
     g_rank = np.arange(0, n_g * n_h, n_h)
     step = max(1, _CHUNK_ROWS // n_g)
     for lo in range(0, n_h, step):

@@ -404,6 +404,22 @@ def test_large_prime_q_answers_at_once():
     assert elapsed < 2.0
 
 
+def test_verify_over_f65536_builds_its_field_at_once():
+    import subprocess
+    import sys
+    import time
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffcount", "verify", "--class", "reducible",
+         "--r", "2", "--n", "1", "--q", "65536"],
+        capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "verified: True" in proc.stdout
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--n", "4"],
     ["families", "--family", "frobenius", "--h", "x^2+x"],

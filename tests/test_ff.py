@@ -58,6 +58,38 @@ def test_field_axioms_and_frobenius(p, d):
         assert a * (b + c) == a * b + a * c
 
 
+def _log_tables_by_raw_mul(ctx):
+    """``(exp, log)`` the slow way: the generator is the first code whose
+    powers, one ``_raw_mul`` at a time, first return to 1 after q - 1 steps."""
+    for gen in range(1, ctx.q):
+        exp, x = [1], gen
+        while x != 1:
+            exp.append(x)
+            x = ctx._raw_mul(x, gen)
+        if len(exp) == ctx.q - 1:
+            log = [0] * ctx.q
+            for i, c in enumerate(exp):
+                log[c] = i
+            return tuple(exp), tuple(log)
+
+
+def test_log_tables_match_repeated_multiplication():
+    from ffcount.ff import FieldCtx
+    from ffcount.series import factor_prime_power
+
+    fields = []
+    for q in range(2, 1025):
+        try:
+            fields.append(field_make(*factor_prime_power(q)))
+        except ValueError:  # not a prime power
+            pass
+    # x^4+x^3+x^2+x+1 is irreducible, but x has order 5, so the generator is not x
+    fields.append(FieldCtx(2, 4, (1, 1, 1, 1, 1)))
+    assert len(fields) == 198 + 1  # 172 primes and 26 higher prime powers
+    for ctx in fields:
+        assert (ctx._exp, ctx._log) == _log_tables_by_raw_mul(ctx), ctx
+
+
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3)])
 def test_zech_add_and_neg_match_digit_arithmetic(p, d):
     # odd characteristic extension fields add through Zech logarithms;

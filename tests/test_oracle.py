@@ -339,14 +339,39 @@ def test_census_pairs_python_matches_compose(p, d, n, monkeypatch):
 
 
 def test_field_ops_match_field_arithmetic():
-    for p, d in [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)]:
+    extension = [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)]
+    for p, d in extension + [(p, 1) for p in (2, 3, 5, 13, 17, 251, 257)]:
         ctx = field_make(p, d)
         add, mul, mod = orc._field_ops(ctx)
-        a, b = np.meshgrid(np.arange(ctx.q), np.arange(ctx.q), indexing="ij")
+        codes = np.arange(ctx.q, dtype=orc._code_dtype(ctx, 1))
+        a, b = np.meshgrid(codes, codes, indexing="ij")
         codes = range(ctx.q)
-        assert mod(mul(a, b)).tolist() == [[ctx.mul(x, y) for y in codes] for x in codes]
+        assert mod(mul(a, b), 1).tolist() == [[ctx.mul(x, y) for y in codes] for x in codes]
         # add works in place, so it comes last
-        assert mod(add(a, b)).tolist() == [[ctx.add(x, y) for y in codes] for x in codes]
+        assert mod(add(a, b), 1).tolist() == [[ctx.add(x, y) for y in codes] for x in codes]
+
+
+# Bounds terms * (p - 1)^2 + p - 1 on both sides of 255 and 65535, reduced by
+# subtraction (at most six steps) or by np.remainder (more).
+@pytest.mark.parametrize("p, terms, dtype, steps", [
+    (7, 6, np.uint8, 5),  # 222
+    (5, 15, np.uint8, 6),  # 244
+    (2, 254, np.uint8, 7),  # 255
+    (7, 7, np.uint16, 6),  # 258
+    (5, 16, np.uint16, 6),  # 260
+    (17, 1, np.uint16, 5),  # 272
+    (13, 3, np.uint16, 6),  # 444
+    (251, 1, np.uint16, 8),  # 62750
+    (251, 2, np.uint32, 9),  # 125250
+    (257, 1, np.uint32, 9),  # 65792
+])
+def test_prime_field_mod_reduces_every_sum_up_to_its_bound(p, terms, dtype, steps):
+    ctx = field_make(p, 1)
+    bound = orc._code_bound(p, terms)
+    assert orc._code_dtype(ctx, terms) == dtype and (bound // p).bit_length() == steps
+    # every value up to the bound: a step short leaves those >= p * 2^(steps - 1)
+    acc = np.arange(bound + 1, dtype=dtype)
+    assert orc._field_ops(ctx)[2](acc, terms).tolist() == [v % p for v in range(bound + 1)]
 
 
 def _census_by_compose(n, ctx):
@@ -477,12 +502,14 @@ def test_group_by_matches_counter(q, width, m):
 # tracemalloc after a warm-up call (code tables, monomial slots), make it a
 # bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2; and
 # 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of degree 4 times 14.
-@pytest.mark.parametrize("build, pairs", [
-    (lambda: orc.oracle_decomp_census(25, F5), 390_625),
-    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441),
-    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809),
+# The F_13 composer sums g(h) in uint8: 13 bytes per pair, 16 in uint16 and
+# 20 in int32, so its gate at 15 fails if those sums come back wide.
+@pytest.mark.parametrize("build, pairs, limit", [
+    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 40),
+    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 40),
+    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 15),
 ], ids=["census-25-F5", "census-9-F27", "mv-2-4-F13"])
-def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs):
+def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
     import tracemalloc
 
     build()
@@ -492,7 +519,7 @@ def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pairs > 300_000 and peak / pairs <= 40
+    assert pairs > 300_000 and peak / pairs <= limit
 
 
 @lru_cache(maxsize=None)
