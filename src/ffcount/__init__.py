@@ -35,6 +35,7 @@ from .uv_counts import (
     alpha_n,
     d_n_bracket,
     d_p2_exact,
+    d_p2_terms,
     nu,
     tame_intersection,
     wild_intersection_bounds,
@@ -42,6 +43,7 @@ from .uv_counts import (
 from .uv_families import (
     CollisionFamily,
     Decomposition,
+    classify_census,
     classify_p2,
     dickson,
     frobenius_family,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -498,10 +499,19 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader went away: no usage text, and the shell's code for a
+        # SIGPIPE exit (128 + 13); stdout goes to devnull, so flushing it
+        # at exit raises nothing more (the Python docs' SIGPIPE note)
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError, OSError) as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

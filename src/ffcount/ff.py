@@ -529,6 +529,10 @@ class UniPoly:
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
+        ctx = self.ctx
+        if e and e % ctx.p == 0:
+            # in characteristic p, f^p = phi(f)(x^p), phi the coefficientwise p-th power
+            return (self ** (e // ctx.p)).map_coeffs(ctx.frobenius).compose(UniPoly.monomial(ctx, ctx.p))
         result = UniPoly.const(self.ctx, 1)
         base = self
         while e:
@@ -567,6 +571,15 @@ class UniPoly:
     def compose(self, inner: "UniPoly") -> "UniPoly":
         self._check(inner)
         ctx = self.ctx
+        if len(inner.c) > 1 and not any(inner.c[:-1]):
+            # a monomial c x^k, k >= 1: coefficient i moves to exponent i k
+            k, c = inner.degree, inner.c[-1]
+            out = [0] * (k * self.degree + 1) if self.c else []
+            for i, code in enumerate(self.c):
+                out[i * k] = ctx.mul(code, ctx.pow(c, i))
+            return UniPoly.from_codes(ctx, out)
+        if len(self.c) > 1 and not any(self.c[:-1]):
+            return inner ** self.degree * FqElem(ctx, self.c[-1])  # a monomial outer: one power
         result = UniPoly.from_codes(ctx, ())
         for code in reversed(self.c):
             result = result * inner + UniPoly.from_codes(ctx, (code,))

@@ -29,7 +29,9 @@ at its g-outer rank, its position in one preallocated key array, so the sort
 permutation alone gives each polynomial's first enumeration and its count
 per split (``_group``); per pair it holds the keys, the permutation and a
 Frobenius byte, at most 40 bytes with one-word keys, so the pair budget
-bounds its memory too.  numpy is imported inside the
+bounds its memory too.  Its per-polynomial ``details`` are built only when
+read, and its ``collisions``, the rows with two or more decompositions,
+come as arrays without them.  numpy is imported inside the
 functions that use it, never at module import.  Every builder sizes all it
 builds (products or compositions, q x q code tables, extension fields) from
 q, r, n and t through ``ff.check_budget`` before it builds any of it.
@@ -41,7 +43,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from .ff import FieldCtx, _deglex_monomials, check_budget, check_log_tables, count_monic, field_embed
 from .series import divisors, smallest_prime_factor
@@ -247,9 +249,11 @@ def _group(k: int, total: int, blocks, offsets):
     runs = np.append(starts[1:], total)[: len(starts)]  # each run's end
     runs -= starts
     counts = np.empty((len(offsets), len(starts)), dtype=np.min_scalar_type(runs.max(initial=0)))
+    counts[-1] = runs  # the last bin holds what the others leave of each run
     del runs
-    for b, row in enumerate(counts):
+    for b, row in enumerate(counts[:-1]):
         np.add.reduceat((bins == b).view(np.uint8), starts, out=row)
+        counts[-1] -= row
     return keys, low, counts.T
 
 
@@ -487,9 +491,19 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
 # -- univariate decomposition census --------------------------------------
 
 
+class CensusRows(NamedTuple):
+    """Rows of a census in order of first enumeration (see
+    ``CensusReport.details``): each polynomial's n + 1 coefficient codes,
+    constant first, as an (m, n + 1) uint8 array, and its decompositions per
+    split, an (m, splits) array in the order of ``per_split``."""
+
+    codes: Any
+    counts: Any
+
+
 @dataclass
 class CensusReport:
-    """Complete decomposition census of degree n over one field."""
+    """Complete decomposition census of degree n over one field, ``ctx``."""
 
     n: int
     q: int
@@ -501,7 +515,8 @@ class CensusReport:
     frobenius_members: int
     frobenius_collisions: int
     split_profiles: dict[tuple[int, ...], int]
-    _details: Callable[[], dict[bytes, dict[int, int]]] = field(repr=False, compare=False)
+    ctx: FieldCtx = field(repr=False, compare=False)
+    _rows: Callable[[bool], CensusRows] = field(repr=False, compare=False)
 
     @cached_property
     def details(self) -> dict[bytes, dict[int, int]]:
@@ -509,22 +524,37 @@ class CensusReport:
         first) -> {split e: decompositions with deg g = e}, in order of first
         enumeration: splits ascending, then g outer and h inner, each in
         ``enumerate_monic_uni`` order.  Built on first read."""
-        return self._details()
+        rows = self._rows(False)
+        return {
+            row.tobytes(): {e: c for e, c in zip(self.per_split, cs) if c}
+            for row, cs in zip(rows.codes, rows.counts.tolist())
+        }
+
+    @cached_property
+    def collisions(self) -> CensusRows:
+        """The rows of ``details`` with two or more decompositions, in the
+        same order, as arrays; reading it builds no ``details``."""
+        return self._rows(True)
 
 
-def _census_details(keys, counts, low, splits: list[int], n: int, q: int) -> dict:
-    """``CensusReport.details`` from each distinct row's packed key, its
-    per-split counts and the smallest position among its copies."""
+def _census_rows(keys, counts, low, n: int, q: int, collisions: bool) -> CensusRows:
+    """``CensusRows`` of every distinct polynomial, or of the collisions
+    only, from each one's packed key, its per-split counts and the smallest
+    position among its copies."""
     import numpy as np
 
-    by_rank = np.argsort(low)
-    rows = np.zeros((len(low), n + 1), dtype=np.uint8)
-    rows[:, 1:n] = _unpack(keys[:, by_rank], q, n - 1).T
+    pick = np.flatnonzero(counts.sum(axis=1) >= 2) if collisions else np.arange(len(low))
+    pick = pick[np.argsort(low[pick])]
+    rows = np.zeros((len(pick), n + 1), dtype=np.uint8)
+    rows[:, 1:n] = _unpack(keys[:, pick], q, n - 1).T
     rows[:, n] = 1
-    return {
-        row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
-        for row, cs in zip(rows, counts[by_rank].tolist())
-    }
+    return CensusRows(rows, counts[pick])
+
+
+def _no_rows(n: int, collisions: bool) -> CensusRows:
+    import numpy as np
+
+    return CensusRows(np.zeros((0, n + 1), dtype=np.uint8), np.zeros((0, 0), dtype=np.uint8))
 
 
 def check_census_q(q: int) -> None:
@@ -547,7 +577,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
     check_budget(sum(sizes), f"decomposition census at n={n}, q={q}")
     if not splits:  # prime n: nothing decomposes
-        return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, _details=dict)
+        return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx, partial(_no_rows, n))
     import numpy as np
 
     # a Frobenius composition has nonzero coefficients only at multiples of p
@@ -580,10 +610,13 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     code = np.zeros(len(low), dtype=np.min_scalar_type((1 << len(splits)) - 1))
     for t in range(len(splits)):
         code[hit[:, t]] |= 1 << t
-    masks, mask_counts = np.unique(code, return_counts=True)
+    # bincount casts its input to intp, so it takes blocks of _CHUNK_ROWS
+    step = max(1, _CHUNK_ROWS)
+    mask_counts = sum((np.bincount(code[lo : lo + step], minlength=1 << len(splits))
+                       for lo in range(0, len(code), step)), np.zeros(1 << len(splits), dtype=np.intp))
     profiles = {
         tuple(e for t, e in enumerate(splits) if m >> t & 1): c
-        for m, c in zip(masks.tolist(), mask_counts.tolist())
+        for m, c in enumerate(mask_counts.tolist()) if c
     }
     return CensusReport(
         n=n,
@@ -596,7 +629,8 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
         frobenius_members=int(frob.sum()),
         frobenius_collisions=int((frob & (decs >= 2)).sum()),
         split_profiles=dict(sorted(profiles.items())),
-        _details=partial(_census_details, keys, counts, low, splits, n, q),
+        ctx=ctx,
+        _rows=partial(_census_rows, keys, counts, low, n, q),
     )
 
 

@@ -194,25 +194,35 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def d_p2_exact(p: int, d: int) -> int:
-    """Exact number of decomposable monic original polynomials of degree p^2
-    over F_{p^d}, from the complete classification of collisions there."""
+def d_p2_terms(p: int, d: int) -> dict[str, int]:
+    """The collision terms of the degree-p^2 count over F_q, q = p^d, one per
+    collision type of the classification (Blankertz, von zur Gathen and
+    Ziegler, "Compositions and collisions at degree p^2", 2013): each is the
+    sum of (decompositions - 1) over the collisions of its type, so that
+    q^(2p-2) pairs (g, h) minus the three terms counts the decomposables.
+
+    * F (Frobenius): q^(p-1) - 1;
+    * S (simply original): (tau q - q + 1)(q - 1)(qp - p - 2) / (2(p + 1)),
+      tau the number of divisors of p - 1 (tau = 1 at p = 2);
+    * M (multiply original): q(q - 1)(q - 2)(p - 3) / 4, none at p = 2.
+    """
     if smallest_prime_factor(p) != p:
         raise ValueError(f"{p} is not prime")
     if d < 1:
         raise ValueError("need d >= 1")
-    q = Fraction(p**d)
+    q = p**d
     tau = len(divisors(p - 1)) if p > 2 else 1
-    total = (
-        q ** (2 * p - 2)
-        - q ** (p - 1)
-        + 1
-        - (tau * q - q + 1) * (q - 1) * (q * p - p - 2) / (2 * (p + 1))
-    )
-    if p != 2:
-        total -= q * (q - 1) * (q - 2) * (p - 3) / 4
-    assert total.denominator == 1
-    return int(total)
+    s_num, s_den = (tau * q - q + 1) * (q - 1) * (q * p - p - 2), 2 * (p + 1)
+    m_num = q * (q - 1) * (q - 2) * (p - 3) if p != 2 else 0
+    assert s_num % s_den == 0 and m_num % 4 == 0
+    return {"F": q ** (p - 1) - 1, "S": s_num // s_den, "M": m_num // 4}
+
+
+def d_p2_exact(p: int, d: int) -> int:
+    """Exact number of decomposable monic original polynomials of degree p^2
+    over F_{p^d}, from the complete classification of collisions there:
+    q^(2p-2) pairs less the three terms of ``d_p2_terms``."""
+    return (p**d) ** (2 * p - 2) - sum(d_p2_terms(p, d).values())
 
 
 def d_p2_special_form(p: int, q: int) -> Fraction:

@@ -6,8 +6,16 @@ decompositions.  This module constructs every family with a known closed
 form: the two monomial/Dickson families behind distinct-degree collisions,
 Frobenius collisions in characteristic p, and the additive/multiplicative
 families that exhaust degree p^2 together with a classifier for that degree.
-The classifier builds those families once per field and looks each shift of
-f up in them.
+
+The classifier works on numpy code arrays, many polynomials at once.  Once
+per field it builds, from parameter columns, a sorted key index of every S
+and M family polynomial with two or more decompositions, and two F_q-linear
+maps as matrices over F_p: the remainders of f by every right component
+(its decomposition count, independent of any census) and every shift
+f(x + w) - f(w), which it looks up in the index.  ``classify_p2`` is the
+one-column case of ``classify_census``, which classifies every collision of
+a degree-p^2 census in one call.  ``count_decompositions`` and the
+``UniPoly`` constructors stay as the tests' reference.
 
 Everything is built over a concrete ``FieldCtx`` and verified by exact
 polynomial composition; constructors raise on parameter sets outside their
@@ -18,10 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
-from .ff import FieldCtx, FqElem, UniPoly, enumerate_monic_uni
+from .ff import FieldCtx, FqElem, UniPoly, check_budget, enumerate_monic_uni
+from .oracle import (
+    _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _digits_per_word, _field_ops, _monic_rows, _mul, _pack,
+)
 from .series import divisors
 
 
@@ -290,7 +301,8 @@ def m_family(ctx: FieldCtx, a, b, m: int, r: int) -> CollisionFamily:
 
 
 def count_decompositions(f: UniPoly) -> list[Decomposition]:
-    """All decompositions of f by exhaustive search over the splits of deg f."""
+    """All decompositions of f by exhaustive search over the splits of deg f,
+    one ``UniPoly`` division at a time (the reference for ``classify_p2``)."""
     ctx = f.ctx
     n = f.degree
     out = []
@@ -322,31 +334,324 @@ def _left_component(f: UniPoly, h: UniPoly, e: int) -> Optional[UniPoly]:
     return g if g(h) == f else None
 
 
+# The classifier works on numpy code arrays: a polynomial of degree n is a
+# column of n + 1 field codes, constant first, and every kernel takes many
+# columns at once.  Field arithmetic is the oracle's ``_field_ops``.
+
+
+def _arith(ctx: FieldCtx):
+    """``(dtype, add, mul)``: addition and multiplication of code arrays of
+    F_q, broadcasting, each returning a new array of codes; their operands
+    are cast to ``dtype``, the oracle's for one product plus one code."""
+    import numpy as np
+
+    add_into, times, mod = _field_ops(ctx)
+    dtype = _code_dtype(ctx, 1)
+
+    def add(a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype), np.asarray(b, dtype))
+        return mod(add_into(a.copy(), b), 1)
+
+    def mul(a, b):
+        return mod(times(np.asarray(a, dtype), np.asarray(b, dtype)), 1)
+
+    return dtype, add, mul
+
+
+def _power(mul, a, e: int):
+    """a^e, e >= 1, by square and multiply with ``mul``: of a code array
+    with ``_arith``'s, of polynomial columns with ``_poly_mul``."""
+    out = None
+    while e:
+        if e & 1:
+            out = a if out is None else mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return out
+
+
+def _poly_mul(ctx: FieldCtx, P, Q):
+    # columnwise product of constant-first code arrays, by the oracle's
+    # product kernel, whose slots run from the leading coefficient down
+    return _mul(ctx, 1, len(P) - 1, len(Q) - 1, P[::-1], Q[::-1])[::-1]
+
+
 @lru_cache(maxsize=None)
-def _family_index(ctx: FieldCtx) -> dict[tuple[int, ...], dict[str, dict]]:
-    # codes of every S or M family polynomial of degree p^2 with two or more
-    # decompositions -> {label: the first parameters that build it, in the
-    # order m, eps, u, s for S and m, b, a for M}
-    p = ctx.p
-    index: dict[tuple[int, ...], dict[str, dict]] = {}
+def _places(q: int, width: int):
+    """The place values of ``width`` base-q digits in one uint64, most
+    significant first, or None when they need more than one word."""
+    import numpy as np
 
-    def add(fam: CollisionFamily, **params) -> None:
-        if len(fam.decompositions) >= 2:
-            by_label = index.setdefault(fam.f.c, {})
-            if fam.label not in by_label:
-                by_label[fam.label] = dict(params, t_count=len(fam.decompositions))
+    return q ** np.arange(width - 1, -1, -1, dtype=np.uint64) if width <= _digits_per_word(q) else None
 
+
+def _flat_keys(codes, q: int):
+    """Columns of codes as a 1-D array of sortable keys: as one uint64 each,
+    their base-q value, or, for longer columns, their packed words
+    (``oracle._pack``) as bytes, most significant word first."""
+    import numpy as np
+
+    places = _places(q, len(codes))
+    if places is not None:
+        return places @ codes.astype(np.uint64)
+    keys = _pack(codes, q)
+    return np.ascontiguousarray(keys.T.astype(">u8")).view(f"V{8 * len(keys)}").ravel()
+
+
+# the parameters of each family in ``classify_p2``'s witness, in order; the
+# first two are field elements, the rest integers
+_PARAMS = {"S": ("u", "s", "eps", "m", "t_count"), "M": ("a", "b", "m", "t_count")}
+
+
+def _s_families(ctx: FieldCtx):
+    """Codes (p^2 + 1, N) and parameters (5, N), rows as in ``_PARAMS``, of
+    every ``s_family`` at r = p with two or more decompositions, in the
+    search order m, eps, u, s.  f = x A^m with A = x^(l(p+1)) + c1 x^l + c0,
+    c1 = -eps u s^p and c0 = u s^(p+1); the term c1^b c0^c of A^m with
+    a + b + c = m sits at exponent 1 + l((p+1)a + b), one term per exponent.
+    The decompositions are the roots t of t^(p+1) - eps u t + u in F_q."""
+    import numpy as np
+
+    p, q = ctx.p, ctx.q
+    dtype, add, mul = _arith(ctx)
+    nz = np.arange(1, q)
+    minus_u = mul(p - 1, nz)
+    s_p = _power(mul, nz, p)
+    # the roots t of t^(p+1) - eps u t + u, per eps and u (rows; t in columns)
+    t_top = mul(s_p, nz)
+    t_counts = [np.count_nonzero(add(add(t_top, mul(eps * minus_u[:, None], nz)), nz[:, None]) == 0, axis=1)
+                for eps in (0, 1)]
+    columns = []  # per eps: u, s (u outer) where u has two or more roots, c0, c1
+    for eps, t_count in enumerate(t_counts):
+        u = np.repeat(nz[t_count >= 2], q - 1)
+        s = np.tile(nz, len(u) // (q - 1))
+        columns.append((u, s, mul(u, t_top[s - 1]), mul(eps * minus_u[u - 1], s_p[s - 1])))
+    codes, params = [], []
     for m in divisors(p - 1):
-        for eps in (0, 1):
-            for u in ctx.nonzero_elements():
-                for s in ctx.nonzero_elements():
-                    add(s_family(ctx, u, s, eps, m, p), u=u, s=s, eps=eps, m=m)
+        ell = (p - 1) // m
+        for eps, (u, s, c0, c1) in enumerate(columns):
+            c0_k, c1_k = [np.ones_like(u)], [np.ones_like(u)]  # k = 0..m
+            for _ in range(m):
+                c0_k.append(mul(c0_k[-1], c0))
+                c1_k.append(mul(c1_k[-1], c1))
+            F = np.zeros((p * p + 1, len(u)), dtype=dtype)
+            for a in range(m + 1):
+                for b in range(m - a + 1):
+                    coef = math.factorial(m) // (math.factorial(a) * math.factorial(b) * math.factorial(m - a - b))
+                    F[1 + ell * ((p + 1) * a + b)] = mul(coef % p, mul(c1_k[b], c0_k[m - a - b]))
+            codes.append(F)
+            params.append(np.stack([u, s, np.full_like(u, eps), np.full_like(u, m), t_counts[eps][u - 1]]))
+    return np.hstack(codes), np.hstack(params)
+
+
+def _m_families(ctx: FieldCtx):
+    """Codes (p^2 + 1, N) and parameters (4, N), rows as in ``_PARAMS``, of
+    every ``m_family`` at r = p, in the search order m, b, a; each has two
+    decompositions.  With m* = p - m, A = (b^p - a) / b^p and B = a / b^p,
+    f = (x (x - b))^(m m*) (A (x - b)^m + (1 - A) x^m)^m
+    (B (x - b)^m* + (1 - B) x^m*)^m*."""
+    import numpy as np
+
+    p, q = ctx.p, ctx.q
+    dtype, add, mul = _arith(ctx)
+    codes, params = [np.zeros((p * p + 1, 0), dtype=dtype)], [np.zeros((4, 0), dtype=np.intp)]
+    if p < 5:  # no m with 1 < m < p - 1
+        return codes[0], params[0]
+    b = np.repeat(np.arange(1, q), q)
+    a = np.tile(np.arange(q), q - 1)
+    b_p = _power(mul, b, p)
+    keep = (a != 0) & (a != b_p)
+    a, b, b_p = a[keep], b[keep], b_p[keep]
+    inv = _power(mul, b_p, q - 2)
+    minus_b = mul(p - 1, b)
+    x_xb = np.stack([np.zeros_like(b), minus_b, np.ones_like(b)]).astype(dtype)  # x^2 - b x
+    xb = x_xb[1:]  # x - b
+    times = partial(_poly_mul, ctx)
+
+    def factor(c, k):
+        # c (x - b)^k + (1 - c) x^k: monic, since (x - b)^k is
+        out = mul(c, _power(times, xb, k))
+        out[k] = 1
+        return out
+
     for m in range(2, p - 1):
-        for b in ctx.nonzero_elements():
-            for a in ctx.elements():
-                if not (a.is_zero() or a == b**p):
-                    add(m_family(ctx, a, b, m, p), a=a, b=b, m=m)
+        m_star = p - m
+        f = times(_power(times, x_xb, m * m_star), times(
+            _power(times, factor(mul(add(b_p, mul(p - 1, a)), inv), m), m),
+            _power(times, factor(mul(a, inv), m_star), m_star)))
+        codes.append(f.astype(dtype))
+        params.append(np.stack([a, b, np.full_like(a, m), np.full_like(a, 2)]))
+    return np.hstack(codes), np.hstack(params)
+
+
+@lru_cache(maxsize=None)
+def _family_index(ctx: FieldCtx) -> dict:
+    """The S and M families of degree p^2 over ctx with two or more
+    decompositions, built once per field: {label: (keys, params)}, the
+    sorted distinct ``_flat_keys`` of their coefficients (slots 1..p^2 - 1)
+    and, per key, the parameters (rows as in ``_PARAMS``) first in the
+    search order, m, eps, u, s for S and m, b, a for M."""
+    import numpy as np
+
+    p, q = ctx.p, ctx.q
+    n = p * p
+    check_budget(2 * len(divisors(p - 1)) * q * q + max(p - 3, 0) * q * q,
+                 f"degree-{n} collision families over F_{q}")
+    _check_tables(q, ctx.d)
+    index = {}
+    for label, (codes, params) in (("S", _s_families(ctx)), ("M", _m_families(ctx))):
+        keys = _flat_keys(codes[1:n], q)
+        order = np.argsort(keys, kind="stable")  # equal keys keep the search order
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        index[label] = keys[first], params[:, order[first]]
     return index
+
+
+def _remainders(ctx: FieldCtx, F):
+    """The nonconstant coefficients of the p h-adic remainders of every
+    column of F, (p^2 + 1, m) codes, by every monic original h of degree p
+    (h_0 = 0, h_p = 1): a (q^(p-1), p (p - 1), m) code array.  Each pair
+    (f, h) is one column, divided by h in place p times by synthetic
+    division (the quotient's coefficients replace the top ones), so this is
+    ``_left_component`` on every pair at once: f = g(h) iff all of them are
+    0, and then the remainders' constants are the coefficients of g."""
+    import numpy as np
+
+    p = ctx.p
+    add_into, times, mod = _field_ops(ctx)
+    _, _, mul = _arith(ctx)
+    hs = _monic_rows(ctx.q, 1, p, original=True)[::-1]  # constant first
+    neg_h = mul(p - 1, hs[1:p])  # -h_1 .. -h_{p-1}
+    m, n_h = F.shape[1], neg_h.shape[1]
+    A = np.repeat(F.astype(neg_h.dtype), n_h, axis=1)  # column f * n_h + h
+    neg_h = np.tile(neg_h, m)
+    rems = []
+    while len(A) > 1:
+        for i in range(len(A) - 1, p - 1, -1):
+            mod(add_into(A[i - p + 1 : i], times(A[i], neg_h)), 1)
+        rems.append(A[1:p])
+        A = A[p:]
+    return np.concatenate(rems).reshape(-1, m, n_h).transpose(2, 0, 1)
+
+
+def _shifts(ctx: FieldCtx, F):
+    """Slots 1..n - 1 of f(x + w) - f(w) for every w in code order and every
+    column f of F, (n + 1, m) codes: a (n - 1, q, m) code array, by Horner's
+    rule in x + w (slot 0 is f(w), and slot n stays f_n)."""
+    import numpy as np
+
+    dtype, add, mul = _arith(ctx)
+    w = np.arange(ctx.q)[:, None]
+    S = np.zeros((len(F), ctx.q, F.shape[1]), dtype=dtype)
+    for f_k in F[::-1]:
+        wS = mul(w, S)
+        wS[1:] = add(wS[1:], S[:-1])
+        wS[0] = add(wS[0], f_k)
+        S = wS
+    return S[1:-1]
+
+
+def _coords(ctx: FieldCtx, codes):
+    """(N, m) codes as (N d, m) float64 coordinates over F_p: row k d + i
+    holds the base-p digit i of row k's codes."""
+    import numpy as np
+
+    places = ctx.p ** np.arange(ctx.d)
+    digits = np.asarray(codes)[:, None, :] // places[:, None] % ctx.p
+    return digits.reshape(-1, digits.shape[-1]).astype(np.float64)
+
+
+def _matrix(ctx: FieldCtx, kernel, width: int):
+    """The matrix over F_p, on ``_coords``, of an F_q-linear kernel on
+    columns of ``width`` codes, with its output flattened to rows: the
+    kernel's image of the width * d basis columns (code p^i in slot k)."""
+    import numpy as np
+
+    col = np.arange(width * ctx.d)
+    basis = np.zeros((width, len(col)), dtype=np.int64)
+    basis[col // ctx.d, col] = ctx.p ** (col % ctx.d)
+    return _coords(ctx, kernel(ctx, basis).reshape(-1, len(col)))
+
+
+@lru_cache(maxsize=None)
+def _linear_maps(ctx: FieldCtx):
+    """The two F_q-linear maps of the classifier as matrices over F_p (see
+    ``_matrix``), built once per field: the remainders of division by every
+    right component (``_remainders``) and every shift (``_shifts``)."""
+    p, d = ctx.p, ctx.d
+    n = p * p
+    # the remainders' matrix has one entry per basis column, h and
+    # remainder coordinate: it bounds the divisions that build it
+    check_budget(ctx.q ** (p - 1) * p * (p - 1) * d * (n + 1) * d,
+                 f"division matrix of degree-{n} polynomials over F_{ctx.q}")
+    _check_tables(ctx.q, d)
+    return _matrix(ctx, _remainders, n + 1), _matrix(ctx, _shifts, n + 1)
+
+
+def _apply(ctx: FieldCtx, matrix, X):
+    """A ``_linear_maps`` matrix on coordinates X, as integer coordinates:
+    the product is exact in float64, since no sum of len(X) products of
+    digits reaches 2^53, and is reduced mod p in the smallest integer
+    dtype that holds such a sum."""
+    import numpy as np
+
+    return (matrix @ X).astype(np.min_scalar_type(len(X) * (ctx.p - 1) ** 2)) % ctx.p
+
+
+def _classify(ctx: FieldCtx, F) -> list[tuple[str, dict]]:
+    """``classify_p2`` of every column of F, (p^2 + 1, m) codes of monic
+    original polynomials of degree p^2, in blocks of whole columns of about
+    ``_CHUNK_ROWS`` (f, h) pairs each."""
+    import numpy as np
+
+    p, q, d = ctx.p, ctx.q, ctx.d
+    n, m, n_h = p * p, F.shape[1], q ** (p - 1)
+    check_budget(m * n_h, f"right components of {m} polynomials of degree {n} over F_{q}")
+    divide, shift = _linear_maps(ctx)
+    index = _family_index(ctx)
+    places = ctx.p ** np.arange(d)
+    decs = np.empty(m, dtype=np.intp)
+    hits = {label: (np.full(m, -1), np.zeros(m, dtype=np.intp)) for label in index}
+    step = max(1, _CHUNK_ROWS // n_h)
+    for lo in range(0, m, step):
+        X = _coords(ctx, F[:, lo : lo + step])
+        cols = np.arange(X.shape[1])
+        # f = g(h) iff every remainder of f by h is constant
+        rems = _apply(ctx, divide, X).reshape(n_h, -1, len(cols))
+        decs[lo : lo + step] = n_h - np.count_nonzero(rems.any(axis=1), axis=0)
+        codes = places @ _apply(ctx, shift, X).reshape(n - 1, q, d, -1)
+        shifts = _flat_keys(codes.astype(np.uint64).reshape(n - 1, -1), q).reshape(q, -1)
+        for label, (keys, _) in index.items():
+            if not len(keys):
+                continue
+            at = np.minimum(np.searchsorted(keys, shifts), len(keys) - 1)
+            found = keys[at] == shifts
+            w = found.argmax(axis=0)  # the smallest shift that lands in the family
+            hits[label][0][lo : lo + step] = np.where(found[w, cols], w, -1)
+            hits[label][1][lo : lo + step] = at[w, cols]
+    frob = ~F[[i for i in range(n + 1) if i % p]].any(axis=0)
+    out = []
+    for col, count in enumerate(decs.tolist()):
+        if count <= 1:
+            out.append(("none", {"decompositions": count}))
+            continue
+        labels = (["F"] if frob[col] else []) + [label for label in ("S", "M") if hits[label][0][col] >= 0]
+        if len(labels) != 1:
+            f = UniPoly.from_codes(ctx, F[:, col].tolist())
+            raise RuntimeError(f"classification not exclusive for {f}: {labels}")
+        info = {"decompositions": count}
+        label = labels[0]
+        if label != "F":
+            w, at = hits[label][0][col], hits[label][1][col]
+            values = index[label][1][:, at].tolist()
+            info["w"] = ctx.from_code(int(w))
+            for i, (name, value) in enumerate(zip(_PARAMS[label], values)):
+                info[name] = ctx.from_code(value) if i < 2 else value
+        out.append((label, info))
+    return out
 
 
 def classify_p2(f: UniPoly) -> tuple[str, dict]:
@@ -359,31 +664,33 @@ def classify_p2(f: UniPoly) -> tuple[str, dict]:
         with at least two roots (witness carries the root count);
       - ("M", ...) when some shift lands in the multiply-original family.
     The three collision cases are mutually exclusive; the witness shift is
-    the smallest one in the field's element order.  The S and M families of
-    the field are built once, on the first call, and every shift of f is
-    looked up in them.
+    the smallest one in the field's element order, with the first
+    parameters in the search order (m, eps, u, s for S; m, b, a for M).
+    The S and M families of the field are built once, on the first call,
+    as are two linear maps: one gives f's remainders by all q^(p-1) right
+    components at once, the other all q shifts of f, which are looked up in
+    the families.  This is the one-column case of ``classify_census``.
     """
+    import numpy as np
+
     ctx = f.ctx
     p = ctx.p
     if f.degree != p * p:
         raise ValueError(f"degree must be {p * p}")
     if not (f.is_monic() and f.is_original()):
         raise ValueError("f must be monic original")
-    decs = count_decompositions(f)
-    if len(decs) <= 1:
-        return "none", {"decompositions": len(decs)}
+    return _classify(ctx, np.array(f.c)[:, None])[0]
 
-    is_frob = all(c == 0 for e, c in enumerate(f.c) if e % p)
-    index = _family_index(ctx)
-    witness = {}
-    for w in ctx.elements():
-        for label, params in index.get(_shift(f, w).c, {}).items():
-            if label not in witness:
-                witness[label] = {"w": w, **params}
-    hits = (["F"] if is_frob else []) + [label for label in ("S", "M") if label in witness]
-    if len(hits) != 1:
-        raise RuntimeError(f"classification not exclusive for {f}: {hits}")
-    return hits[0], {"decompositions": len(decs), **witness.get(hits[0], {})}
+
+def classify_census(rep: CensusReport) -> list[tuple[str, dict]]:
+    """``classify_p2`` of every collision of a degree-p^2 census, in the
+    order of ``rep.collisions`` (that of ``rep.details``), in one call.  The
+    decomposition counts come from division, not from the census, so they
+    check it."""
+    ctx = rep.ctx
+    if rep.n != ctx.p**2:
+        raise ValueError(f"census degree must be {ctx.p**2}")
+    return _classify(ctx, rep.collisions.codes.T)
 
 
 def frobenius_collision_count(p: int, q: int, n: int) -> int:

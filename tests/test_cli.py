@@ -497,3 +497,59 @@ def test_products_over_a_field_beyond_the_table_budget_exit_3(capsys):
     rc, out = run(["verify", "--class", "reducible", "--r", "1", "--n", "2", "--q", "10201"])
     assert rc == 3 and out == ""
     assert "q x q code tables over F_10201 requires 104060401 items" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_families_frobenius_output_is_the_horner_composition(q):
+    # f = x^p o h and phi(h) o x^p, printed as Horner's rule composes them
+    from ffcount.ff import field_from_q
+    from ffcount.uv_families import frobenius_map
+
+    ctx = field_from_q(q)
+    h = parse_upoly(ctx, "x^2+x")
+    xp = UniPoly.monomial(ctx, ctx.p)
+
+    def horner(outer, inner):
+        out = UniPoly.from_codes(ctx, ())
+        for code in reversed(outer.c):
+            out = out * inner + UniPoly.from_codes(ctx, (code,))
+        return out
+
+    f = horner(xp, h)
+    assert f == horner(frobenius_map(h), xp)
+    want = [f"f = {f}", "label = Frobenius", f"  g = {xp}   h = {h}",
+            f"  g = {frobenius_map(h)}   h = {xp}", "verified: True"]
+    rc, out = run(["families", "--family", "frobenius", "--q", str(q), "--h", "x^2+x"])
+    assert rc == 0 and out.splitlines() == want
+
+
+def test_families_frobenius_is_linear_in_p():
+    # x^p o h is h^p = phi(h)(x^p), no Horner loop over x^p
+    import subprocess
+    import sys
+    import time
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffcount", "families", "--family", "frobenius", "--q", "4099",
+         "--h", "x^2+x"],
+        capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "verified: True"
+    assert proc.stdout.startswith("f = x^8198+x^4099\n")
+    assert elapsed < 1.0, elapsed
+
+
+def test_closed_stdout_exits_141_without_usage():
+    # the reader of the pipe is gone before the record is written
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-m", "ffcount", "census", "--n", "4", "--q", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert b"usage" not in err and b"Broken pipe" not in err, err

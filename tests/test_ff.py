@@ -244,3 +244,29 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FFCOUNT_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
         list(enumerate_monic_uni(F2, 3))
+
+
+def _horner(outer, inner):
+    ctx = outer.ctx
+    out = UniPoly.from_codes(ctx, ())
+    for code in reversed(outer.c):
+        out = out * inner + UniPoly.from_codes(ctx, (code,))
+    return out
+
+
+def test_compose_and_pow_shortcuts_match_horner():
+    # a monomial inner spreads exponents, a monomial outer is one power, and
+    # f^(p k) = phi(f^k)(x^p); each against Horner's rule and repeated products
+    for ctx in (F2, field_make(3, 1), field_make(2, 2), field_make(3, 2), field_make(5, 1), field_make(7, 1)):
+        q = ctx.q
+        for _ in range(60):
+            f = UniPoly.from_codes(ctx, [rng.randrange(q) for _ in range(rng.randrange(0, 5))])
+            mono = UniPoly.from_codes(ctx, [0] * rng.randrange(0, 4) + [rng.randrange(1, q)])
+            h = UniPoly.from_codes(ctx, [rng.randrange(q) for _ in range(rng.randrange(0, 4))])
+            assert f.compose(mono) == _horner(f, mono), (f, mono)
+            assert mono.compose(h) == _horner(mono, h), (mono, h)
+            e = rng.randrange(0, 3 * ctx.p + 1)
+            power = UniPoly.const(ctx, 1)
+            for _ in range(e):
+                power = power * f
+            assert f**e == power, (f, e)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from collections import Counter
 from functools import lru_cache
@@ -444,6 +445,7 @@ def test_census_at_prime_degree_is_empty():
     assert (rep.total, rep.frobenius_members, rep.frobenius_collisions) == (0, 0, 0)
     assert rep.per_split == rep.pair_intersections == rep.collision_histogram == {}
     assert rep.pair_intersections_nonfrobenius == rep.split_profiles == rep.details == {}
+    assert rep.collisions.codes.shape == (0, 6) and len(rep.collisions.counts) == 0
 
 
 def test_census_over_f256():
@@ -647,3 +649,40 @@ def test_mv_decomp_paths_agree_above_one_byte():
     want = 257 * 258  # every monic original quadratic decomposes: q(q+1)
     assert orc.oracle_mv_decomp(2, 2, f257) == want
     assert _mv_decomp_by_compose(2, 2, f257) == want
+
+
+def test_collisions_view_is_the_collision_rows_of_details():
+    rep = orc.oracle_decomp_census(25, F5)
+    codes, counts = rep.collisions
+    assert "details" not in rep.__dict__  # reading the view built no details
+    assert codes.dtype == np.uint8 and codes.shape == (720, 26) and counts.shape == (720, 1)
+    want = [(key, by_split) for key, by_split in rep.details.items() if sum(by_split.values()) >= 2]
+    assert [row.tobytes() for row in codes] == [key for key, _ in want]
+    splits = list(rep.per_split)
+    assert [{e: c for e, c in zip(splits, cs) if c} for cs in counts.tolist()] == [v for _, v in want]
+    for n, q in [(12, 5), (8, 8), (16, 3)]:  # several splits, two of them at n = 8
+        rep = orc.oracle_decomp_census(n, field_make(*factor_prime_power(q)))
+        want = {k: v for k, v in rep.details.items() if sum(v.values()) >= 2}
+        codes, counts = rep.collisions
+        assert [row.tobytes() for row in codes] == list(want)
+        splits = list(rep.per_split)
+        assert [{e: c for e, c in zip(splits, cs) if c} for cs in counts.tolist()] == list(want.values())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_collisions_view_leaves_a_small_process():
+    # a fresh process: the census and its 720 collision rows, without the
+    # 389,905 entries of details (215 MB once they are read).  Its peak is
+    # VmHWM, the peak of its own memory map: Linux folds the memory map it
+    # replaces at exec into ru_maxrss, so a child of this test process
+    # would report this process's peak there.
+    import subprocess
+    import sys
+
+    code = ("from ffcount.ff import field_make; from ffcount.oracle import oracle_decomp_census; "
+            "rep = oracle_decomp_census(25, field_make(5, 1)); assert len(rep.collisions.codes) == 720; "
+            "assert 'details' not in rep.__dict__; "
+            "print(next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM')) / 1024)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 80, proc.stdout

@@ -131,6 +131,29 @@ def test_d_p2_exact(p, d, expected):
     assert uc.d_p2_exact(p, d) == expected
 
 
+@pytest.mark.parametrize("p,d,terms", [
+    (2, 1, {"F": 1, "S": 0, "M": 0}), (2, 3, {"F": 7, "S": 14, "M": 0}),
+    (3, 1, {"F": 8, "S": 4, "M": 0}), (3, 2, {"F": 80, "S": 220, "M": 0}),
+    (5, 1, {"F": 624, "S": 66, "M": 30}),
+])
+def test_d_p2_terms(p, d, terms):
+    # the per-label sums of decompositions - 1 that classify_census gives
+    # (see test_uv_families), and q^(2p-2) pairs less them is the count
+    assert uc.d_p2_terms(p, d) == terms
+    assert uc.d_p2_exact(p, d) == (p**d) ** (2 * p - 2) - sum(terms.values())
+
+
+def test_d_p2_terms_are_integers_and_sum_to_the_exact_count():
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        for d in range(1, 5):
+            q, terms = p**d, uc.d_p2_terms(p, d)
+            tau = len(divisors(p - 1)) if p > 2 else 1
+            exact = (Fraction(q) ** (2 * p - 2) - q ** (p - 1) + 1
+                     - Fraction((tau * q - q + 1) * (q - 1) * (q * p - p - 2), 2 * (p + 1))
+                     - (Fraction(q * (q - 1) * (q - 2) * (p - 3), 4) if p != 2 else 0))
+            assert uc.d_p2_exact(p, d) == exact == q ** (2 * p - 2) - sum(terms.values())
+
+
 def test_d_p2_printed_forms_agree():
     for p in (2, 3):
         for d in (1, 2, 3):

@@ -1,11 +1,16 @@
+import functools
 import itertools
 import random
+import time
 
 import pytest
 
+import ffcount.oracle as orc
+import ffcount.uv_counts as uc
 import ffcount.uv_families as uf
 from ffcount.ff import UniPoly, enumerate_monic_uni, field_from_q, field_make
 from ffcount.oracle import oracle_decomp_census
+from ffcount.series import divisors
 
 rng = random.Random(0xC0111DE)
 
@@ -343,3 +348,163 @@ def test_frobenius_collision_count_helper():
     assert uf.frobenius_collision_count(2, 4, 4) == 3
     assert uf.frobenius_collision_count(3, 3, 9) == 8
     assert uf.frobenius_collision_count(2, 2, 8) == 8
+
+
+# -- the classifier against the UniPoly reference ------------------------------
+#
+# The reference is the Python classifier that the array kernels replaced: it
+# builds every S and M family with the UniPoly constructors, keeps the first
+# parameters per family polynomial in the search order, and shifts f one w
+# at a time with UniPoly.compose.
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_index(ctx):
+    p = ctx.p
+    index = {}
+
+    def add(fam, **params):
+        if len(fam.decompositions) >= 2:
+            by_label = index.setdefault(fam.f.c, {})
+            if fam.label not in by_label:
+                by_label[fam.label] = dict(params, t_count=len(fam.decompositions))
+
+    for m in divisors(p - 1):
+        for eps in (0, 1):
+            for u in ctx.nonzero_elements():
+                for s in ctx.nonzero_elements():
+                    add(uf.s_family(ctx, u, s, eps, m, p), u=u, s=s, eps=eps, m=m)
+    for m in range(2, p - 1):
+        for b in ctx.nonzero_elements():
+            for a in ctx.elements():
+                if not (a.is_zero() or a == b**p):
+                    add(uf.m_family(ctx, a, b, m, p), a=a, b=b, m=m)
+    return index
+
+
+def _reference_classify(f, decompositions):
+    """The UniPoly classifier, given f's decomposition count (the
+    reference's own count, ``count_decompositions``, is checked against the
+    census in ``test_count_decompositions_matches_census``)."""
+    ctx = f.ctx
+    if decompositions <= 1:
+        return "none", {"decompositions": decompositions}
+    is_frob = all(c == 0 for e, c in enumerate(f.c) if e % ctx.p)
+    index = _reference_index(ctx)
+    witness = {}
+    for w in ctx.elements():
+        for label, params in index.get(uf.original_shift(f, w).c, {}).items():
+            if label not in witness:
+                witness[label] = {"w": w, **params}
+    hits = (["F"] if is_frob else []) + [label for label in ("S", "M") if label in witness]
+    assert len(hits) == 1, (f, hits)
+    return hits[0], {"decompositions": decompositions, **witness.get(hits[0], {})}
+
+
+def _as_codes(info):
+    return [(k, getattr(v, "code", v)) for k, v in info.items()]
+
+
+@functools.lru_cache(maxsize=None)
+def _census_and_classes(q):
+    ctx = field_from_q(q)
+    rep = oracle_decomp_census(ctx.p**2, ctx)
+    return rep, uf.classify_census(rep)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 16, 9, 5])
+def test_classifier_matches_unipoly_reference(q):
+    rep, classes = _census_and_classes(q)
+    ctx = rep.ctx
+    counts = rep.collisions.counts.sum(axis=1).tolist()
+    assert len(classes) == len(counts) > 0
+    for codes, count, (label, info) in zip(rep.collisions.codes.tolist(), counts, classes):
+        f = UniPoly.from_codes(ctx, codes)
+        want_label, want = _reference_classify(f, count)
+        assert (label, _as_codes(info)) == (want_label, _as_codes(want)), codes
+    # the one-column case is the same code path
+    for codes, (label, info) in list(zip(rep.collisions.codes.tolist(), classes))[:20]:
+        got_label, got = uf.classify_p2(UniPoly.from_codes(ctx, codes))
+        assert (got_label, _as_codes(got)) == (label, _as_codes(info))
+
+
+def test_classify_none_and_non_collisions_agree_with_count_decompositions():
+    for ctx in (F3, F4, field_make(2, 3)):
+        for f in itertools.islice(enumerate_monic_uni(ctx, ctx.p**2, original=True), 0, None, 7):
+            label, info = uf.classify_p2(f)
+            count = len(uf.count_decompositions(f))
+            assert info["decompositions"] == count, f
+            assert (label == "none") == (count <= 1), f
+
+
+@pytest.mark.parametrize("q", [27, 32, 64, 128, 256])
+def test_classify_census_beyond_the_reference(q):
+    rep, classes = _census_and_classes(q)
+    ctx = rep.ctx
+    counts = rep.collisions.counts.sum(axis=1).tolist()
+    assert len(classes) == sum(v for k, v in rep.collision_histogram.items() if k >= 2)
+    seen = 0
+    for codes, count, (label, info) in zip(rep.collisions.codes.tolist(), counts, classes):
+        assert info["decompositions"] == count, codes
+        if label == "S":
+            assert info["t_count"] == count, codes
+            if seen < 10:  # the witness rebuilds its family from the shift
+                seen += 1
+                fam = uf.s_family(ctx, info["u"], info["s"], info["eps"], info["m"], ctx.p)
+                assert fam.f == uf.original_shift(UniPoly.from_codes(ctx, codes), info["w"]), codes
+        else:
+            assert label == "F" and count == 2, codes
+    assert seen == 10
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256, 3, 9, 27, 5])
+def test_d_p2_terms_are_the_per_label_sums(q):
+    # a third route to the degree-p^2 count: sum decompositions - 1 over the
+    # collisions of each label
+    rep, classes = _census_and_classes(q)
+    sums = dict.fromkeys("FSM", 0)
+    for label, info in classes:
+        sums[label] += info["decompositions"] - 1
+    ctx = rep.ctx
+    assert sums == uc.d_p2_terms(ctx.p, ctx.d), q
+    assert rep.total == q ** (2 * ctx.p - 2) - sum(sums.values())
+
+
+def test_classify_f5_in_seconds():
+    rep = oracle_decomp_census(25, F5)
+    uf._family_index.cache_clear()
+    uf._linear_maps.cache_clear()
+    start = time.perf_counter()
+    classes = uf.classify_census(rep)
+    elapsed = time.perf_counter() - start
+    assert len(classes) == 720 and elapsed < 5.0, elapsed
+
+
+def test_family_index_f256_in_a_second():
+    F256 = field_make(2, 8)
+    uf._family_index.cache_clear()
+    start = time.perf_counter()
+    index = uf._family_index(F256)
+    elapsed = time.perf_counter() - start
+    keys, params = index["S"]
+    # one S family per (eps, u, s) whose u has two or more roots t
+    assert len(keys) > 10_000 and len(index["M"][0]) == 0
+    assert elapsed < 1.0, elapsed
+
+
+def test_classifier_with_multiword_keys(monkeypatch):
+    # three digits per word, so every key spans several uint64 words and
+    # the index and the shifts compare as bytes
+    want = {q: _census_and_classes(q)[1] for q in (9, 5)}
+    monkeypatch.setattr(uf, "_digits_per_word", lambda q: 3)
+    monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
+    for cached in (uf._places, uf._family_index):
+        cached.cache_clear()
+    try:
+        for q, classes in want.items():
+            got = uf.classify_census(_census_and_classes(q)[0])
+            assert [(l, _as_codes(i)) for l, i in got] == [(l, _as_codes(i)) for l, i in classes]
+            assert uf._family_index(field_from_q(q))["S"][0].dtype.kind == "V"
+    finally:
+        for cached in (uf._places, uf._family_index):
+            cached.cache_clear()
