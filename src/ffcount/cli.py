@@ -493,6 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
+    if hasattr(sys, "set_int_max_str_digits"):  # exact answers may run past 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -106,10 +106,13 @@ def _field_ops(ctx: FieldCtx):
     keeps the minimum of the difference and acc: where acc < p * 2^k the
     unsigned difference wraps above acc, so acc stays, and after step k
     acc < p * 2^k.  The steps come from the bound of ``terms``, never from
-    the data; past six of them ``np.remainder`` is faster, so it takes over.
-    Over F_{p^d} add and mul look codes up in q x q tables of the smallest
-    dtype that holds a code, and mod does nothing; callers check their size
-    with ``_check_tables``.
+    the data.  ``np.remainder`` takes over where it is faster: past six
+    steps, and on fewer than 1024 codes per step, where the calls cost more
+    than the codes.
+    Over F_{p^d} add and mul look codes a, b up in q x q tables of the
+    smallest dtype that holds a code, flattened: one ``take`` at a * q + b,
+    in int32 while q^2 fits it, is several times faster than 2-D indexing.
+    mod does nothing; callers check the tables' size with ``_check_tables``.
     """
     import numpy as np
 
@@ -118,7 +121,7 @@ def _field_ops(ctx: FieldCtx):
 
         def mod(acc, terms):
             steps = (_code_bound(p, terms) // p).bit_length()
-            if steps > 6:
+            if steps > 6 or acc.size < steps << 10:
                 return np.remainder(acc, p, out=acc)
             tmp = np.empty_like(acc)
             for k in reversed(range(steps)):
@@ -141,12 +144,18 @@ def _field_ops(ctx: FieldCtx):
     log = np.array(ctx._log, dtype=np.int32)
     mul = np.array(ctx._exp * 2, dtype=code)[np.add.outer(log, log)]
     mul[0] = mul[:, 0] = 0
+    add, mul = add.ravel(), mul.ravel()
+    index = np.int32 if q * q <= 1 << 31 else np.intp
+
+    def at(a, b):
+        # a and b's entry in a flattened table, cast first: codes may be uint8
+        return np.add(np.multiply(a, q, dtype=index), b, dtype=index)
 
     def add_into(acc, x):
-        acc[...] = add[acc, x]
+        acc[...] = add.take(at(acc, x))
         return acc
 
-    return add_into, (lambda a, b: mul[a, b]), (lambda acc, terms: acc)
+    return add_into, (lambda a, b: mul.take(at(a, b))), (lambda acc, terms: acc)
 
 
 def _pack(digits, q: int):

@@ -9,13 +9,14 @@ families that exhaust degree p^2 together with a classifier for that degree.
 
 The classifier works on numpy code arrays, many polynomials at once.  Once
 per field it builds, from parameter columns, a sorted key index of every S
-and M family polynomial with two or more decompositions, and two F_q-linear
-maps as matrices over F_p: the remainders of f by every right component
-(its decomposition count, independent of any census) and every shift
-f(x + w) - f(w), which it looks up in the index.  ``classify_p2`` is the
-one-column case of ``classify_census``, which classifies every collision of
-a degree-p^2 census in one call.  ``count_decompositions`` and the
-``UniPoly`` constructors stay as the tests' reference.
+and M family polynomial with two or more decompositions.  On each block of
+f columns it divides every f by every right component h directly (its
+decomposition count, independent of any census) and takes every shift
+f(x + w) - f(w) by Taylor's formula, which it looks up in the index.
+``classify_p2`` is the one-column case of ``classify_census``, which
+classifies every collision of a degree-p^2 census in one call.
+``count_decompositions`` and the ``UniPoly`` constructors stay as the
+tests' reference.
 
 Everything is built over a concrete ``FieldCtx`` and verified by exact
 polynomial composition; constructors raise on parameter sets outside their
@@ -510,95 +511,79 @@ def _family_index(ctx: FieldCtx) -> dict:
     return index
 
 
-def _remainders(ctx: FieldCtx, F):
-    """The nonconstant coefficients of the p h-adic remainders of every
-    column of F, (p^2 + 1, m) codes, by every monic original h of degree p
-    (h_0 = 0, h_p = 1): a (q^(p-1), p (p - 1), m) code array.  Each pair
-    (f, h) is one column, divided by h in place p times by synthetic
-    division (the quotient's coefficients replace the top ones), so this is
-    ``_left_component`` on every pair at once: f = g(h) iff all of them are
-    0, and then the remainders' constants are the coefficients of g."""
+@lru_cache(maxsize=None)
+def _right_components(ctx: FieldCtx):
+    """-h_1 .. -h_{p-1} of every monic original h of degree p (h_0 = 0,
+    h_p = 1) in ``enumerate_monic_uni`` order, built once per field: a
+    (p - 1, q^(p-1)) code array."""
+    p = ctx.p
+    _, _, mul = _arith(ctx)
+    hs = _monic_rows(ctx.q, 1, p, original=True)[::-1]  # constant first
+    return mul(p - 1, hs[1:p])
+
+
+def _decompositions(ctx: FieldCtx, F):
+    """The number of decompositions of every column of F, (p^2 + 1, m)
+    codes: of the monic original h of degree p with f = g(h), that is, with
+    every h-adic remainder of f constant.  Each pair (f, h) is divided by h
+    in place p times by synthetic division (the quotient's coefficients
+    replace the top ones), as ``_left_component`` does, and leaves at the
+    first remainder that is not constant; most leave after the first."""
     import numpy as np
 
     p = ctx.p
     add_into, times, mod = _field_ops(ctx)
-    _, _, mul = _arith(ctx)
-    hs = _monic_rows(ctx.q, 1, p, original=True)[::-1]  # constant first
-    neg_h = mul(p - 1, hs[1:p])  # -h_1 .. -h_{p-1}
+    neg_h = _right_components(ctx)
     m, n_h = F.shape[1], neg_h.shape[1]
     A = np.repeat(F.astype(neg_h.dtype), n_h, axis=1)  # column f * n_h + h
-    neg_h = np.tile(neg_h, m)
-    rems = []
+    neg_h, pairs = np.tile(neg_h, m), np.arange(m * n_h)
     while len(A) > 1:
         for i in range(len(A) - 1, p - 1, -1):
             mod(add_into(A[i - p + 1 : i], times(A[i], neg_h)), 1)
-        rems.append(A[1:p])
-        A = A[p:]
-    return np.concatenate(rems).reshape(-1, m, n_h).transpose(2, 0, 1)
+        keep = ~A[1:p].any(axis=0)
+        A, neg_h, pairs = A[p:, keep], neg_h[:, keep], pairs[keep]
+    return np.bincount(pairs // n_h, minlength=m)
+
+
+@lru_cache(maxsize=None)
+def _taylor_weights(ctx: FieldCtx):
+    """The weights of f(x + w) by Taylor's formula, built once per field:
+    slot k is sum_j f_j C(j, k) w^(j-k).  A list of ``(j, lo, W)``, one per
+    j with C(j, k) nonzero mod p for some 1 <= k < p^2, where W is the
+    (len(W), q, 1) code array of C(j, k) w^(j-k), w in code order, for k
+    from lo + 1, the least such k, to the greatest."""
+    import numpy as np
+
+    p = ctx.p
+    n = p * p
+    _, _, mul = _arith(ctx)
+    powers = [np.ones(ctx.q, dtype=np.intp), np.arange(ctx.q)]  # w^0, w^1, with 0^0 = 1
+    while len(powers) < n:
+        powers.append(mul(powers[-1], powers[1]))
+    out = []
+    for j in range(1, n + 1):
+        ks = [k for k in range(1, min(j + 1, n)) if math.comb(j, k) % p]
+        if ks:
+            ks = range(ks[0], ks[-1] + 1)
+            out.append((j, ks[0] - 1, np.stack([mul(math.comb(j, k) % p, powers[j - k]) for k in ks])[:, :, None]))
+    dtype = _code_dtype(ctx, len(out))  # a slot sums one product per j
+    return [(j, lo, W.astype(dtype)) for j, lo, W in out]
 
 
 def _shifts(ctx: FieldCtx, F):
     """Slots 1..n - 1 of f(x + w) - f(w) for every w in code order and every
-    column f of F, (n + 1, m) codes: a (n - 1, q, m) code array, by Horner's
-    rule in x + w (slot 0 is f(w), and slot n stays f_n)."""
+    column f of F, (n + 1, m) codes: a (n - 1, q, m) code array, summed
+    from ``_taylor_weights`` (slot 0 is f(w), and slot n stays f_n)."""
     import numpy as np
 
-    dtype, add, mul = _arith(ctx)
-    w = np.arange(ctx.q)[:, None]
-    S = np.zeros((len(F), ctx.q, F.shape[1]), dtype=dtype)
-    for f_k in F[::-1]:
-        wS = mul(w, S)
-        wS[1:] = add(wS[1:], S[:-1])
-        wS[0] = add(wS[0], f_k)
-        S = wS
-    return S[1:-1]
-
-
-def _coords(ctx: FieldCtx, codes):
-    """(N, m) codes as (N d, m) float64 coordinates over F_p: row k d + i
-    holds the base-p digit i of row k's codes."""
-    import numpy as np
-
-    places = ctx.p ** np.arange(ctx.d)
-    digits = np.asarray(codes)[:, None, :] // places[:, None] % ctx.p
-    return digits.reshape(-1, digits.shape[-1]).astype(np.float64)
-
-
-def _matrix(ctx: FieldCtx, kernel, width: int):
-    """The matrix over F_p, on ``_coords``, of an F_q-linear kernel on
-    columns of ``width`` codes, with its output flattened to rows: the
-    kernel's image of the width * d basis columns (code p^i in slot k)."""
-    import numpy as np
-
-    col = np.arange(width * ctx.d)
-    basis = np.zeros((width, len(col)), dtype=np.int64)
-    basis[col // ctx.d, col] = ctx.p ** (col % ctx.d)
-    return _coords(ctx, kernel(ctx, basis).reshape(-1, len(col)))
-
-
-@lru_cache(maxsize=None)
-def _linear_maps(ctx: FieldCtx):
-    """The two F_q-linear maps of the classifier as matrices over F_p (see
-    ``_matrix``), built once per field: the remainders of division by every
-    right component (``_remainders``) and every shift (``_shifts``)."""
-    p, d = ctx.p, ctx.d
-    n = p * p
-    # the remainders' matrix has one entry per basis column, h and
-    # remainder coordinate: it bounds the divisions that build it
-    check_budget(ctx.q ** (p - 1) * p * (p - 1) * d * (n + 1) * d,
-                 f"division matrix of degree-{n} polynomials over F_{ctx.q}")
-    _check_tables(ctx.q, d)
-    return _matrix(ctx, _remainders, n + 1), _matrix(ctx, _shifts, n + 1)
-
-
-def _apply(ctx: FieldCtx, matrix, X):
-    """A ``_linear_maps`` matrix on coordinates X, as integer coordinates:
-    the product is exact in float64, since no sum of len(X) products of
-    digits reaches 2^53, and is reduced mod p in the smallest integer
-    dtype that holds such a sum."""
-    import numpy as np
-
-    return (matrix @ X).astype(np.min_scalar_type(len(X) * (ctx.p - 1) ** 2)) % ctx.p
+    add_into, times, mod = _field_ops(ctx)
+    weights = _taylor_weights(ctx)
+    dtype = _code_dtype(ctx, len(weights))
+    F = F.astype(dtype, copy=False)
+    S = np.zeros((len(F) - 2, ctx.q, F.shape[1]), dtype=dtype)
+    for j, lo, W in weights:
+        add_into(S[lo : lo + len(W)], times(W, F[j]))
+    return mod(S, len(weights))
 
 
 def _classify(ctx: FieldCtx, F) -> list[tuple[str, dict]]:
@@ -607,23 +592,19 @@ def _classify(ctx: FieldCtx, F) -> list[tuple[str, dict]]:
     ``_CHUNK_ROWS`` (f, h) pairs each."""
     import numpy as np
 
-    p, q, d = ctx.p, ctx.q, ctx.d
+    p, q = ctx.p, ctx.q
     n, m, n_h = p * p, F.shape[1], q ** (p - 1)
     check_budget(m * n_h, f"right components of {m} polynomials of degree {n} over F_{q}")
-    divide, shift = _linear_maps(ctx)
+    _check_tables(q, ctx.d)
     index = _family_index(ctx)
-    places = ctx.p ** np.arange(d)
     decs = np.empty(m, dtype=np.intp)
     hits = {label: (np.full(m, -1), np.zeros(m, dtype=np.intp)) for label in index}
     step = max(1, _CHUNK_ROWS // n_h)
     for lo in range(0, m, step):
-        X = _coords(ctx, F[:, lo : lo + step])
-        cols = np.arange(X.shape[1])
-        # f = g(h) iff every remainder of f by h is constant
-        rems = _apply(ctx, divide, X).reshape(n_h, -1, len(cols))
-        decs[lo : lo + step] = n_h - np.count_nonzero(rems.any(axis=1), axis=0)
-        codes = places @ _apply(ctx, shift, X).reshape(n - 1, q, d, -1)
-        shifts = _flat_keys(codes.astype(np.uint64).reshape(n - 1, -1), q).reshape(q, -1)
+        block = F[:, lo : lo + step]
+        cols = np.arange(block.shape[1])
+        decs[lo : lo + step] = _decompositions(ctx, block)
+        shifts = _flat_keys(_shifts(ctx, block).reshape(n - 1, -1), q).reshape(q, -1)
         for label, (keys, _) in index.items():
             if not len(keys):
                 continue
@@ -666,10 +647,11 @@ def classify_p2(f: UniPoly) -> tuple[str, dict]:
     The three collision cases are mutually exclusive; the witness shift is
     the smallest one in the field's element order, with the first
     parameters in the search order (m, eps, u, s for S; m, b, a for M).
-    The S and M families of the field are built once, on the first call,
-    as are two linear maps: one gives f's remainders by all q^(p-1) right
-    components at once, the other all q shifts of f, which are looked up in
-    the families.  This is the one-column case of ``classify_census``.
+    The S and M families of the field are built once, on the first call.
+    f is divided by all q^(p-1) right components at once, which gives its
+    decomposition count, and all q shifts of f, taken by Taylor's formula,
+    are looked up in the families.  This is the one-column case of
+    ``classify_census``.
     """
     import numpy as np
 

@@ -230,6 +230,14 @@ def test_exit_code_budget(monkeypatch):
     assert rc == 3
 
 
+def test_answers_past_4300_digits_are_printed():
+    # 13,173 digits: CPython's default int-to-str limit is 4300
+    from ffcount.classes import exact_count
+
+    rc, out = run(["count", "--class", "irreducible", "--r", "10", "--n", "8", "--q", "2"])
+    assert rc == 0 and int(out) == exact_count("irreducible", 10, 8).evaluate(2)
+
+
 def test_exit_code_verification_mismatch(tmp_path):
     # a corrupted table must drive oeis-check to exit 1
     table = tmp_path / "table.txt"

@@ -340,16 +340,19 @@ def test_census_pairs_python_matches_compose(p, d, n, monkeypatch):
 
 
 def test_field_ops_match_field_arithmetic():
-    extension = [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)]
+    extension = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (2, 4)]
     for p, d in extension + [(p, 1) for p in (2, 3, 5, 13, 17, 251, 257)]:
         ctx = field_make(p, d)
         add, mul, mod = orc._field_ops(ctx)
-        codes = np.arange(ctx.q, dtype=orc._code_dtype(ctx, 1))
-        a, b = np.meshgrid(codes, codes, indexing="ij")
-        codes = range(ctx.q)
-        assert mod(mul(a, b), 1).tolist() == [[ctx.mul(x, y) for y in codes] for x in codes]
-        # add works in place, so it comes last
-        assert mod(add(a, b), 1).tolist() == [[ctx.add(x, y) for y in codes] for x in codes]
+        # the flat tables' index a * q + b overflows uint8 operands unless
+        # they are cast first
+        for dtype in [orc._code_dtype(ctx, 1)] + ([np.uint8] if d > 1 else []):
+            codes = np.arange(ctx.q, dtype=dtype)
+            a, b = np.meshgrid(codes, codes, indexing="ij")
+            codes = range(ctx.q)
+            assert mod(mul(a, b), 1).tolist() == [[ctx.mul(x, y) for y in codes] for x in codes]
+            # add works in place, so it comes last
+            assert mod(add(a, b), 1).tolist() == [[ctx.add(x, y) for y in codes] for x in codes]
 
 
 # Bounds terms * (p - 1)^2 + p - 1 on both sides of 255 and 65535, reduced by
@@ -370,9 +373,11 @@ def test_prime_field_mod_reduces_every_sum_up_to_its_bound(p, terms, dtype, step
     ctx = field_make(p, 1)
     bound = orc._code_bound(p, terms)
     assert orc._code_dtype(ctx, terms) == dtype and (bound // p).bit_length() == steps
-    # every value up to the bound: a step short leaves those >= p * 2^(steps - 1)
-    acc = np.arange(bound + 1, dtype=dtype)
-    assert orc._field_ops(ctx)[2](acc, terms).tolist() == [v % p for v in range(bound + 1)]
+    # every value up to the bound, repeated to 1024 codes per step, below
+    # which np.remainder takes over: a step short leaves those >= p * 2^(steps - 1)
+    copies = -(-(steps << 10) // (bound + 1))
+    acc = np.tile(np.arange(bound + 1, dtype=dtype), copies)
+    assert orc._field_ops(ctx)[2](acc, terms).tolist() == [v % p for v in range(bound + 1)] * copies
 
 
 def _census_by_compose(n, ctx):

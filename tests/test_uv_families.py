@@ -3,12 +3,13 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import ffcount.oracle as orc
 import ffcount.uv_counts as uc
 import ffcount.uv_families as uf
-from ffcount.ff import UniPoly, enumerate_monic_uni, field_from_q, field_make
+from ffcount.ff import BudgetExceeded, UniPoly, enumerate_monic_uni, field_from_q, field_make
 from ffcount.oracle import oracle_decomp_census
 from ffcount.series import divisors
 
@@ -315,6 +316,35 @@ def test_s_witnesses_rebuild_their_family(q):
     assert seen, q
 
 
+def test_classify_over_f7_under_the_default_budget(monkeypatch):
+    # q^(p-1) = 117,649 right components per f
+    monkeypatch.delenv("FFCOUNT_BUDGET", raising=False)
+    s_fam = max((uf.s_family(F7, u, s, eps, m, 7) for m in (1, 2, 3, 6) for eps in (0, 1)
+                 for u in range(1, 7) for s in (2, 5)), key=lambda fam: len(fam.decompositions))
+    assert len(s_fam.decompositions) >= 2
+    for fam, w in ((s_fam, 4), (uf.m_family(F7, 2, 3, 3, 7), 5)):
+        f = uf.original_shift(fam.f, w)
+        label, info = uf.classify_p2(f)
+        assert label == fam.label and info["decompositions"] == len(fam.decompositions)
+        if label == "S":
+            rebuilt = uf.s_family(F7, info["u"], info["s"], info["eps"], info["m"], 7)
+        else:
+            rebuilt = uf.m_family(F7, info["a"], info["b"], info["m"], 7)
+        assert rebuilt.f == uf.original_shift(f, info["w"])
+
+
+@pytest.mark.parametrize("q", [4, 9, 5])
+def test_shifts_are_the_original_shifts(q):
+    ctx = field_from_q(q)
+    n = ctx.p**2
+    fs = [rand_monic(ctx, n, original=True) for _ in range(6)]
+    shifts = uf._shifts(ctx, np.array([f.c for f in fs]).T)
+    assert shifts.shape == (n - 1, q, len(fs))
+    for col, f in enumerate(fs):
+        for w in range(q):
+            assert shifts[:, w, col].tolist() == list(uf.original_shift(f, ctx.from_code(w)).c[1:n]), (f, w)
+
+
 def test_classify_requires_degree_p_squared():
     with pytest.raises(ValueError, match="degree"):
         uf.classify_p2(UniPoly(F2, [0, 1, 1]))
@@ -473,11 +503,29 @@ def test_d_p2_terms_are_the_per_label_sums(q):
 def test_classify_f5_in_seconds():
     rep = oracle_decomp_census(25, F5)
     uf._family_index.cache_clear()
-    uf._linear_maps.cache_clear()
+    uf._right_components.cache_clear()
+    uf._taylor_weights.cache_clear()
     start = time.perf_counter()
     classes = uf.classify_census(rep)
     elapsed = time.perf_counter() - start
     assert len(classes) == 720 and elapsed < 5.0, elapsed
+
+
+def test_classifier_is_budgeted_before_it_builds(monkeypatch):
+    # m collisions over F_9 need m * 9^2 (f, h) pairs; nothing of the
+    # classifier may be built, or even looked up, before that is checked
+    rep = _census_and_classes(9)[0]
+    required = len(rep.collisions.codes) * 81
+    caches = (uf._family_index, uf._right_components, uf._taylor_weights, orc._field_ops)
+    before = [cached.cache_info() for cached in caches]
+    monkeypatch.setenv("FFCOUNT_BUDGET", str(required - 1))
+    with pytest.raises(BudgetExceeded, match="right components") as exc:
+        uf.classify_census(rep)
+    assert exc.value.required == required
+    assert [cached.cache_info() for cached in caches] == before
+    monkeypatch.setenv("FFCOUNT_BUDGET", str(required))
+    got = uf.classify_census(rep)
+    assert [(l, _as_codes(i)) for l, i in got] == [(l, _as_codes(i)) for l, i in _census_and_classes(9)[1]]
 
 
 def test_family_index_f256_in_a_second():
