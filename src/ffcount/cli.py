@@ -493,14 +493,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    if hasattr(sys, "set_int_max_str_digits"):  # exact answers may run past 4300 digits
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # exact answers may run past CPython's 4300-digit int-to-str limit; it
+    # is lifted for this command only
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         code = args.fn(args, out)
         out.flush()  # a closed pipe raises here, not at interpreter exit
         return code
@@ -518,6 +521,9 @@ def main(argv=None, out=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -106,9 +106,7 @@ def _field_ops(ctx: FieldCtx):
     keeps the minimum of the difference and acc: where acc < p * 2^k the
     unsigned difference wraps above acc, so acc stays, and after step k
     acc < p * 2^k.  The steps come from the bound of ``terms``, never from
-    the data.  ``np.remainder`` takes over where it is faster: past six
-    steps, and on fewer than 1024 codes per step, where the calls cost more
-    than the codes.
+    the data; past six of them ``np.remainder`` is faster, so it takes over.
     Over F_{p^d} add and mul look codes a, b up in q x q tables of the
     smallest dtype that holds a code, flattened: one ``take`` at a * q + b,
     in int32 while q^2 fits it, is several times faster than 2-D indexing.
@@ -121,7 +119,7 @@ def _field_ops(ctx: FieldCtx):
 
         def mod(acc, terms):
             steps = (_code_bound(p, terms) // p).bit_length()
-            if steps > 6 or acc.size < steps << 10:
+            if steps > 6:
                 return np.remainder(acc, p, out=acc)
             tmp = np.empty_like(acc)
             for k in reversed(range(steps)):

@@ -548,10 +548,10 @@ def _decompositions(ctx: FieldCtx, F):
 @lru_cache(maxsize=None)
 def _taylor_weights(ctx: FieldCtx):
     """The weights of f(x + w) by Taylor's formula, built once per field:
-    slot k is sum_j f_j C(j, k) w^(j-k).  A list of ``(j, lo, W)``, one per
-    j with C(j, k) nonzero mod p for some 1 <= k < p^2, where W is the
-    (len(W), q, 1) code array of C(j, k) w^(j-k), w in code order, for k
-    from lo + 1, the least such k, to the greatest."""
+    slot k is sum_j f_j C(j, k) w^(j-k).  A list whose entry j - 1, for j
+    from 1 to p^2 - 1, is the (j, q, 1) code array of C(j, k) w^(j-k) for
+    k from 1 to j, w in code order; j = p^2 has none, as every C(p^2, k)
+    with 0 < k < p^2 vanishes mod p."""
     import numpy as np
 
     p = ctx.p
@@ -560,14 +560,9 @@ def _taylor_weights(ctx: FieldCtx):
     powers = [np.ones(ctx.q, dtype=np.intp), np.arange(ctx.q)]  # w^0, w^1, with 0^0 = 1
     while len(powers) < n:
         powers.append(mul(powers[-1], powers[1]))
-    out = []
-    for j in range(1, n + 1):
-        ks = [k for k in range(1, min(j + 1, n)) if math.comb(j, k) % p]
-        if ks:
-            ks = range(ks[0], ks[-1] + 1)
-            out.append((j, ks[0] - 1, np.stack([mul(math.comb(j, k) % p, powers[j - k]) for k in ks])[:, :, None]))
-    dtype = _code_dtype(ctx, len(out))  # a slot sums one product per j
-    return [(j, lo, W.astype(dtype)) for j, lo, W in out]
+    dtype = _code_dtype(ctx, n - 1)  # a slot sums one product per j
+    weights = [[mul(math.comb(j, k) % p, powers[j - k]) for k in range(1, j + 1)] for j in range(1, n)]
+    return [np.stack(W)[:, :, None].astype(dtype) for W in weights]
 
 
 def _shifts(ctx: FieldCtx, F):
@@ -581,8 +576,8 @@ def _shifts(ctx: FieldCtx, F):
     dtype = _code_dtype(ctx, len(weights))
     F = F.astype(dtype, copy=False)
     S = np.zeros((len(F) - 2, ctx.q, F.shape[1]), dtype=dtype)
-    for j, lo, W in weights:
-        add_into(S[lo : lo + len(W)], times(W, F[j]))
+    for j, W in enumerate(weights, 1):
+        add_into(S[:j], times(W, F[j]))
     return mod(S, len(weights))
 
 
