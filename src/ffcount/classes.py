@@ -1,6 +1,7 @@
 """The polynomial classes, and which function serves each one.
 
-``CLASSES`` maps a class name to its exact count (a ``QPoly`` in q), its
+``CLASSES`` maps a class name to its exact count (a ``QPoly`` in q, or its
+value at a given q), its
 ``CountReport`` (main term and certified bound) and its oracle count by
 enumeration; a class may lack any of the three.  The lookups below make the
 only checks on class names and on the power exponent s, and the CLI takes
@@ -16,7 +17,7 @@ coefficient positions: the formula layer never reaches the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from . import mv_counts, oracle
 from .ff import FieldCtx, count_monic
@@ -40,9 +41,10 @@ def _abs_irreducible(ctx: FieldCtx, r: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class PolyClass:
-    """The functions serving one class, or None: ``exact(r, n, s)`` gives a
-    QPoly, ``report(r, n, s)`` a CountReport, ``oracle(r, n, ctx, s)`` an int.
-    Each takes s, which is None unless ``needs_s``."""
+    """The functions serving one class, or None: ``exact(r, n, s, q)`` gives
+    a QPoly when q is None and its integer value at q otherwise,
+    ``report(r, n, s)`` a CountReport, ``oracle(r, n, ctx, s)`` an int.  Each
+    takes s, which is None unless ``needs_s``."""
 
     exact: Optional[Callable]
     report: Optional[Callable]
@@ -51,36 +53,36 @@ class PolyClass:
 
 
 CLASSES: dict[str, PolyClass] = {
-    "all": PolyClass(lambda r, n, s: mv_counts.p_count(r, n), None, None),
+    "all": PolyClass(lambda r, n, s, q: mv_counts.p_count(r, n, q), None, None),
     "reducible": PolyClass(
-        lambda r, n, s: mv_counts.red_exact(r, n),
+        lambda r, n, s, q: mv_counts.red_exact(r, n, q),
         lambda r, n, s: mv_counts.red_approx(r, n),
         lambda r, n, ctx, s: 1 if n == 0 else len(oracle._reducible_keys(ctx, r, n)),
     ),
     "irreducible": PolyClass(
-        lambda r, n, s: mv_counts.irr_exact(r, n),
+        lambda r, n, s, q: mv_counts.irr_exact(r, n, q=q),
         None,
         lambda r, n, ctx, s: _irreducible(ctx, r, n),
     ),
     "powerful": PolyClass(
-        lambda r, n, s: mv_counts.powerful_exact(r, n, s),
+        lambda r, n, s, q: mv_counts.powerful_exact(r, n, s, q=q),
         lambda r, n, s: mv_counts.powerful_approx(r, n, s),
         lambda r, n, ctx, s: len(oracle._powerful_keys(ctx, r, n, s)),
         needs_s=True,
     ),
     "powerfree": PolyClass(
-        lambda r, n, s: mv_counts.powerfree_exact(r, n, s),
+        lambda r, n, s, q: mv_counts.powerfree_exact(r, n, s, q),
         None,
         lambda r, n, ctx, s: count_monic(ctx.q, r, n) - len(oracle._powerful_keys(ctx, r, n, s)),
         needs_s=True,
     ),
     "rel_irreducible": PolyClass(
-        lambda r, n, s: mv_counts.relirr_exact(r, n),
+        lambda r, n, s, q: mv_counts.relirr_exact(r, n, q),
         lambda r, n, s: mv_counts.relirr_approx(r, n),
         lambda r, n, ctx, s: len(oracle._rel_irreducible_keys(ctx, r, n)),
     ),
     "abs_irreducible": PolyClass(
-        lambda r, n, s: mv_counts.absirr_exact(r, n),
+        lambda r, n, s, q: mv_counts.absirr_exact(r, n, q),
         None,
         lambda r, n, ctx, s: _abs_irreducible(ctx, r, n),
     ),
@@ -110,9 +112,11 @@ def _lookup(cls: str, s: Optional[int], what: str) -> Callable:
     return fn
 
 
-def exact_count(cls: str, r: int, n: int, s: Optional[int] = None) -> QPoly:
-    """The exact symbolic count of a class."""
-    return _lookup(cls, s, "exact")(r, n, s)
+def exact_count(cls: str, r: int, n: int, s: Optional[int] = None,
+                q: Optional[int] = None) -> Union[QPoly, int]:
+    """The exact count of a class: symbolic, or computed in the integers at
+    a prime power q."""
+    return _lookup(cls, s, "exact")(r, n, s, q)
 
 
 def count_report(cls: str, r: int, n: int, s: Optional[int] = None) -> mv_counts.CountReport:

@@ -130,11 +130,8 @@ def _csv_row(args, exact="", main="", bound="", oracle_val="") -> list[str]:
 
 
 def _cmd_count(args, out) -> int:
-    exact = exact_count(args.cls, args.r, args.n, args.s)
-    if args.symbolic:
-        value = _sym_str(exact)
-    else:
-        value = _int_str(exact.evaluate(args.q))
+    exact = exact_count(args.cls, args.r, args.n, args.s, args.q)
+    value = _sym_str(exact) if args.symbolic else str(exact)
     record = {
         "command": "count",
         "query": {"class": args.cls, "r": str(args.r), "n": str(args.n),
@@ -191,11 +188,11 @@ def _cmd_series(args, out) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     s = 2 if args.s is None and CLASSES[args.cls].needs_s else args.s
-    coeffs = [exact_count(args.cls, args.r, n, s) for n in range(args.max_n + 1)]
-    if args.q:
-        values = [_int_str(c.evaluate(args.q)) for c in coeffs]
-    else:
-        values = [_sym_str(c) for c in coeffs]
+    # the largest n first: its budget checks size the query before any other
+    # work, and the others read their rows off the table it grew
+    last = exact_count(args.cls, args.r, args.max_n, s, args.q)
+    coeffs = [exact_count(args.cls, args.r, n, s, args.q) for n in range(args.max_n)] + [last]
+    values = [str(c) for c in coeffs] if args.q else [_sym_str(c) for c in coeffs]
     record = {
         "command": "series",
         "query": {"class": args.cls, "r": str(args.r), "max_n": str(args.max_n),
@@ -336,9 +333,9 @@ def _cmd_verify(args, out) -> int:
         ok = diff * diff <= alpha * alpha * bsq
         formula_txt = f"{alpha} (main term, rel bound squared {bsq})"
     else:
-        formula = exact_count(args.cls, args.r, args.n, args.s).evaluate(args.q)
+        formula = exact_count(args.cls, args.r, args.n, args.s, args.q)
         ok = formula == oracle_val
-        formula_txt = _int_str(formula)
+        formula_txt = str(formula)
     record = {
         "command": "verify",
         "query": {"class": args.cls, "r": str(args.r), "n": str(args.n),
@@ -370,10 +367,10 @@ def _cmd_oeis_check(args, out) -> int:
     for n, val in sorted(expected.items()):
         if n > args.max_n:
             continue
-        ours = mv_counts.irr_exact(args.r, n).evaluate(args.q)
+        ours = mv_counts.irr_exact(args.r, n, q=args.q)
         checked += 1
         if ours != val:
-            mismatches.append((n, val, int(ours)))
+            mismatches.append((n, val, ours))
     lines = [f"checked {checked} entries (r={args.r}, q={args.q})"]
     for n, theirs, ours in mismatches:
         lines.append(f"mismatch at n={n}: table {theirs}, computed {ours}")

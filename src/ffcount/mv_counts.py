@@ -1,9 +1,9 @@
 """Counting multivariate polynomial classes over finite fields.
 
-Everything here is exact symbolic arithmetic in the field-size variable q:
-exact counts are polynomials (``QPoly``), main terms and error factors are
-rational functions (``SymRat``).  Substituting a concrete prime power for q
-yields the actual count over that field.
+Everything here is exact arithmetic.  Exact counts are polynomials in the
+field-size variable q (``QPoly``), or, given a concrete prime power q, their
+integer values computed in the integers throughout; main terms and error
+factors are rational functions (``SymRat``).
 
 Conventions for degree 0: the polynomial 1 counts as reducible and not
 irreducible, so the reducible count at n=0 is 1 and the irreducible count 0.
@@ -21,58 +21,121 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
+from .ff import check_budget
 from .qrat import QPoly, SymRat, qpow
 from .series import TruncSeries, divisors, moebius, smallest_prime_factor
+
+# -- the coefficient ring -------------------------------------------------
+#
+# Every exact count is computed in one of two rings, chosen by q: Z[q]
+# through QPoly when q is None, or the integers at a fixed prime power q,
+# where no QPoly is built.  Each formula below is written once for both; the
+# ring shows only in p_count, _zero, _at_power and _weighted_sum.
+
+
+def _zero(q: Optional[int]):
+    return QPoly.zero() if q is None else 0
+
+
+def _size(r: int, n: int, q: Optional[int]) -> int:
+    """A bound on the size of P_{r,n}: its C(r+n, r) coefficients in Z[q], or
+    the bits of its value at q."""
+    return comb(r + n, r) * (1 if q is None else (q - 1).bit_length())
+
+
+def _ring(q: Optional[int]) -> str:
+    return "in Z[q]" if q is None else f"at q = {q}"
+
+
+def _at_power(count: Callable, s: int, q: Optional[int]):
+    """count(q) over F_{q^s}: the substitution q -> q^s in Z[q] (every exact
+    count here is a polynomial in q), or the integer value at q^s."""
+    return count(None).subs_power(s) if q is None else count(q**s)
+
+
+def _weighted_sum(terms: Iterable[tuple], q: Optional[int]):
+    """The sum of w x / d over the (w, d, x) in ``terms``, w and d > 0
+    integers: the integer numerators are added over the one denominator
+    lcm(d den(x)), and divided once at the end."""
+    parts = [(w, d, x.nums, x.den) if q is None else (w, d, (x,), 1) for w, d, x in terms]
+    den = math.lcm(*(d * e for _, d, _, e in parts))
+    acc = [0] * max((len(nums) for _, _, nums, _ in parts), default=0)
+    for w, d, nums, e in parts:
+        f = w * (den // (d * e))
+        for i, c in enumerate(nums):
+            acc[i] += f * c
+    if q is None:
+        return QPoly._from_ints(acc, den)
+    value, rem = divmod(sum(acc), den)
+    assert rem == 0, "a count at a fixed q is an integer"
+    return value
+
 
 # -- the base count -------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def p_count(r: int, n: int) -> QPoly:
-    """Number of monic r-variate polynomials of total degree n, as a QPoly.
+def p_count(r: int, n: int, q: Optional[int] = None):
+    """Number of monic r-variate polynomials of total degree n: a QPoly, or
+    its integer value at a fixed q.
 
     One free coefficient for every monomial deg-lex below the leading one,
     summed over the possible leading monomials of degree n.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    if n == 0:
-        return QPoly.one()
+    check_budget(_size(r, n, q), f"P_{{{r},{n}}} {_ring(q)}")
     below = comb(r + n, r) - 1
     top = comb(r + n - 1, r - 1)
-    # sum over leading-monomial choices: q^below + q^(below-1) + ... (top terms)
+    # q^below + q^(below-1) + ... (top terms) = q^(below+1-top) (q^top - 1)/(q - 1)
+    if q is not None:
+        return q ** (below + 1 - top) * (q**top - 1) // (q - 1)
     return QPoly([0] * (below + 1 - top) + [1] * top)
 
 
-def p_series(r: int, order: int) -> TruncSeries:
+def p_series(r: int, order: int, q: Optional[int] = None) -> TruncSeries:
     """Generating series of the monic counts, truncated at the given order."""
-    return TruncSeries(order, [p_count(r, n) for n in range(order + 1)])
+    return TruncSeries(order, [p_count(r, n, q) for n in range(order + 1)])
 
 
 # -- exact counts ---------------------------------------------------------
 
 
-def _composition_table(r: int, m: int) -> list[list[QPoly]]:
-    """S[m'][k], 0 <= k <= m' <= m: the sum over the compositions j of m'
-    into k parts of prod P_{r,j_i}, built bottom-up by first part."""
-    table = [[QPoly.one()]]
-    for row_m in range(1, m + 1):
-        row = [QPoly.zero()] * (row_m + 1)
+@lru_cache(maxsize=None)
+def _table(r: int, q: Optional[int]) -> list:
+    """The one composition table of (r, q), grown by _composition_table."""
+    return [[p_count(r, 0, q)]]
+
+
+def _composition_table(r: int, m: int, q: Optional[int] = None) -> list:
+    """S[m'][k], 0 <= k <= m' <= m (and maybe more rows): the sum over the
+    compositions j of m' into k parts of prod P_{r,j_i}, built bottom-up by
+    first part.  One table per (r, q) is kept and grown a row at a time, so
+    every count reads its rows from it and each row is built once."""
+    table = _table(r, q)
+    if len(table) <= m:
+        check_budget(m * m // 2 * _size(r, m, q),
+                     f"the composition table of P_{{{r},j}}, j <= {m}, {_ring(q)}")
+    for row_m in range(len(table), m + 1):
+        row = [_zero(q)] * (row_m + 1)
         for first in range(1, row_m + 1):
-            p_first = p_count(r, first)
-            for k, rest in enumerate(table[row_m - first]):
-                row[k + 1] = row[k + 1] + p_first * rest
+            p_first = p_count(r, first, q)
+            rest = table[row_m - first]
+            # S[m'][0] is zero for m' > 0
+            for k in range(first < row_m, len(rest)):
+                row[k + 1] = row[k + 1] + p_first * rest[k]
         table.append(row)
     return table
 
 
 @lru_cache(maxsize=None)
-def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
-    """Exact count of irreducible monic r-variate polynomials of degree n.
+def irr_exact(r: int, n: int, route: str = "composition_sum", q: Optional[int] = None):
+    """Exact count of irreducible monic r-variate polynomials of degree n: a
+    QPoly, or its integer value at a fixed q.
 
-    Both routes return the identical polynomial: ``composition_sum`` runs the
+    Both routes return the identical count: ``composition_sum`` runs the
     Moebius-weighted sum over integer compositions by number of parts,
     ``series_log`` takes the formal logarithm of the generating series once
     and Moebius-inverts its coefficients at the divisors of n.
@@ -80,60 +143,48 @@ def irr_exact(r: int, n: int, route: str = "composition_sum") -> QPoly:
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
-        return QPoly.zero()
+        return _zero(q)
     if route == "composition_sum":
-        table = _composition_table(r, n)
-        acc = QPoly.zero()
-        for k in divisors(n):
-            mu = moebius(k)
-            if mu == 0:
-                continue
-            for j, by_parts in enumerate(table[n // k][1:], 1):
-                acc = acc - by_parts * Fraction(mu * (-1) ** j, k * j)
-        return acc
+        # I_n = sum_{k | n} mu(k)/k sum_j (-1)^(j+1)/j S[n/k][j]
+        table = _composition_table(r, n, q)
+        return _weighted_sum(((-moebius(k) * (-1) ** j, k * j, by_parts)
+                              for k in divisors(n) if moebius(k)
+                              for j, by_parts in enumerate(table[n // k][1:], 1)), q)
     if route == "series_log":
-        # log P = sum_d I_d sum_j z^(dj) / j; Moebius inversion gives
-        # I_n = sum_{k | n} mu(k) / k [z^(n/k)] log P
-        log_p = p_series(r, n).log()
-        acc = QPoly.zero()
-        for k in divisors(n):
-            acc = acc + log_p.coeff(n // k) * Fraction(moebius(k), k)
-        return acc
+        # log P = sum_d I_d sum_j z^(dj) / j, so with c_m = m [z^m] log P,
+        # Moebius inversion gives I_n = (1/n) sum_{k | n} mu(k) c_{n/k}
+        c = p_series(r, n, q).z_log_derivative()
+        return _weighted_sum(((moebius(k), n, c.coeff(n // k)) for k in divisors(n)), q)
     raise ValueError(f"unknown route {route!r}")
 
 
-def red_exact(r: int, n: int) -> QPoly:
+def red_exact(r: int, n: int, q: Optional[int] = None):
     """Exact count of reducible monic r-variate polynomials of degree n."""
-    return p_count(r, n) - irr_exact(r, n)
-
-
-def _conjugate_orbits(r: int, n: int, k: int) -> QPoly:
-    """sum_{s|k} mu(s) I_{r,n/k}(q^s), the term over k that the inversions for
-    relatively and absolutely irreducible share.  A count over F_{q^s} is the
-    substitution q -> q^s: every exact count here is a polynomial in q."""
-    inner = QPoly.zero()
-    for s in divisors(k):
-        inner = inner + irr_exact(r, n // k).subs_power(s) * moebius(s)
-    return inner
+    return p_count(r, n, q) - irr_exact(r, n, q=q)
 
 
 @lru_cache(maxsize=None)
-def relirr_exact(r: int, n: int) -> QPoly:
+def _conjugate_orbits(r: int, n: int, k: int, q: Optional[int] = None):
+    """sum_{s|k} mu(s) I_{r,n/k}(q^s), the term over k that the inversions for
+    relatively and absolutely irreducible share."""
+    return _weighted_sum(((moebius(s), 1, _at_power(lambda q1: irr_exact(r, n // k, q=q1), s, q))
+                          for s in divisors(k) if moebius(s)), q)
+
+
+@lru_cache(maxsize=None)
+def relirr_exact(r: int, n: int, q: Optional[int] = None):
     """Exact count of relatively irreducible (irreducible here, reducible over
     some extension) monic r-variate polynomials of degree n: minus the
     conjugate-orbit terms over the divisors k > 1 of n, each divided by k."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
-        return QPoly.zero()
-    acc = QPoly.zero()
-    for k in divisors(n)[1:]:
-        acc = acc - _conjugate_orbits(r, n, k) * Fraction(1, k)
-    return acc
+        return _zero(q)
+    return _weighted_sum(((-1, k, _conjugate_orbits(r, n, k, q)) for k in divisors(n)[1:]), q)
 
 
 @lru_cache(maxsize=None)
-def absirr_exact(r: int, n: int) -> QPoly:
+def absirr_exact(r: int, n: int, q: Optional[int] = None):
     """Exact count of absolutely irreducible monic r-variate polynomials: the
     conjugate-orbit terms over all divisors k of n, each divided by k.  The
     k = 1 term is irr_exact and the rest are relirr_exact's negated, so
@@ -141,15 +192,13 @@ def absirr_exact(r: int, n: int) -> QPoly:
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if n == 0:
-        return QPoly.zero()
-    acc = QPoly.zero()
-    for k in divisors(n):
-        acc = acc + _conjugate_orbits(r, n, k) * Fraction(1, k)
-    return acc
+        return _zero(q)
+    return _weighted_sum(((1, k, _conjugate_orbits(r, n, k, q)) for k in divisors(n)), q)
 
 
 @lru_cache(maxsize=None)
-def powerful_exact(r: int, n: int, s: int, route: str = "composition_sum") -> QPoly:
+def powerful_exact(r: int, n: int, s: int, route: str = "composition_sum",
+                   q: Optional[int] = None):
     """Exact count of s-powerful monic r-variate polynomials of degree n.
 
     ``composition_sum`` runs the signed sum over compositions of the power
@@ -160,25 +209,24 @@ def powerful_exact(r: int, n: int, s: int, route: str = "composition_sum") -> QP
     if r < 1 or n < 0 or s < 2:
         raise ValueError("need r >= 1, n >= 0, s >= 2")
     if n < s:
-        return QPoly.zero()
+        return _zero(q)
     if route == "composition_sum":
-        table = _composition_table(r, n // s)
-        acc = QPoly.zero()
+        table = _composition_table(r, n // s, q)
+        acc = _zero(q)
         for i in range(1, n // s + 1):
-            signed = QPoly.zero()
-            for j, by_parts in enumerate(table[i][1:], 1):
-                signed = signed + by_parts * (-1) ** j
-            acc = acc - signed * p_count(r, n - i * s)
+            signed = _weighted_sum((((-1) ** (j + 1), 1, by_parts)
+                                    for j, by_parts in enumerate(table[i][1:], 1)), q)
+            acc = acc + signed * p_count(r, n - i * s, q)
         return acc
     if route == "series_relation":
-        ps = p_series(r, n)
+        ps = p_series(r, n, q)
         powerfree = ps / ps.substitute_power(s)
         return ps.coeff(n) - powerfree.coeff(n)
     raise ValueError(f"unknown route {route!r}")
 
 
-def powerfree_exact(r: int, n: int, s: int) -> QPoly:
-    return p_count(r, n) - powerful_exact(r, n, s)
+def powerfree_exact(r: int, n: int, s: int, q: Optional[int] = None):
+    return p_count(r, n, q) - powerful_exact(r, n, s, q=q)
 
 
 # -- main terms and certified approximations -----------------------------
@@ -418,6 +466,7 @@ def mv_decomp_bound_sq(r: int, n: int) -> SymRat:
     return 4 * qpow(-b + 2) / (1 - qpow(-1)) ** 2
 
 
+@lru_cache(maxsize=None)
 def mv_decomp_approx(r: int, n: int) -> CountReport:
     """Main term and squared relative bound for decomposable monic r-variate
     polynomials with vanishing constant term.  At prime n the inner h is

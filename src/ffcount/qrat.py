@@ -93,6 +93,9 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.nums):
             return Fraction(self.nums[k], self.den)

@@ -1,10 +1,11 @@
-"""Truncated formal power series in z over Q[q], plus number-theory helpers.
+"""Truncated formal power series in z, plus number-theory helpers.
 
-A ``TruncSeries`` holds ``QPoly`` coefficients 0..N (zeros explicit) for a
-fixed truncation order N.  Mixing orders in arithmetic is an error rather
-than a silent truncation: truncation bugs are the dominant failure mode here.
-Division needs a divisor whose constant term is a nonzero rational, and
-``log`` a constant term 1, so every result stays in Q[q].
+A ``TruncSeries`` holds coefficients 0..N (zeros explicit) for a fixed
+truncation order N: ``QPoly``s in Q[q], or exact numbers for a series at a
+fixed q.  Mixing orders in arithmetic is an error rather than a silent
+truncation: truncation bugs are the dominant failure mode here.  Division
+needs a divisor whose constant term is a nonzero rational, and ``log`` a
+constant term 1, so every result stays in Q[q] (or Q at a fixed q).
 
 The series in this package diverge everywhere except at 0, so nothing in
 this module is analytic; ``log``/``exp`` are the formal operations only.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qrat import QPoly, _coerce_qpoly
+from .qrat import QPoly, _check_scalar, _coerce_qpoly
 
 
 # -- number-theory helpers ----------------------------------------------
@@ -118,17 +119,25 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class TruncSeries:
-    """Power series in z truncated at order N, coefficients in Q[q]."""
+    """Power series in z truncated at order N.  The coefficients are QPolys,
+    or exact numbers (int or Fraction) for a series at a fixed q; a series
+    given any QPoly coefficient holds QPolys only."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_coerce_qpoly(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend(QPoly.zero() for _ in range(order + 1 - len(cs)))
+        if any(isinstance(c, QPoly) for c in cs):
+            cs = [_coerce_qpoly(c) for c in cs]
+            zero = QPoly.zero()
+        else:
+            cs = [_check_scalar(c) for c in cs]
+            zero = 0
+        cs.extend(zero for _ in range(order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -140,7 +149,7 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls(order, [1])
 
-    def coeff(self, i: int) -> QPoly:
+    def coeff(self, i: int):
         return self.coeffs[i]
 
     def __eq__(self, other) -> bool:
@@ -168,17 +177,16 @@ class TruncSeries:
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction, QPoly)):
-            c = _coerce_qpoly(other)
-            return TruncSeries(self.order, [a * c for a in self.coeffs])
+            return TruncSeries(self.order, [a * other for a in self.coeffs])
         self._check_order(other)
         n = self.order
-        out = [QPoly.zero()] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if not b.is_zero():
+                if b:
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(n, out)
 
@@ -187,56 +195,60 @@ class TruncSeries:
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_order(other)
         c0 = other.coeffs[0]
-        if c0.degree != 0:
+        if isinstance(c0, QPoly):
+            c0 = c0[0] if c0.degree == 0 else 0
+        if not c0:
             raise ZeroDivisionError("divisor's constant term is not a nonzero rational")
         n = self.order
-        inv0 = 1 / c0.coeffs[0]
-        out: list[QPoly] = []
+        inv0 = Fraction(1, c0)
+        out = []
         for i in range(n + 1):
             acc = self.coeffs[i]
             for j in range(1, i + 1):
                 b = other.coeffs[j]
-                if not b.is_zero():
+                if b:
                     acc = acc - b * out[i - j]
-            out.append(acc * inv0)
+            out.append(acc if inv0 == 1 else acc * inv0)
         return TruncSeries(n, out)
 
-    def log(self) -> "TruncSeries":
-        """Formal logarithm; requires constant term 1.
+    def z_log_derivative(self) -> "TruncSeries":
+        """z (log a)' = z a'/a, whose z^i coefficient is i [z^i] log a;
+        requires constant term 1.
 
-        Solved coefficientwise from (log a)' = a'/a, so everything stays in
-        O(N^2) exact operations without series powering.
+        Solved coefficientwise from a * (z a'/a) = z a', so every
+        coefficient stays in the ring of a's (Z[q], or the integers at a
+        fixed q) in O(N^2) operations without series powering.
         """
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        n = self.order
-        # dl[i] = coefficient of z^i in (log a)', solved from a * (log a)' = a'
-        dl: list[QPoly] = []
-        for i in range(n):
-            acc = (i + 1) * self.coeffs[i + 1]
-            for j in range(1, i + 1):
-                a = self.coeffs[j]
-                if not a.is_zero():
-                    acc = acc - a * dl[i - j]
-            dl.append(acc)
-        out = [QPoly.zero()]
-        for i in range(n):
-            out.append(dl[i] * Fraction(1, i + 1))
-        return TruncSeries(n, out)
+        a = self.coeffs
+        out = [0]
+        for i in range(1, self.order + 1):
+            acc = i * a[i]
+            for j in range(1, i):
+                if a[j]:
+                    acc = acc - a[j] * out[i - j]
+            out.append(acc)
+        return TruncSeries(self.order, out)
+
+    def log(self) -> "TruncSeries":
+        """Formal logarithm; requires constant term 1."""
+        d = self.z_log_derivative().coeffs
+        return TruncSeries(self.order, [0] + [c * Fraction(1, i) for i, c in enumerate(d[1:], 1)])
 
     def exp(self) -> "TruncSeries":
         """Formal exponential; requires constant term 0."""
-        if not self.coeffs[0].is_zero():
+        if self.coeffs[0]:
             raise ValueError("exp needs constant term 0")
         n = self.order
-        out = [QPoly.one()]
+        out = [1]
         # e' = e * a'  =>  (i+1) e_{i+1} = sum_j e_j * (i+1-j) a_{i+1-j}
         for i in range(n):
-            acc = QPoly.zero()
+            acc = 0
             for j in range(i + 1):
                 k = i + 1 - j
                 a = self.coeffs[k]
-                if not a.is_zero():
+                if a:
                     acc = acc + out[j] * (k * a)
             out.append(acc * Fraction(1, i + 1))
         return TruncSeries(n, out)
@@ -246,7 +258,7 @@ class TruncSeries:
         if k < 1:
             raise ValueError("substitute_power needs k >= 1")
         n = self.order
-        out = [QPoly.zero()] * (n + 1)
+        out = [0] * (n + 1)
         for i, c in enumerate(self.coeffs):
             if i * k > n:
                 break

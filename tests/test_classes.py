@@ -24,5 +24,5 @@ def test_lookups_check_class_and_s(call, message):
 
 def test_entries_look_their_functions_up_when_called(monkeypatch):
     # a wrapper bound over the module attribute after import must run
-    monkeypatch.setattr(mc, "red_exact", lambda r, n: "rebound")
+    monkeypatch.setattr(mc, "red_exact", lambda r, n, q=None: "rebound")
     assert fc.exact_count("reducible", 2, 3) == "rebound"

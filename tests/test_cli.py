@@ -409,6 +409,97 @@ def test_symbolic_output_is_pinned(argv):
     assert run(list(argv)) == (0, PINNED_OUTPUT[argv])
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--class", "irreducible", "--r", "2", "--n", "7", "--q", "4"],
+    ["count", "--class", "abs_irreducible", "--r", "3", "--n", "6", "--q", "3"],
+    ["count", "--class", "powerfree", "--r", "2", "--n", "9", "--s", "3", "--q", "5"],
+    ["series", "--class", "rel_irreducible", "--r", "2", "--max-n", "8", "--q", "2"],
+    ["series", "--class", "powerful", "--r", "1", "--max-n", "12", "--q", "9"],
+    ["verify", "--class", "reducible", "--r", "2", "--n", "3", "--q", "2"],
+])
+def test_fixed_q_answers_build_no_qpoly(argv, monkeypatch):
+    from ffcount.classes import exact_count
+    from ffcount.qrat import QPoly
+
+    args = dict(zip(argv[1::2], argv[2::2]))
+    cls, r, q = args["--class"], int(args["--r"]), int(args["--q"])
+    s = int(args["--s"]) if "--s" in args else (2 if cls in ("powerful", "powerfree") else None)
+    ns = range(int(args["--max-n"]) + 1) if "--max-n" in args else [int(args["--n"])]
+    want = [str(exact_count(cls, r, n, s).evaluate(q)) for n in ns]
+
+    def refuse(self, nums, den):
+        raise AssertionError("a QPoly was built")
+
+    monkeypatch.setattr(QPoly, "_set", refuse)  # every QPoly is built through _set
+    rc, out = run(argv + ["--format", "json"])
+    rec = json.loads(out)
+    assert rc == 0
+    got = rec.get("coefficients") or [rec.get("exact") or rec["formula"]]
+    assert got == want
+
+
+def test_oeis_check_builds_no_qpoly(tmp_path, monkeypatch):
+    from ffcount.qrat import QPoly
+
+    table = tmp_path / "table.txt"
+    table.write_text(ORACLE_TABLE)
+
+    def refuse(self, nums, den):
+        raise AssertionError("a QPoly was built")
+
+    monkeypatch.setattr(QPoly, "_set", refuse)
+    rc, out = run(["oeis-check", "--file", str(table), "--r", "2", "--q", "2", "--max-n", "2"])
+    assert rc == 0 and out.splitlines()[-1] == "all entries match"
+
+
+@pytest.mark.parametrize("argv, seconds", [
+    (["series", "--class", "irreducible", "--r", "1", "--max-n", "100", "--q", "2"], 1.0),
+    (["count", "--class", "irreducible", "--r", "3", "--n", "30", "--q", "2"], 0.5),
+])
+def test_fixed_q_answers_in_a_fresh_process(argv, seconds):
+    import subprocess
+    import time
+
+    from ffcount.mv_counts import irr_exact
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ffcount", *argv], capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    # checked by the other route, outside the timed process
+    r, n = int(argv[4]), int(argv[6])
+    assert proc.stdout.split()[-1] == str(irr_exact(r, n, "series_log", q=2))
+    assert elapsed < seconds, elapsed
+
+
+def test_series_up_to_400_answers_under_the_default_budget(monkeypatch):
+    from ffcount.series import divisors, moebius
+
+    monkeypatch.delenv("FFCOUNT_BUDGET", raising=False)
+    rc, out = run(["series", "--class", "irreducible", "--r", "1", "--max-n", "400", "--q", "2"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 401
+    gauss = sum(moebius(d) * 2 ** (400 // d) for d in divisors(400)) // 400
+    assert lines[-1] == f"[z^400] {gauss}"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["count", "--class", "all", "--r", "8", "--n", "40", "--q", "2"], "P_{8,40} at q = 2"),
+    (["count", "--class", "irreducible", "--r", "4", "--n", "40", "--symbolic"],
+     "the composition table of P_{4,j}, j <= 40, in Z[q]"),
+])
+def test_oversized_formula_queries_exit_3_at_once(argv, what, monkeypatch, capsys):
+    import time
+
+    monkeypatch.delenv("FFCOUNT_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out = run(argv)
+    assert rc == 3 and out == ""
+    assert f"budget exceeded: {what} requires" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_large_prime_q_answers_at_once():
     import time
 

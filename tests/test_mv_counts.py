@@ -2,7 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ffcount.classes as fc
 import ffcount.mv_counts as mc
 from ffcount.ff import field_from_q
 from ffcount.oracle import oracle_mv_decomp
@@ -72,6 +74,50 @@ def test_powerful_route_equivalence(r, n, s):
     assert mc.powerful_exact(r, n, s, "composition_sum") == mc.powerful_exact(
         r, n, s, "series_relation"
     )
+
+
+# -- the same counts in the integers at a fixed q ---------------------------
+
+EXACT_CLASSES = [c for c, entry in fc.CLASSES.items() if entry.exact is not None]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(EXACT_CLASSES), st.integers(1, 3), st.integers(0, 9),
+       st.sampled_from(SMALL_Q), st.integers(2, 3))
+def test_counts_at_a_fixed_q_equal_the_symbolic_counts(cls, r, n, q, s):
+    s = s if fc.CLASSES[cls].needs_s else None
+    value = fc.exact_count(cls, r, n, s, q)
+    assert type(value) is int
+    assert value == fc.exact_count(cls, r, n, s).evaluate(q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_routes_agree_at_a_fixed_q(q):
+    for r in (1, 2, 3):
+        for n in range(10):
+            irr = mc.irr_exact(r, n, "composition_sum", q=q)
+            assert type(irr) is int and irr == mc.irr_exact(r, n, "series_log", q=q), (r, n)
+            for s in (2, 3):
+                pw = mc.powerful_exact(r, n, s, "composition_sum", q=q)
+                assert type(pw) is int, (r, n, s)
+                assert pw == mc.powerful_exact(r, n, s, "series_relation", q=q), (r, n, s)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.sampled_from((None, 2, 5)), st.permutations(range(9)))
+def test_composition_table_grown_in_any_order_equals_one_step(r, q, order):
+    mc._table.cache_clear()
+    whole = [list(row) for row in mc._composition_table(r, 8, q)]
+    mc._table.cache_clear()
+    for m in order:
+        table = mc._composition_table(r, m, q)
+        assert table[: m + 1] == whole[: m + 1]
+    assert table == whole
+    if r == 1:
+        # the compositions of m into k parts: C(m-1, k-1) of them, each q^m
+        for m, row in enumerate(whole[1:], 1):
+            assert row == [0] + [math.comb(m - 1, k - 1) * mc.p_count(1, m, q)
+                                 for k in range(1, m + 1)]
 
 
 def test_unknown_route_is_a_value_error():

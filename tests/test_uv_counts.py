@@ -119,6 +119,33 @@ def test_wild_bounds_p_equals_l_clause_withdrawn_above_q2():
     assert uc.wild_intersection_bounds(2, 4, 2).case_label == "upper(p | l); lower(p = l)"
 
 
+# the degree-8 census in characteristic 2, q -> (non-Frobenius (2, 4)
+# intersection, all of (2, 4), each split, total)
+WILD_2_4_CENSUS = {
+    2: (2, 10, 14, 18),
+    4: (30, 94, 238, 382),
+    8: (302, 814, 3950, 7086),
+    16: (2670, 6766, 64366, 121966),
+    32: (22382, 55150, 1039214, 2023278),
+}
+
+
+@pytest.mark.parametrize("q", WILD_2_4_CENSUS)
+def test_wild_2_4_census_values(q):
+    """Pins the n = 8, p = 2 census.  Each value also fits a polynomial in q:
+    (5q^3 - 7q^2 + 2)/7, (12q^3 - 7q^2 + 2)/7, (7q^4 - 2q^3 + 2)/7 and
+    (14q^4 - 16q^3 + 7q^2 + 2)/7.  These forms are fitted conjectures, not
+    derived, so no bound or bracket uses them."""
+    rep = oracle_decomp_census(8, field_make(2, q.bit_length() - 1))
+    got = (rep.pair_intersections_nonfrobenius[2, 4], rep.pair_intersections[2, 4],
+           rep.per_split[2], rep.total)
+    assert got == WILD_2_4_CENSUS[q]
+    assert rep.per_split[4] == rep.per_split[2]
+    fitted = (5 * q**3 - 7 * q**2 + 2, 12 * q**3 - 7 * q**2 + 2, 7 * q**4 - 2 * q**3 + 2,
+              14 * q**4 - 16 * q**3 + 7 * q**2 + 2)
+    assert got == tuple(Fraction(f, 7) for f in fitted)
+
+
 def test_wild_bounds_tame_guard():
     with pytest.raises(ValueError, match="tame"):
         uc.wild_intersection_bounds(2, 3, 5)
