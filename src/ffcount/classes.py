@@ -1,11 +1,10 @@
 """The polynomial classes, and which function serves each one.
 
 ``CLASSES`` maps a class name to its exact count (a ``QPoly`` in q, or its
-value at a given q), its
-``CountReport`` (main term and certified bound) and its oracle count by
-enumeration; a class may lack any of the three.  The lookups below make the
-only checks on class names and on the power exponent s, and the CLI takes
-its class choices from the table.
+value at a given q), its ``CountReport`` (main term and certified bound)
+and its oracle count by enumeration; a class may lack any of the three.
+The lookups below make the only checks on class names and on the power
+exponent s, and the CLI takes its class choices from the table.
 
 Every entry looks its function up when called (``mv_counts.red_exact``, not
 the function object), so a module attribute rebound after import, such as a

@@ -208,6 +208,7 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if b:
                     acc = acc - b * out[i - j]
+            # a divisor with constant term 1 keeps integer coefficients ints
             out.append(acc if inv0 == 1 else acc * inv0)
         return TruncSeries(n, out)
 
