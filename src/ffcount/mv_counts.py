@@ -56,8 +56,8 @@ def _at_power(count: Callable, s: int, q: Optional[int]):
 
 
 def _weighted_sum(terms: Iterable[tuple], q: Optional[int]):
-    """The sum of w x / d over the (w, d, x) in ``terms``, w and d > 0
-    integers: the integer numerators are added over the one denominator
+    """The sum of w x / d over the (w, d, x) in ``terms``, with integers w
+    and d > 0: the integer numerators are added over the one denominator
     lcm(d den(x)), and divided once at the end."""
     parts = [(w, d, x.nums, x.den) if q is None else (w, d, (x,), 1) for w, d, x in terms]
     den = math.lcm(*(d * e for _, d, _, e in parts))
