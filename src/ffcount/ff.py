@@ -3,12 +3,12 @@
 Elements of F_{p^d} are stored as integer codes in [0, p^d): the base-p
 digits of the code are the coordinates with respect to the power basis of
 the generator (the residue class of x modulo the field's modulus).  Codes
-0..p-1 are therefore exactly the prime subfield.  Multiplication runs
-through discrete-log tables built once per field, powers of the smallest
-code of order q - 1 (found by square and multiply), each from the last by
-the F_p-linear map "multiply by it" on the digits; addition is digitwise
-mod p: a plain XOR when p = 2, integer addition mod p over F_p, and
-otherwise Zech logarithms (g^i + 1 = g^zech[i]) tabulated once per field.
+0..p-1 are therefore exactly the prime subfield.  F_p is the integers mod p,
+with no table.  F_{p^d}, d > 1, multiplies through discrete-log tables built
+once per field, powers of the smallest code of order q - 1 (found by square
+and multiply), each from the last by the F_p-linear map "multiply by it" on
+the digits, and adds digitwise mod p: a plain XOR when p = 2, otherwise Zech
+logarithms (g^i + 1 = g^zech[i]) and negation (-1 = g^((q-1)/2)) tables.
 
 The default modulus for F_{p^d} is deterministic: the monic irreducible
 degree-d polynomial over F_p whose non-leading coefficient vector, read as
@@ -17,9 +17,9 @@ All counts produced by this package are modulus-independent; that is
 tested, not assumed.
 
 ``check_budget`` is the package's one budget gate, and the only reader of
-``FFCOUNT_BUDGET``: ``field_make`` checks a field's q log-table entries
-(``check_log_tables``) before it builds them, and the enumerators check
-their count before the first polynomial.  The oracle sizes its own work
+``FFCOUNT_BUDGET``: ``field_make`` checks an extension field's q log-table
+entries (``check_log_tables``) before it builds them, and the enumerators
+check their count before the first polynomial.  The oracle sizes its own work
 through it the same way.
 """
 
@@ -94,7 +94,7 @@ def _is_irreducible_mod_p(f: tuple[int, ...], p: int) -> bool:
 
 
 class FieldCtx:
-    """The finite field F_{p^d} with an explicit modulus (absent when d = 1)."""
+    """F_{p^d}; its modulus and its log, exp, Zech and negation tables exist only when d > 1."""
 
     __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_pow_p", "_zech", "_neg")
 
@@ -119,7 +119,9 @@ class FieldCtx:
         self.q = p**d
         self.modulus = modulus
         self._pow_p = tuple(p**i for i in range(d))
-        self._build_log_tables()
+        self._exp = self._log = self._zech = self._neg = None
+        if d > 1:
+            self._build_log_tables()
 
     # -- element codes ------------------------------------------------
 
@@ -142,11 +144,7 @@ class FieldCtx:
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        if self.modulus is not None:
-            prod = _mod_p_rem(prod, self.modulus, p)
-        else:
-            prod = prod[:1]
-        return self.encode(prod + [0] * self.d)
+        return self.encode(_mod_p_rem(prod, self.modulus, p) + [0] * self.d)
 
     def _raw_pow(self, a: int, e: int) -> int:
         # square and multiply on _raw_mul, before the log tables exist
@@ -186,12 +184,12 @@ class FieldCtx:
             log[code] = i
         self._exp = tuple(exp)
         self._log = tuple(log)
-        self._zech = self._neg = None
-        if p > 2 and self.d > 1:
+        if p > 2:
             # adding 1 changes only the lowest base-p digit
             one_plus = [c - c % p + (c + 1) % p for c in exp]
             self._zech = tuple(log[c] if c else -1 for c in one_plus)  # -1 where g^i = -1
-            self._neg = tuple(self.encode(-x for x in self.digits(c)) for c in range(q))
+            minus = exp[order // 2 :] + exp[: order // 2]  # -g^i = g^(i + (q-1)/2)
+            self._neg = (0, *map(minus.__getitem__, log[1:]))
 
     # -- arithmetic on codes -------------------------------------------
 
@@ -219,22 +217,23 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.d == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         order = self.q - 1
         return self._exp[(self._log[a] + self._log[b]) % order]
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero divisor")
-        order = self.q - 1
-        return self._exp[(-self._log[a]) % order]
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("zero divisor")
             return 1 if e == 0 else 0
+        if self.d == 1:
+            return pow(a, e, self.p)
         order = self.q - 1
         return self._exp[(self._log[a] * e) % order]
 
@@ -313,7 +312,8 @@ def _default_field(p: int, d: int) -> FieldCtx:
 
 def field_make(p: int, d: int, modulus=None) -> FieldCtx:
     """F_{p^d}; the deterministic smallest modulus unless one is supplied."""
-    check_log_tables(p**d)
+    if d > 1:
+        check_log_tables(p**d)
     if modulus is None:
         return _default_field(p, d)
     return FieldCtx(p, d, tuple(modulus))

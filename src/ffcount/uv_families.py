@@ -20,7 +20,8 @@ tests' reference.
 
 Everything is built over a concrete ``FieldCtx`` and verified by exact
 polynomial composition; constructors raise on parameter sets outside their
-validity conditions rather than returning unverifiable families.
+validity conditions rather than returning unverifiable families, and check
+f's deg f + 1 coefficients against the budget before building anything.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ def dickson(ctx: FieldCtx, m: int, z) -> UniPoly:
     return cur
 
 
+def _check_degree(n: int, label: str) -> None:
+    """Size a family's composition, n + 1 coefficients, before it is built."""
+    check_budget(n + 1, f"the degree-{n} {label} composition")
+
+
 # -- distinct-degree families -------------------------------------------
 
 
@@ -147,6 +153,7 @@ def ritt_family_first(ell: int, k: int, w: UniPoly, a) -> CollisionFamily:
         raise ValueError("need gcd(l, sl + k) = 1")
     if ell % p == 0:
         raise ValueError("wild left component")
+    _check_degree(ell * m, "Ritt1")
     x = UniPoly.x(ctx)
     nondegen = k * w + ell * (x * w.derivative())
     if nondegen.is_zero():
@@ -184,6 +191,7 @@ def ritt_family_second(ell: int, m: int, z, a) -> CollisionFamily:
     n = ell * m
     if n % ctx.p == 0:
         raise ValueError("degree divisible by the characteristic")
+    _check_degree(n, "Ritt2")
     f = dickson(ctx, n, z)
     g1, h1 = dickson(ctx, m, z**ell), dickson(ctx, ell, z)
     g2, h2 = dickson(ctx, ell, z**m), dickson(ctx, m, z)
@@ -204,6 +212,7 @@ def frobenius_family(h: UniPoly) -> CollisionFamily:
     p = ctx.p
     if h.degree < 2 or not (h.is_monic() and h.is_original()):
         raise ValueError("h must be monic original of degree >= 2")
+    _check_degree(p * h.degree, "Frobenius")
     xp = UniPoly.monomial(ctx, p)
     if h == xp:
         raise ValueError("not a collision")
@@ -238,6 +247,7 @@ def s_family(ctx: FieldCtx, u, s, eps: int, m: int, r: int) -> CollisionFamily:
         raise ValueError("eps must be 0 or 1")
     if m < 1 or (r - 1) % m != 0:
         raise ValueError("m must divide r - 1")
+    _check_degree(r * r, "S")
     ell = (r - 1) // m
     eps_e = ctx.elem(eps)
     x = UniPoly.x(ctx)
@@ -275,6 +285,7 @@ def m_family(ctx: FieldCtx, a, b, m: int, r: int) -> CollisionFamily:
         raise ValueError("need 1 < m < r - 1")
     if m % ctx.p == 0:
         raise ValueError("m must be coprime to the characteristic")
+    _check_degree(r * r, "M")
     m_star = r - m
     a_star = b**r - a
     x = UniPoly.x(ctx)

@@ -275,6 +275,24 @@ def test_oeis_check_against_oracle_built_table(tmp_path):
     assert rc == 0 and "all entries match" in out
 
 
+def test_oeis_check_checks_every_line(tmp_path):
+    # a repeated index is checked at each of its lines
+    table = tmp_path / "table.txt"
+    table.write_text("1 2\n2 999\n2 1\n3 2\n")
+    rc, out = run(["oeis-check", "--file", str(table), "--r", "1", "--q", "2", "--max-n", "5"])
+    assert rc == 1
+    assert "checked 4 entries" in out and "mismatch at n=2: table 999" in out
+
+
+@pytest.mark.parametrize("bad", ["3", "3 2 1", "3 x"])
+def test_oeis_check_line_not_two_integers_is_a_usage_error(bad, tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text(f"# n a(n)\n1 2\n\n{bad}\n")
+    rc, out = run(["oeis-check", "--file", str(table), "--r", "1", "--q", "2", "--max-n", "5"])
+    assert rc == 2 and out == ""
+    assert "line 4: expected two integers" in capsys.readouterr().err
+
+
 def test_oeis_check_missing_file():
     rc, _ = run(["oeis-check", "--file", "/nonexistent", "--r", "2", "--q", "2", "--max-n", "3"])
     assert rc == 2
@@ -536,13 +554,57 @@ def test_verify_over_f65536_builds_its_field_at_once():
 ])
 @pytest.mark.parametrize("q", [10**18 + 3, 2**60])
 def test_field_beyond_the_budget_exits_3_before_any_table(argv, q, capsys):
+    # census refuses q > 256; F_{2^60}'s log tables exceed the budget; F_p
+    # holds no table, so families and verify refuse by what they would build
+    import time
+
+    if argv[0] == "census":
+        expected = 2, "q <= 256"
+    elif q == 2**60:
+        expected = 3, f"log tables of F_{q}"
+    elif argv[0] == "families":
+        expected = 3, f"the degree-{2 * q} Frobenius composition"
+    else:
+        expected = 3, "witness products"
+    start = time.perf_counter()
+    rc, out = run(argv + ["--q", str(q)])
+    assert rc == expected[0] and out == ""
+    assert expected[1] in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--class", "irreducible", "--r", "1", "--n", "1"],
+    ["families", "--family", "ritt2", "--l", "2", "--m", "3", "--z", "1", "--a", "1"],
+])
+def test_large_prime_field_builds_at_once(argv):
+    # F_16777213 holds no table; building its log tables took about 35 s
+    import subprocess
     import time
 
     start = time.perf_counter()
-    rc, out = run(argv + ["--q", str(q)])
+    proc = subprocess.run([sys.executable, "-m", "ffcount", *argv, "--q", "16777213"],
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "verified: True" in proc.stdout
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "S", "--q", "5", "--u", "1", "--s-elem", "1", "--eps", "1", "--m", "1",
+      "--r-power", "15625"], "the degree-244140625 S composition"),
+    (["--family", "frobenius", "--q", str(10**18 + 3), "--h", "x^2+x"],
+     f"the degree-{2 * (10**18 + 3)} Frobenius composition"),
+    (["--family", "frobenius", "--q", "2", "--h", "x^100000000+x"], "the term x^100000000"),
+])
+def test_family_beyond_the_budget_exits_3_before_it_is_built(argv, message, capsys):
+    import time
+
+    start = time.perf_counter()
+    rc, out = run(["families", *argv])
     assert rc == 3 and out == ""
-    assert f"log tables of F_{q}" in capsys.readouterr().err
-    assert time.perf_counter() - start < 2.0
+    assert message in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("cls", ["rel_irreducible", "abs_irreducible"])

@@ -86,8 +86,31 @@ def test_log_tables_match_repeated_multiplication():
     # x^4+x^3+x^2+x+1 is irreducible, but x has order 5, so the generator is not x
     fields.append(FieldCtx(2, 4, (1, 1, 1, 1, 1)))
     assert len(fields) == 198 + 1  # 172 primes and 26 higher prime powers
+    primes = [ctx for ctx in fields if ctx.d == 1]
+    assert len(primes) == 172
+    for ctx in primes:  # F_p is the integers mod p
+        assert (ctx._exp, ctx._log, ctx._zech, ctx._neg) == (None,) * 4, ctx
     for ctx in fields:
-        assert (ctx._exp, ctx._log) == _log_tables_by_raw_mul(ctx), ctx
+        if ctx.d > 1:
+            assert (ctx._exp, ctx._log) == _log_tables_by_raw_mul(ctx), ctx
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65521, 2**61 - 1])
+def test_prime_fields_are_integers_mod_p_with_no_tables(p):
+    from ffcount.ff import FieldCtx
+
+    # 2^61 - 1 is far above the budget, so it is built directly
+    ctx = field_make(p, 1) if p < 1 << 26 else FieldCtx(p, 1)
+    assert (ctx._exp, ctx._log, ctx._zech, ctx._neg) == (None,) * 4
+    for _ in range(200):
+        a, b, e = rng.randrange(p), rng.randrange(1, p), rng.randrange(-p, p)
+        assert ctx.add(a, b) == (a + b) % p
+        assert ctx.sub(a, b) == (a - b) % p
+        assert ctx.mul(a, b) == a * b % p
+        assert ctx.inv(b) * b % p == 1
+        assert ctx.pow(b, e) == pow(b, e, p)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3)])
