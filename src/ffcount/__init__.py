@@ -2,7 +2,7 @@
 classes of polynomials over finite fields, with a brute-force oracle."""
 
 from .qrat import QPoly, SymRat, qpow, qvar
-from .series import TruncSeries, divisors, moebius
+from .series import divisors, moebius
 from .ff import (
     BudgetExceeded,
     FieldCtx,

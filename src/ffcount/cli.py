@@ -3,7 +3,8 @@
 All numeric output is emitted as decimal strings (symbolic values in the
 canonical ``(numerator)/(denominator)`` form) so nothing ever overflows a
 JSON number.  Exit codes: 0 success/verified, 1 verification mismatch,
-2 usage error, 3 enumeration budget exceeded.
+2 usage error, 3 enumeration budget exceeded, 141 output pipe closed by
+its reader (the shell's code for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def parse_upoly(ctx: FieldCtx, text: str) -> UniPoly:
             continue
         cur += ch
     terms.append(cur)
-    poly = UniPoly(ctx, [])
+    # the code sum of each exponent's terms, so the polynomial is built once
+    codes: dict[int, int] = {}
     for term in terms:
         if not term or term == "-":
             raise ValueError(f"bad polynomial text {text!r}")
@@ -88,8 +90,11 @@ def parse_upoly(ctx: FieldCtx, text: str) -> UniPoly:
             exp = 0
         if negate:
             coef = -coef
-        poly = poly + UniPoly(ctx, [0] * exp + [coef])
-    return poly
+        codes[exp] = ctx.add(codes.get(exp, 0), coef.code)
+    dense = [0] * (max(codes) + 1)
+    for exp, code in codes.items():
+        dense[exp] = code
+    return UniPoly.from_codes(ctx, dense)
 
 
 # -- output ---------------------------------------------------------------
@@ -102,15 +107,16 @@ def _emit(record: dict, fmt: str, out) -> None:
         out.write("\n")
         return
     if fmt == "csv":
-        row = record.get("csv_row")
-        if row is None:
-            raise ValueError("csv output is only available for count/approx/verify")
         writer = csv.writer(out)
         writer.writerow(["r", "n", "q", "s", "class", "exact", "main_term", "bound", "oracle"])
-        writer.writerow(row)
+        writer.writerow(record["csv_row"])
         return
     for line in record.get("plain", []):
         out.write(line + "\n")
+
+
+# the commands whose records carry a csv_row
+_CSV_COMMANDS = ("count", "approx", "verify")
 
 
 def _csv_row(args, exact="", main="", bound="", oracle_val="") -> list[str]:
@@ -159,6 +165,8 @@ def _cmd_approx(args, out) -> int:
         main = str(rep.main_term.evaluate(q))
         bound = str(rep.rel_bound.evaluate(q)) if rep.rel_bound is not None else None
         bound_sq = str(rep.rel_bound_sq.evaluate(q)) if rep.rel_bound_sq is not None else None
+    # a bound with a half-integer power of q is given only as its square
+    bound_txt = f"{bound_sq} (squared)" if bound is None and bound_sq is not None else bound
     record = {
         "command": "approx",
         "query": {"class": args.cls, "r": str(args.r), "n": str(args.n),
@@ -175,8 +183,7 @@ def _cmd_approx(args, out) -> int:
             f"exact: {exact}",
             f"main_term: {main}",
             f"gap_exponent: {rep.gap_exponent}",
-            f"rel_error_bound: {bound if bound is not None else bound_sq}"
-            + ("" if bound is not None else " (squared)"),
+            f"rel_error_bound: {bound_txt}",
         ],
         "csv_row": _csv_row(args, exact=exact or "", main=main,
                             bound=bound or bound_sq or ""),
@@ -502,6 +509,8 @@ def main(argv=None, out=None) -> int:
     # is lifted for this command only
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise ValueError(f"csv output is only available for {'/'.join(_CSV_COMMANDS)}")
         if digits is not None:
             sys.set_int_max_str_digits(0)
         code = args.fn(args, out)

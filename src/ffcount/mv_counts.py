@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .ff import check_budget
 from .qrat import QPoly, SymRat, qpow
-from .series import TruncSeries, divisors, moebius, smallest_prime_factor
+from .series import divide_by_power, divisors, moebius, smallest_prime_factor, z_log_derivative
 
 # -- the coefficient ring -------------------------------------------------
 #
@@ -95,9 +95,9 @@ def p_count(r: int, n: int, q: Optional[int] = None):
     return QPoly([0] * (below + 1 - top) + [1] * top)
 
 
-def p_series(r: int, order: int, q: Optional[int] = None) -> TruncSeries:
-    """Generating series of the monic counts, truncated at the given order."""
-    return TruncSeries(order, [p_count(r, n, q) for n in range(order + 1)])
+def p_series(r: int, order: int, q: Optional[int] = None) -> list:
+    """Generating series of the monic counts: its coefficients 0..order."""
+    return [p_count(r, n, q) for n in range(order + 1)]
 
 
 # -- exact counts ---------------------------------------------------------
@@ -137,8 +137,8 @@ def irr_exact(r: int, n: int, route: str = "composition_sum", q: Optional[int] =
 
     Both routes return the identical count: ``composition_sum`` runs the
     Moebius-weighted sum over integer compositions by number of parts,
-    ``series_log`` takes the formal logarithm of the generating series once
-    and Moebius-inverts its coefficients at the divisors of n.
+    ``series_log`` takes the logarithmic derivative z P'/P of the generating
+    series once and Moebius-inverts its coefficients at the divisors of n.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
@@ -153,8 +153,8 @@ def irr_exact(r: int, n: int, route: str = "composition_sum", q: Optional[int] =
     if route == "series_log":
         # log P = sum_d I_d sum_j z^(dj) / j, so with c_m = m [z^m] log P,
         # Moebius inversion gives I_n = (1/n) sum_{k | n} mu(k) c_{n/k}
-        c = p_series(r, n, q).z_log_derivative()
-        return _weighted_sum(((moebius(k), n, c.coeff(n // k)) for k in divisors(n)), q)
+        c = z_log_derivative(p_series(r, n, q))
+        return _weighted_sum(((moebius(k), n, c[n // k]) for k in divisors(n)), q)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -220,8 +220,7 @@ def powerful_exact(r: int, n: int, s: int, route: str = "composition_sum",
         return acc
     if route == "series_relation":
         ps = p_series(r, n, q)
-        powerfree = ps / ps.substitute_power(s)
-        return ps.coeff(n) - powerfree.coeff(n)
+        return ps[n] - divide_by_power(ps, s)[n]
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .ff import FieldCtx, FqElem, UniPoly, check_budget, enumerate_monic_uni
 from .oracle import (
-    _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _digits_per_word, _field_ops, _monic_rows, _mul, _pack,
+    _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _field_ops, _monic_rows, _mul, _pack,
 )
 from .series import divisors
 
@@ -389,25 +389,15 @@ def _poly_mul(ctx: FieldCtx, P, Q):
     return _mul(ctx, 1, len(P) - 1, len(Q) - 1, P[::-1], Q[::-1])[::-1]
 
 
-@lru_cache(maxsize=None)
-def _places(q: int, width: int):
-    """The place values of ``width`` base-q digits in one uint64, most
-    significant first, or None when they need more than one word."""
-    import numpy as np
-
-    return q ** np.arange(width - 1, -1, -1, dtype=np.uint64) if width <= _digits_per_word(q) else None
-
-
 def _flat_keys(codes, q: int):
-    """Columns of codes as a 1-D array of sortable keys: as one uint64 each,
-    their base-q value, or, for longer columns, their packed words
-    (``oracle._pack``) as bytes, most significant word first."""
+    """Columns of codes as a 1-D array of sortable keys: their packed words
+    (``oracle._pack``), as one uint64 each when one word holds a column, or
+    else as bytes, most significant word first."""
     import numpy as np
 
-    places = _places(q, len(codes))
-    if places is not None:
-        return places @ codes.astype(np.uint64)
     keys = _pack(codes, q)
+    if len(keys) == 1:
+        return keys[0]
     return np.ascontiguousarray(keys.T.astype(">u8")).view(f"V{8 * len(keys)}").ravel()
 
 

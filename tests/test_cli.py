@@ -29,6 +29,26 @@ def test_parse_upoly_extension_field():
     assert parse_element(F4, "(0,1)") == F4.from_code(2)
 
 
+def test_parse_upoly_sums_repeated_and_reordered_terms():
+    assert parse_upoly(F5, "x+3+x^2+4x+x^2") == UniPoly(F5, [3, 0, 2])
+    assert parse_upoly(F5, "x^2-x^2+1") == UniPoly(F5, [1])
+    # the same polynomial as the sum of its terms, each built alone
+    want = (UniPoly(F4, [0, F4.elem((0, 1))]) + UniPoly(F4, [0, 0, 0, 1])
+            + UniPoly(F4, [0, F4.elem((1, 1))]))
+    assert parse_upoly(F4, "(0,1)x+x^3+(1,1)x") == want
+
+
+def test_parse_upoly_of_a_sparse_high_degree_text_is_built_once():
+    import time
+
+    F2 = field_make(2, 1)
+    start = time.perf_counter()
+    f = parse_upoly(F2, "x^1000000+x")
+    elapsed = time.perf_counter() - start
+    assert f.degree == 1000000 and f.c[1] == 1 and sum(f.c) == 2
+    assert elapsed < 0.3, elapsed
+
+
 def test_count_exact():
     rc, out = run(["count", "--class", "irreducible", "--r", "2", "--n", "2", "--q", "2"])
     assert rc == 0 and out.strip() == "35"
@@ -198,6 +218,23 @@ def test_csv_format():
     assert lines[1].startswith("2,3,2,,irreducible,694")
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "25", "--q", "5"],
+    ["series", "--class", "irreducible", "--r", "2", "--max-n", "3"],
+])
+def test_csv_without_a_row_exits_2_before_the_command_runs(argv, monkeypatch, capsys):
+    from ffcount import cli, oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(oracle, "oracle_decomp_census", refuse)
+    monkeypatch.setattr(cli, "exact_count", refuse)
+    rc, out = run(argv + ["--format", "csv"])
+    assert rc == 2 and out == ""
+    assert "csv output is only available for count/approx/verify" in capsys.readouterr().err
+
+
 def test_json_roundtrip_all_record_kinds():
     commands = [
         ["count", "--class", "irreducible", "--r", "2", "--n", "2", "--q", "2"],
@@ -310,6 +347,19 @@ def test_approx_decomposable_and_relirr():
     assert rec["rel_error_bound_squared"] == "23/121"
     rc, out = run(["approx", "--class", "rel_irreducible", "--r", "2", "--n", "2", "--q", "2"])
     assert rc == 0 and "exact: 7" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--class", "reducible", "--r", "2", "--n", "2", "--q", "2"],
+    ["--class", "powerful", "--r", "2", "--n", "2", "--s", "2", "--q", "2"],
+    ["--class", "rel_irreducible", "--r", "2", "--n", "3", "--q", "2"],
+])
+def test_approx_of_an_exact_case_prints_no_bound(argv):
+    # the main term is exact here, so there is no bound, squared or not
+    rc, out = run(["approx", *argv])
+    assert rc == 0 and out.splitlines()[-1] == "rel_error_bound: None"
+    rec = json.loads(run(["approx", *argv, "--format", "json"])[1])
+    assert rec["rel_error_bound"] is None and rec["rel_error_bound_squared"] is None
 
 
 def test_python_dash_m_entry_point():

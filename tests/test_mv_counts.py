@@ -135,12 +135,12 @@ def test_powerful_values():
 
 def test_powerfree_deficit_of_generating_series():
     # coefficient 2 of the powerfree series is P_{r,2} - P_{r,1}
-    from ffcount.series import TruncSeries
+    from ffcount.series import divide_by_power
 
     for r in (1, 2, 3):
-        ps = mc.p_series(r, 3)
-        s_series = ps / ps.substitute_power(2)
-        assert s_series.coeff(2) == SymRat(mc.p_count(r, 2) - mc.p_count(r, 1))
+        for q in (None, 4):
+            s_series = divide_by_power(mc.p_series(r, 3, q), 2)
+            assert s_series[2] == mc.p_count(r, 2, q) - mc.p_count(r, 1, q)
 
 
 def test_relirr_values():

@@ -544,15 +544,12 @@ def test_classifier_with_multiword_keys(monkeypatch):
     # three digits per word, so every key spans several uint64 words and
     # the index and the shifts compare as bytes
     want = {q: _census_and_classes(q)[1] for q in (9, 5)}
-    monkeypatch.setattr(uf, "_digits_per_word", lambda q: 3)
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
-    for cached in (uf._places, uf._family_index):
-        cached.cache_clear()
+    uf._family_index.cache_clear()
     try:
         for q, classes in want.items():
             got = uf.classify_census(_census_and_classes(q)[0])
             assert [(l, _as_codes(i)) for l, i in got] == [(l, _as_codes(i)) for l, i in classes]
             assert uf._family_index(field_from_q(q))["S"][0].dtype.kind == "V"
     finally:
-        for cached in (uf._places, uf._family_index):
-            cached.cache_clear()
+        uf._family_index.cache_clear()
