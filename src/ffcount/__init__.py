@@ -7,10 +7,7 @@ from .ff import (
     BudgetExceeded,
     FieldCtx,
     FqElem,
-    MvPoly,
     UniPoly,
-    enumerate_monic_mv,
-    enumerate_monic_uni,
     field_embed,
     field_from_q,
     field_make,
@@ -48,7 +45,6 @@ from .uv_families import (
     dickson,
     frobenius_family,
     m_family,
-    original_shift,
     ritt_family_first,
     ritt_family_second,
     s_family,

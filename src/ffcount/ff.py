@@ -13,14 +13,15 @@ logarithms (g^i + 1 = g^zech[i]) and negation (-1 = g^((q-1)/2)) tables.
 The default modulus for F_{p^d} is deterministic: the monic irreducible
 degree-d polynomial over F_p whose non-leading coefficient vector, read as
 a base-p integer (constant coefficient least significant), is smallest.
-All counts produced by this package are modulus-independent; that is
-tested, not assumed.
+A modulus is checked by trial division, and codes are multiplied before the
+log tables exist, in ``UniPoly`` over F_p, the module's one polynomial
+arithmetic.  All counts produced by this package are modulus-independent;
+that is tested, not assumed.
 
 ``check_budget`` is the package's one budget gate, and the only reader of
 ``FFCOUNT_BUDGET``: ``field_make`` checks an extension field's q log-table
-entries (``check_log_tables``) before it builds them, and the enumerators
-check their count before the first polynomial.  The oracle sizes its own work
-through it the same way.
+entries (``check_log_tables``) before it builds them, and the oracle sizes
+its own work through it the same way.
 """
 
 from __future__ import annotations
@@ -61,36 +62,15 @@ def check_log_tables(q: int) -> None:
     check_budget(q, f"log tables of F_{q}")
 
 
-# -- polynomial helpers over the prime field (used only to build moduli) --
-
-
-def _mod_p_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
-    # b monic
-    db = len(b) - 1
-    rem = list(a)
-    while len(rem) - 1 >= db and rem:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        top = rem[-1]
-        shift = len(rem) - 1 - db
-        for j, cb in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - top * cb) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
 def _is_irreducible_mod_p(f: tuple[int, ...], p: int) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            g = tuple(tail) + (1,)
-            if not _mod_p_rem(list(f), g, p):
-                return False
-    return True
+    # trial division by every monic polynomial of degree 1 to deg f / 2
+    fp = field_make(p, 1)
+    f = UniPoly.from_codes(fp, f)
+    return f.degree >= 1 and all(
+        f.divmod(UniPoly.from_codes(fp, tail + (1,)))[1].c
+        for e in range(1, f.degree // 2 + 1)
+        for tail in itertools.product(range(p), repeat=e)
+    )
 
 
 class FieldCtx:
@@ -134,17 +114,10 @@ class FieldCtx:
         return sum((c % p) * w for c, w in zip(digits, self._pow_p))
 
     def _raw_mul(self, a: int, b: int) -> int:
-        # coordinate polynomial product reduced by the modulus
-        if a == 0 or b == 0:
-            return 0
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.d - 1)
-        p = self.p
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        return self.encode(_mod_p_rem(prod, self.modulus, p) + [0] * self.d)
+        # the product of the coordinate polynomials, reduced by the modulus
+        fp = field_make(self.p, 1)
+        prod = UniPoly.from_codes(fp, self.digits(a)) * UniPoly.from_codes(fp, self.digits(b))
+        return self.encode(prod.divmod(UniPoly.from_codes(fp, self.modulus))[1].c)
 
     def _raw_pow(self, a: int, e: int) -> int:
         # square and multiply on _raw_mul, before the log tables exist
@@ -294,7 +267,7 @@ class FieldCtx:
     def __repr__(self):
         if self.modulus is None:
             return f"F_{self.q}"
-        mod = UniPoly.from_codes(FieldCtx(self.p, 1), self.modulus)
+        mod = UniPoly.from_codes(field_make(self.p, 1), self.modulus)
         return f"F_{self.q}<{mod}>"
 
 
@@ -623,171 +596,6 @@ class UniPoly:
         return f"UniPoly({self}, q={self.ctx.q})"
 
 
-# -- multivariate polynomials ------------------------------------------
-
-
-def _deglex_key(exp: tuple[int, ...]) -> tuple:
-    # x1 > x2 > ... ; higher total degree wins, ties broken lexicographically
-    return (sum(exp), exp)
-
-
-class MvPoly:
-    """Multivariate polynomial over a FieldCtx with the deg-lex term order."""
-
-    __slots__ = ("ctx", "nvars", "terms")
-
-    def __init__(self, ctx: FieldCtx, nvars: int, terms=None):
-        self.ctx = ctx
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exp, val in terms.items():
-                exp = tuple(exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp}")
-                code = ctx.elem(val).code
-                if code:
-                    clean[exp] = code
-        self.terms = clean
-
-    @classmethod
-    def from_code_terms(cls, ctx: FieldCtx, nvars: int, terms: dict) -> "MvPoly":
-        out = cls.__new__(cls)
-        out.ctx = ctx
-        out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
-
-    @classmethod
-    def variable(cls, ctx: FieldCtx, nvars: int, i: int) -> "MvPoly":
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls.from_code_terms(ctx, nvars, {exp: 1})
-
-    @classmethod
-    def const(cls, ctx: FieldCtx, nvars: int, value) -> "MvPoly":
-        code = ctx.elem(value).code
-        return cls.from_code_terms(ctx, nvars, {(0,) * nvars: code} if code else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Maximum exponent-vector sum; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_deglex_key)
-
-    def is_monic(self) -> bool:
-        return bool(self.terms) and self.terms[self.leading_monomial()] == 1
-
-    def is_original(self) -> bool:
-        return (0,) * self.nvars not in self.terms
-
-    def _check(self, other: "MvPoly"):
-        if self.ctx != other.ctx or self.nvars != other.nvars:
-            raise ValueError("field or arity mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, MvPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, self.nvars, self.key()))
-
-    def key(self) -> tuple:
-        """Canonical hashable serialization (deterministic term order)."""
-        return tuple(sorted(self.terms.items()))
-
-    def __add__(self, other: "MvPoly") -> "MvPoly":
-        self._check(other)
-        ctx = self.ctx
-        out = dict(self.terms)
-        for exp, cb in other.terms.items():
-            s = ctx.add(out.get(exp, 0), cb)
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return MvPoly.from_code_terms(ctx, self.nvars, out)
-
-    def __neg__(self) -> "MvPoly":
-        ctx = self.ctx
-        return MvPoly.from_code_terms(ctx, self.nvars, {e: ctx.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MvPoly") -> "MvPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MvPoly":
-        ctx = self.ctx
-        if isinstance(other, (FqElem, int)):
-            s = ctx.elem(other).code
-            if s == 0:
-                return MvPoly.from_code_terms(ctx, self.nvars, {})
-            return MvPoly.from_code_terms(
-                ctx, self.nvars, {e: ctx.mul(s, c) for e, c in self.terms.items()}
-            )
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        mul, add = ctx.mul, ctx.add
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = add(out.get(exp, 0), mul(ca, cb))
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return MvPoly.from_code_terms(ctx, self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "MvPoly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = MvPoly.const(self.ctx, self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def map_coeffs(self, fn) -> "MvPoly":
-        return MvPoly.from_code_terms(
-            self.ctx, self.nvars, {e: fn(c) for e, c in self.terms.items()}
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ctx = self.ctx
-        names = ["x"] if self.nvars == 1 else [f"x{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for exp in sorted(self.terms, key=_deglex_key, reverse=True):
-            code = self.terms[exp]
-            coeff = FqElem(ctx, code)
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e
-            )
-            if not mono:
-                parts.append(str(coeff))
-            elif code == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"MvPoly({self}, q={self.ctx.q})"
-
-
 # -- embeddings ----------------------------------------------------------
 
 
@@ -803,25 +611,17 @@ def field_embed(base: FieldCtx, k: int) -> tuple[FieldCtx, tuple[int, ...]]:
     ext = field_make(base.p, base.d * k)
     if base.d == 1:
         return ext, tuple(range(base.p))
-    root = None
-    for cand in range(ext.q):
-        acc = 0
-        for c in reversed(base.modulus):
-            acc = ext.add(ext.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
-            break
-    assert root is not None  # the modulus always splits in the extension
-    table = []
-    for code in range(base.q):
-        acc = 0
-        for c in reversed(base.digits(code)):
-            acc = ext.add(ext.mul(acc, root), c)
-        table.append(acc)
-    return ext, tuple(table)
+    # F_p codes are the same in every extension, so the base modulus and
+    # the digits of a base code are polynomials over ext as they stand
+    modulus = UniPoly.from_codes(ext, base.modulus)
+    root = next((x for x in ext.elements() if modulus.eval(x).is_zero()), None)
+    if root is None:
+        raise RuntimeError(f"the modulus of {base} has no root in {ext}")
+    digits = (UniPoly.from_codes(ext, base.digits(code)) for code in range(base.q))
+    return ext, tuple(poly.eval(root).code for poly in digits)
 
 
-# -- exhaustive enumeration ----------------------------------------------
+# -- monomials and monic counts -------------------------------------------
 
 
 def _deglex_monomials(r: int, n: int) -> list[tuple[int, ...]]:
@@ -854,46 +654,3 @@ def count_monic(q: int, r: int, n: int, original: bool = False) -> int:
         free = below - i  # monomials deg-lex smaller than the i-th leading choice
         total += q ** (free - (1 if original else 0))
     return total
-
-
-def enumerate_monic_uni(ctx: FieldCtx, n: int, original: bool = False) -> Iterator[UniPoly]:
-    """All monic univariate polynomials of degree n, optionally with f(0)=0."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    free = n - (1 if original and n > 0 else 0)
-    check_budget(ctx.q**free if n > 0 else 1, f"enumerating monic degree-{n} polynomials")
-    if n == 0:
-        if not original:
-            yield UniPoly.const(ctx, 1)
-        return
-    lows = range(1) if original else range(ctx.q)
-    for low in lows:
-        for mid in itertools.product(range(ctx.q), repeat=n - 1):
-            yield UniPoly.from_codes(ctx, (low,) + mid + (1,))
-
-
-def enumerate_monic_mv(ctx: FieldCtx, r: int, n: int, original: bool = False) -> Iterator[MvPoly]:
-    """All monic r-variate polynomials of total degree n (deg-lex leading
-    coefficient 1), optionally with vanishing constant term."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    check_budget(
-        count_monic(ctx.q, r, n, original), f"enumerating monic {r}-variate degree-{n} polynomials"
-    )
-    if n == 0:
-        if not original:
-            yield MvPoly.const(ctx, r, 1)
-        return
-    monos = _deglex_monomials(r, n)
-    top = [m for m in monos if sum(m) == n]
-    origin = (0,) * r
-    for i, lead in enumerate(top):
-        rest = monos[i + 1 :]
-        if original:
-            rest = [m for m in rest if m != origin]
-        for codes in itertools.product(range(ctx.q), repeat=len(rest)):
-            terms = {lead: 1}
-            for exp, code in zip(rest, codes):
-                if code:
-                    terms[exp] = code
-            yield MvPoly.from_code_terms(ctx, r, terms)

@@ -272,8 +272,8 @@ def _monic_rows(q: int, r: int, n: int, original: bool):
     F_q, slot-major: a (width, ``count_monic(q, r, n, original)``) code array
     over ``_deglex_monomials(r, n)``, in the smallest dtype that holds a code.
     Within each leading monomial the free slot nearest the constant is the
-    most significant digit, so at r = 1 column h of the original rows holds
-    the h-th polynomial of ``enumerate_monic_uni(ctx, n, original=True)``."""
+    most significant digit, so at r = 1 the original rows run through the
+    codes (f_1, ..., f_{n-1}) in lexicographic order, f_1 slowest."""
     import numpy as np
 
     monos = _deglex_monomials(r, n)
@@ -530,7 +530,8 @@ class CensusReport:
         """Each decomposable polynomial's n + 1 coefficient codes (constant
         first) -> {split e: decompositions with deg g = e}, in order of first
         enumeration: splits ascending, then g outer and h inner, each in
-        ``enumerate_monic_uni`` order.  Built on first read."""
+        the lexicographic order of its codes from x up to its second-highest
+        power, x's coefficient slowest.  Built on first read."""
         rows = self._rows(False)
         return {
             row.tobytes(): {e: c for e, c in zip(self.per_split, cs) if c}

@@ -50,7 +50,7 @@ def alpha_n(n: int, q: int) -> Fraction:
 
 def _check_composite(n: int) -> int:
     if n < 2 or smallest_prime_factor(n) == n:
-        raise ValueError("no decomposables: prime degree admits no splits")
+        raise ValueError(f"no decomposables: degree {n} is not composite, so it admits no splits")
     return smallest_prime_factor(n)
 
 

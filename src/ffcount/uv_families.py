@@ -14,9 +14,8 @@ f columns it divides every f by every right component h directly (its
 decomposition count, independent of any census) and takes every shift
 f(x + w) - f(w) by Taylor's formula, which it looks up in the index.
 ``classify_p2`` is the one-column case of ``classify_census``, which
-classifies every collision of a degree-p^2 census in one call.
-``count_decompositions`` and the ``UniPoly`` constructors stay as the
-tests' reference.
+classifies every collision of a degree-p^2 census in one call.  The tests
+check it against an exhaustive ``UniPoly`` reference (``tests/reference.py``).
 
 Everything is built over a concrete ``FieldCtx`` and verified by exact
 polynomial composition; constructors raise on parameter sets outside their
@@ -29,9 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Optional
 
-from .ff import FieldCtx, FqElem, UniPoly, check_budget, enumerate_monic_uni
+from .ff import FieldCtx, FqElem, UniPoly, check_budget
 from .oracle import (
     _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _field_ops, _monic_rows, _mul, _pack,
 )
@@ -84,15 +82,6 @@ def _shift(f: UniPoly, a: FqElem) -> UniPoly:
     x_plus_a = UniPoly(ctx, [a, 1])
     shifted = f(x_plus_a)
     return shifted - UniPoly(ctx, [f.eval(ctx.elem(a))])
-
-
-def original_shift(f: UniPoly, a) -> UniPoly:
-    """The shift conjugating f by translation with a, renormalized to keep
-    the result original.  A group action: shifting by a then b equals
-    shifting by a+b, and it respects decompositions."""
-    if not (f.is_monic() and f.is_original()):
-        raise ValueError("f not monic original")
-    return _shift(f, f.ctx.elem(a))
 
 
 def shift_pair(g: UniPoly, h: UniPoly, a) -> tuple[UniPoly, UniPoly]:
@@ -257,8 +246,9 @@ def s_family(ctx: FieldCtx, u, s, eps: int, m: int, r: int) -> CollisionFamily:
         + UniPoly(ctx, [u * s ** (r + 1)])
     )
     f = x * inner**m
-    roots = [
-        t for t in ctx.nonzero_elements() if (t ** (r + 1) - eps_e * u * t + u).is_zero()
+    eps_u = (eps_e * u).code
+    roots = [  # t^(r+1) + u = eps u t, on codes
+        FqElem(ctx, t) for t in range(1, ctx.q) if ctx.add(ctx.pow(t, r + 1), u.code) == ctx.mul(eps_u, t)
     ]
     decs = []
     for t in roots:
@@ -310,40 +300,6 @@ def m_family(ctx: FieldCtx, a, b, m: int, r: int) -> CollisionFamily:
 
 
 # -- classification at degree p^2 -----------------------------------------
-
-
-def count_decompositions(f: UniPoly) -> list[Decomposition]:
-    """All decompositions of f by exhaustive search over the splits of deg f,
-    one ``UniPoly`` division at a time (the reference for ``classify_p2``)."""
-    ctx = f.ctx
-    n = f.degree
-    out = []
-    for e in divisors(n):
-        if e < 2 or n // e < 2:
-            continue
-        for h in enumerate_monic_uni(ctx, n // e, original=True):
-            g = _left_component(f, h, e)
-            if g is not None:
-                out.append(Decomposition(g, h))
-    return out
-
-
-def _left_component(f: UniPoly, h: UniPoly, e: int) -> Optional[UniPoly]:
-    # the unique monic original g of degree e with g(h) = f, if any: the
-    # coefficients of g are the h-adic digits of f, lowest first
-    codes = []
-    rem = f
-    for _ in range(e + 1):
-        rem, digit = rem.divmod(h)
-        if digit.degree > 0:
-            return None
-        codes.append(digit.c[0] if digit.c else 0)
-    if not rem.is_zero():
-        return None
-    g = UniPoly.from_codes(f.ctx, codes)
-    if g.degree != e or not g.is_monic() or not g.is_original():
-        return None
-    return g if g(h) == f else None
 
 
 # The classifier works on numpy code arrays: a polynomial of degree n is a
@@ -515,8 +471,8 @@ def _family_index(ctx: FieldCtx) -> dict:
 @lru_cache(maxsize=None)
 def _right_components(ctx: FieldCtx):
     """-h_1 .. -h_{p-1} of every monic original h of degree p (h_0 = 0,
-    h_p = 1) in ``enumerate_monic_uni`` order, built once per field: a
-    (p - 1, q^(p-1)) code array."""
+    h_p = 1), with (h_1, ..., h_{p-1}) in lexicographic order, h_1 slowest,
+    built once per field: a (p - 1, q^(p-1)) code array."""
     p = ctx.p
     _, _, mul = _arith(ctx)
     hs = _monic_rows(ctx.q, 1, p, original=True)[::-1]  # constant first
@@ -528,8 +484,9 @@ def _decompositions(ctx: FieldCtx, F):
     codes: of the monic original h of degree p with f = g(h), that is, with
     every h-adic remainder of f constant.  Each pair (f, h) is divided by h
     in place p times by synthetic division (the quotient's coefficients
-    replace the top ones), as ``_left_component`` does, and leaves at the
-    first remainder that is not constant; most leave after the first."""
+    replace the top ones), which reads off f's h-adic digits lowest first,
+    and leaves at the first remainder that is not constant; most leave
+    after the first."""
     import numpy as np
 
     p = ctx.p

@@ -150,6 +150,13 @@ def test_decomp_command_json():
     assert rec["intersections"][0] == {"l": "2", "m": "3", "kind": "tame", "exact": "25"}
 
 
+@pytest.mark.parametrize("n", [-6, 0, 1, 2, 3])
+def test_decomp_names_a_degree_that_is_not_composite(n, capsys):
+    rc, out = run(["decomp", "--n", str(n), "--q", "2"])
+    assert rc == 2 and out == ""
+    assert f"no decomposables: degree {n} is not composite" in capsys.readouterr().err
+
+
 def test_census_command():
     rc, out = run(["census", "--n", "4", "--q", "2", "--format", "json"])
     assert rc == 0

@@ -3,17 +3,9 @@ import random
 
 import pytest
 
-from ffcount.ff import (
-    BudgetExceeded,
-    MvPoly,
-    UniPoly,
-    count_monic,
-    enumerate_monic_mv,
-    enumerate_monic_uni,
-    field_embed,
-    field_make,
-)
+from ffcount.ff import BudgetExceeded, UniPoly, count_monic, field_embed, field_make
 from ffcount.mv_counts import p_count
+from reference import MvPoly, enumerate_monic_mv, enumerate_monic_uni
 
 rng = random.Random(0xF1E1D)
 
@@ -27,6 +19,21 @@ def test_field_make_moduli():
     assert field_make(2, 2).modulus == (1, 1, 1)  # x^2+x+1
     assert field_make(3, 2).modulus == (1, 0, 1)  # x^2+1
     assert field_make(2, 3).modulus == (1, 1, 0, 1)  # x^3+x+1
+
+
+def test_modulus_check_accepts_gauss_count_of_irreducibles():
+    # the monic degree-d tails the check accepts number (1/d) sum_{e | d}
+    # mu(e) p^(d/e), Gauss's count and the paper's exact count at r = 1
+    from ffcount.ff import _is_irreducible_mod_p
+    from ffcount.mv_counts import irr_exact
+
+    for p in (2, 3, 5, 7):
+        for d in range(1, 10):
+            if p**d > 729:
+                break
+            tails = itertools.product(range(p), repeat=d)
+            got = sum(_is_irreducible_mod_p(tail + (1,), p) for tail in tails)
+            assert got == irr_exact(1, d, q=p), (p, d)
 
 
 def test_field_make_rejects_composite_characteristic():
@@ -154,6 +161,15 @@ def test_embed_is_a_homomorphism(p, d, k):
         assert table[base.mul(a, b)] == ext.mul(table[a], table[b])
     # injectivity
     assert len(set(table)) == base.q
+
+
+def test_embed_without_a_root_raises(monkeypatch):
+    import ffcount.ff as ff
+
+    # an extension too small to hold a root of F_4's modulus x^2+x+1
+    monkeypatch.setattr(ff, "field_make", lambda p, d: F2)
+    with pytest.raises(RuntimeError, match="no root in F_2"):
+        ff.field_embed(F4, 3)
 
 
 def test_upoly_compose():

@@ -11,17 +11,9 @@ import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 import ffcount.uv_counts as uc
-from ffcount.ff import (
-    BudgetExceeded,
-    MvPoly,
-    _deglex_monomials,
-    count_monic,
-    enumerate_monic_mv,
-    enumerate_monic_uni,
-    field_embed,
-    field_make,
-)
+from ffcount.ff import BudgetExceeded, _deglex_monomials, count_monic, field_embed, field_make
 from ffcount.series import divisors, factor_prime_power, smallest_prime_factor
+from reference import MvPoly, enumerate_monic_mv, enumerate_monic_uni
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -689,3 +681,32 @@ def test_collisions_view_leaves_a_small_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 80, proc.stdout
+
+
+def test_reference_is_independent_of_the_oracle():
+    # the reference is the second route beside the oracle's array kernels, so
+    # it imports nothing from ffcount.oracle and no numpy, and the names it
+    # holds live nowhere in the package
+    import ast
+    import pathlib
+
+    import ffcount
+    import ffcount.ff
+    import ffcount.uv_families
+    import reference
+
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(reference.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "ffcount.ff" in imported
+    for name in imported:
+        assert not name.startswith(("ffcount.oracle", "numpy")), name
+    moved = {"MvPoly", "_deglex_key", "enumerate_monic_mv", "enumerate_monic_uni",
+             "count_decompositions", "_left_component", "original_shift"}
+    assert moved <= set(vars(reference))
+    for module in (ffcount, ffcount.ff, ffcount.uv_families):
+        assert not moved & set(vars(module)), module.__name__
