@@ -24,14 +24,16 @@ one kernel, ``_mul``, and compositions g(h), g univariate and h in r
 variables, through one composer, ``_compositions``, which serves both the
 univariate census (the case r = 1) and the multivariate decomposables.  Each builder packs its
 polynomials' codes into uint64 keys block by block and groups them with one
-sort (see the packed keys below).  The census writes each composition's key
-at its g-outer rank, its position in one preallocated key array, so the sort
-permutation alone gives each polynomial's first enumeration and its count
-per split (``_group``); per pair it holds the keys, the permutation and a
-Frobenius byte, at most 40 bytes with one-word keys, so the pair budget
-bounds its memory too.  Its per-polynomial ``details`` are built only when
-read, and its ``collisions``, the rows with two or more decompositions,
-come as arrays without them.  numpy is imported inside the
+sort (see the packed keys below).  The census writes each split's keys
+into its own columns of one preallocated key array and groups them there
+(``_tally``): each split is sorted in place, its distinct keys move down
+with their counts, and one stable sort merges the splits.  So it holds no
+sort permutation at one split and no Frobenius flag per pair, at most 24
+bytes per pair at one split and 30 when it merges several with one-word
+keys, and the pair budget bounds its memory too.  The order of first
+enumeration is recovered only when its per-polynomial ``details`` or its
+``collisions``, the rows with two or more decompositions as arrays, are
+read, by composing every pair again.  numpy is imported inside the
 functions that use it, never at module import.  Every builder sizes all it
 builds (products or compositions, q x q code tables, extension fields) from
 q, r, n and t through ``ff.check_budget`` before it builds any of it.
@@ -41,9 +43,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .ff import FieldCtx, _deglex_monomials, check_budget, check_log_tables, count_monic, field_embed
 from .series import divisors, smallest_prime_factor
@@ -188,10 +190,10 @@ def _unpack(keys, q: int, width: int):
 def _runs(keys, permute: bool = True):
     """Sort (k, m) packed keys in place and mark the runs of equal ones.
 
-    Returns ``(order, new)``: the sorting permutation and a bool mask over
-    the sorted keys, True where a run begins, so ``order[new]`` holds an
-    input position of each distinct key.  With ``permute=False`` one-word
-    keys are sorted directly, several times faster, and ``order`` is None.
+    Returns ``(order, new)``: the sorting permutation and ``_run_starts`` of
+    the sorted keys, so ``order[new]`` holds an input position of each
+    distinct key.  With ``permute=False`` one-word keys are sorted directly,
+    several times faster, and ``order`` is None.
     """
     import numpy as np
 
@@ -202,10 +204,47 @@ def _runs(keys, permute: bool = True):
         order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
         for w in range(len(keys)):  # a word at a time, so one word of scratch
             keys[w] = keys[w][order]
+    return order, _run_starts(keys)
+
+
+def _run_starts(keys):
+    """A bool mask over sorted (k, m) packed keys, True where a run of equal
+    keys begins."""
+    import numpy as np
+
     new = np.empty(keys.shape[1], dtype=bool)
     new[:1] = True
-    (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=new[1:])
-    return order, new
+    np.not_equal(keys[0, 1:], keys[0, :-1], out=new[1:])
+    for word in keys[1:]:
+        new[1:] |= word[1:] != word[:-1]
+    return new
+
+
+def _locate(keys, probes):
+    """Where each of the (k, m) probes stands among the (k, R) keys, R >= 1,
+    sorted as ``_runs`` sorts them (by ``np.lexsort``, the last word
+    foremost): ``(at, found)``, the first column not below the probe, as a
+    ``searchsorted`` index array, and a bool mask, True where that column
+    equals the probe.  Several words take a binary search on all probes at
+    once."""
+    import numpy as np
+
+    if len(keys) == 1:
+        at = np.searchsorted(keys[0], probes[0])
+    else:
+        lo = np.zeros(probes.shape[1], dtype=np.intp)
+        hi = np.full(probes.shape[1], keys.shape[1], dtype=np.intp)
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) // 2
+            pivot = keys[:, np.minimum(mid, keys.shape[1] - 1)]
+            below = np.zeros(len(mid), dtype=bool)
+            for p_w, k_w in zip(probes, pivot):  # a later word overrules
+                below = np.where(p_w != k_w, k_w < p_w, below)
+            lo = np.where(open_ & below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        at = lo
+    found = (keys[:, np.minimum(at, keys.shape[1] - 1)] == probes).all(axis=0)
+    return at, found
 
 
 def _distinct(keys, banned: int = 0):
@@ -225,43 +264,84 @@ def _distinct(keys, banned: int = 0):
     return out
 
 
-def _group(k: int, total: int, blocks, offsets):
-    """Group ``total`` packed keys of k words each, written block by block:
-    ``blocks`` yields ``(at, keys)``, a (k, m) block of keys and their
-    positions, an index array.  The ascending ``offsets``, the first of them
-    0, cut the positions into bins.
+def _compact(keys, lo: int, new, at: int):
+    """Move the columns lo + i of the (k, m) keys where ``new[i]`` is True
+    down to columns at, at + 1, ... (at <= lo), in order, a block of
+    ``max(1, _CHUNK_ROWS)`` columns at a time, so no index array over all of
+    them exists.  Yields each block's first i and its part of ``new``."""
+    step = max(1, _CHUNK_ROWS)
+    for i in range(0, len(new), step):
+        sel = new[i : i + step]
+        kept = keys[:, lo + i : lo + i + len(sel)][:, sel]
+        keys[:, at : at + kept.shape[1]] = kept
+        at += kept.shape[1]
+        yield i, sel
 
-    Returns ``(keys, low, counts)`` with one entry per distinct key, in sort
-    order: the key, a (k, R) array; its smallest position; and how many of
-    its copies fall in each bin, an (R, len(offsets)) array.  Per position
-    it holds the keys, sorted in place, and the sort permutation, which
-    gives way to a byte per position (its bin) before the counts are taken.
+
+def _tally(keys, offsets):
+    """Group (k, m) packed keys in place; the ascending ``offsets``, the
+    first of them 0, cut the columns into bins.
+
+    Returns ``(distinct, counts)``: the sorted distinct keys, a (k, R) view
+    of the front of ``keys``, and how many copies of each fall in each bin,
+    a (len(offsets), R) array in the narrowest dtype that holds the largest
+    count.  Each bin is sorted in place and its distinct keys move
+    down behind those of the bins before it, with their copies counted from
+    the run lengths.  With several bins one stable sort then merges the
+    bins' sorted runs, and each copy's bin comes from its position in that
+    concatenation.  So per key it holds the keys, a byte of run marks and a
+    byte of counts, and for a merge the merge permutation and the word it
+    permutes the keys through.
     """
     import numpy as np
 
-    keys = np.empty((k, total), dtype=np.uint64)
-    for at, block in blocks:
-        keys[:, at] = block
-    order, new = _runs(keys)
-    starts = np.flatnonzero(new)
-    del new
-    keys = keys[:, starts]  # the sorted copies go
-    low = np.minimum.reduceat(order, starts)
-    bins = np.zeros(total, dtype=np.min_scalar_type(len(offsets)))
-    for lo in offsets[1:]:
-        bins += order >= lo
-    del order
-    # no count exceeds the longest run, so the counts take the smallest
-    # dtype that holds it, and a byte-wide one needs no cast of the masks
-    runs = np.append(starts[1:], total)[: len(starts)]  # each run's end
-    runs -= starts
-    counts = np.empty((len(offsets), len(starts)), dtype=np.min_scalar_type(runs.max(initial=0)))
-    counts[-1] = runs  # the last bin holds what the others leave of each run
-    del runs
-    for b, row in enumerate(counts[:-1]):
-        np.add.reduceat((bins == b).view(np.uint8), starts, out=row)
-        counts[-1] -= row
-    return keys, low, counts.T
+    ends = list(offsets[1:]) + [keys.shape[1]]
+    firsts, counts, at = [], [np.zeros(0, dtype=np.uint8)], 0
+    for lo, hi in zip(offsets, ends):
+        firsts.append(at)
+        new = _runs(keys[:, lo:hi], permute=False)[1]
+        last = None  # where the run still open begins
+        for i, sel in _compact(keys, lo, new, at):
+            starts = np.flatnonzero(sel) + i
+            if len(starts):  # each start closes the run before it
+                runs = np.diff(starts) if last is None else np.diff(starts, prepend=last)
+                counts.append(runs.astype(np.min_scalar_type(runs.max(initial=0))))
+                last = starts[-1]
+                at += len(starts)
+        if last is not None:
+            counts.append(np.array([hi - lo - last], dtype=np.min_scalar_type(hi - lo - last)))
+    counts = np.concatenate(counts)
+    if len(offsets) == 1:
+        return keys[:, :at], counts[None]
+    merged = keys[:, :at]
+    order = np.lexsort(merged) if len(merged) > 1 else np.argsort(merged[0], kind="stable")
+    for w in range(len(merged)):
+        merged[w] = merged[w][order]
+    new = _run_starts(merged)
+    tally = np.zeros((len(offsets), np.count_nonzero(new)), dtype=counts.dtype)
+    run = -1  # the run of the copy before the block
+    for i, sel in _compact(merged, 0, new, 0):
+        copies = order[i : i + len(sel)]
+        runs = np.cumsum(sel) + run
+        # a run holds at most one copy from each bin
+        tally[np.searchsorted(firsts, copies, side="right") - 1, runs] = counts[copies]
+        run = runs[-1]
+    return keys[:, : tally.shape[1]], tally
+
+
+def _first(keys, blocks):
+    """The smallest position of each of the (k, R) keys, sorted as ``_runs``
+    sorts them, among ``blocks``, which yield a block's positions and its
+    (k, m) packed keys; a block's keys outside ``keys`` are passed over.
+    With no keys it reads no block."""
+    import numpy as np
+
+    low = np.full(keys.shape[1], np.iinfo(np.intp).max, dtype=np.intp)
+    if keys.shape[1]:
+        for at, block in blocks:
+            pos, found = _locate(keys, block)
+            np.minimum.at(low, pos[found], at[found])
+    return low
 
 
 # -- products of r-variate polynomials -------------------------------------
@@ -498,6 +578,22 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
 # -- univariate decomposition census --------------------------------------
 
 
+def _split_pairs(q: int, n: int, e: int) -> int:
+    """The pairs (g, h) of monic original polynomials with deg g = e and
+    deg h = n / e over F_q."""
+    return q ** (e - 1) * q ** (n // e - 1)
+
+
+def _census_blocks(ctx: FieldCtx, n: int, e: int):
+    """``_compositions`` at r = 1 with deg g = e, block by block: each
+    block's codes, constant first, their packed keys and their ranks.
+    Every composition has code 0 at slot 0 and code 1 at slot n, so the
+    keys hold slots 1 to n - 1."""
+    for codes, rank in _compositions(ctx, 1, n, e):
+        codes = codes[::-1]
+        yield codes, _pack(codes[1:n], ctx.q), rank
+
+
 class CensusRows(NamedTuple):
     """Rows of a census in order of first enumeration (see
     ``CensusReport.details``): each polynomial's n + 1 coefficient codes,
@@ -510,7 +606,11 @@ class CensusRows(NamedTuple):
 
 @dataclass
 class CensusReport:
-    """Complete decomposition census of degree n over one field, ``ctx``."""
+    """Complete decomposition census of degree n over one field, ``ctx``.
+
+    It keeps each decomposable polynomial's packed key, sorted, and its
+    decompositions per split; the order of first enumeration is recovered
+    only when ``details`` or ``collisions`` is read."""
 
     n: int
     q: int
@@ -523,7 +623,8 @@ class CensusReport:
     frobenius_collisions: int
     split_profiles: dict[tuple[int, ...], int]
     ctx: FieldCtx = field(repr=False, compare=False)
-    _rows: Callable[[bool], CensusRows] = field(repr=False, compare=False)
+    _keys: Any = field(repr=False, compare=False)
+    _counts: Any = field(repr=False, compare=False)
 
     @cached_property
     def details(self) -> dict[bytes, dict[int, int]]:
@@ -532,7 +633,9 @@ class CensusReport:
         enumeration: splits ascending, then g outer and h inner, each in
         the lexicographic order of its codes from x up to its second-highest
         power, x's coefficient slowest.  Built on first read."""
-        rows = self._rows(False)
+        import numpy as np
+
+        rows = self._rows(np.arange(self.total), self._ranks)
         return {
             row.tobytes(): {e: c for e, c in zip(self.per_split, cs) if c}
             for row, cs in zip(rows.codes, rows.counts.tolist())
@@ -541,28 +644,45 @@ class CensusReport:
     @cached_property
     def collisions(self) -> CensusRows:
         """The rows of ``details`` with two or more decompositions, in the
-        same order, as arrays; reading it builds no ``details``."""
-        return self._rows(True)
+        same order, as arrays; reading it builds no ``details``, and ranks
+        only its own rows unless ``details`` ranked them all."""
+        import numpy as np
 
+        pick = np.flatnonzero(_decompositions(self._counts) >= 2)
+        ranks = self._ranks[pick] if "_ranks" in vars(self) else self._first_ranks(self._keys[:, pick])
+        return self._rows(pick, ranks)
 
-def _census_rows(keys, counts, low, n: int, q: int, collisions: bool) -> CensusRows:
-    """``CensusRows`` of every distinct polynomial, or of the collisions
-    only, from each one's packed key, its per-split counts and the smallest
-    position among its copies."""
-    import numpy as np
+    @cached_property
+    def _ranks(self):
+        """Every row's first-enumeration rank (see ``_first_ranks``)."""
+        return self._first_ranks(self._keys)
 
-    pick = np.flatnonzero(counts.sum(axis=1) >= 2) if collisions else np.arange(len(low))
-    pick = pick[np.argsort(low[pick])]
-    rows = np.zeros((len(pick), n + 1), dtype=np.uint8)
-    rows[:, 1:n] = _unpack(keys[:, pick], q, n - 1).T
-    rows[:, n] = 1
-    return CensusRows(rows, counts[pick])
+    def _first_ranks(self, keys):
+        """The first-enumeration rank of each of the sorted (k, m) keys: its
+        smallest position when the splits run ascending, each g outer and h
+        inner, found by composing every pair again."""
+        q, n = self.q, self.n
 
+        def blocks():
+            offset = 0
+            for e in self.per_split:
+                for _, block, rank in _census_blocks(self.ctx, n, e):
+                    yield rank + offset, block
+                offset += _split_pairs(q, n, e)
 
-def _no_rows(n: int, collisions: bool) -> CensusRows:
-    import numpy as np
+        return _first(keys, blocks())
 
-    return CensusRows(np.zeros((0, n + 1), dtype=np.uint8), np.zeros((0, 0), dtype=np.uint8))
+    def _rows(self, pick, ranks) -> CensusRows:
+        """``CensusRows`` of the rows ``pick``, an index array into the
+        sorted keys, ordered by their ``ranks``."""
+        import numpy as np
+
+        pick = pick[np.argsort(ranks)]
+        rows = np.zeros((len(pick), self.n + 1), dtype=np.uint8)
+        if len(pick):  # at n = 1 the keys hold no digits to unpack
+            rows[:, 1 : self.n] = _unpack(self._keys[:, pick], self.q, self.n - 1).T
+            rows[:, self.n] = 1
+        return CensusRows(rows, self._counts[:, pick].T)
 
 
 def check_census_q(q: int) -> None:
@@ -572,73 +692,86 @@ def check_census_q(q: int) -> None:
         raise ValueError("census details hold codes in uint8, so q <= 256")
 
 
+def _decompositions(counts):
+    """Each key's decompositions, the column sums of its (splits, R) counts,
+    in the smallest dtype that holds the largest possible sum."""
+    import numpy as np
+
+    return counts.sum(axis=0, dtype=np.min_scalar_type(len(counts) * int(counts.max(initial=0))))
+
+
+def _bincount(values, length: int):
+    """``np.bincount(values, minlength=length)`` a block of ``_CHUNK_ROWS``
+    at a time: bincount casts its input to intp."""
+    import numpy as np
+
+    step = max(1, _CHUNK_ROWS)
+    return sum((np.bincount(values[lo : lo + step], minlength=length) for lo in range(0, len(values), step)),
+               np.zeros(length, dtype=np.intp))
+
+
 def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     """Compose every monic original pair (g, h) over every degree split of n,
     deduplicate by packed coefficient key, and tabulate everything the bounds
     need: per-split counts, pairwise intersections (with and without
     Frobenius compositions), the histogram of decomposition counts, and
     Frobenius membership."""
-    q, p = ctx.q, ctx.p
+    if n < 1:
+        raise ValueError(f"census degree n must be >= 1, got n = {n}")
+    q = ctx.q
     check_census_q(q)
     splits = [e for e in divisors(n) if 1 < e < n]
     # at least q^2 pairs in every split, so they bound the code tables too
-    sizes = [q ** (e - 1) * q ** (n // e - 1) for e in splits]
+    sizes = [_split_pairs(q, n, e) for e in splits]
     check_budget(sum(sizes), f"decomposition census at n={n}, q={q}")
-    if not splits:  # prime n: nothing decomposes
-        return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx, partial(_no_rows, n))
     import numpy as np
 
-    # a Frobenius composition has nonzero coefficients only at multiples of p
-    non_frob = [i for i in range(n + 1) if i % p]
-    # a composition's position is its split's offset plus its rank there,
-    # so a key's smallest position is its first enumeration
-    offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-    frob = np.empty(sum(sizes), dtype=bool)
-
-    def blocks():
-        for e, offset in zip(splits, offsets):
-            for codes, rank in _compositions(ctx, 1, n, e):
-                codes = codes[::-1]  # constant first
-                rank += offset
-                frob[rank] = ~codes[non_frob].any(axis=0)
-                # every composition has code 0 at slot 0 and code 1 at slot n
-                yield rank, _pack(codes[1:n], q)
-
     words = -(-(n - 1) // _digits_per_word(q))
-    keys, low, counts = _group(words, len(frob), blocks(), offsets)
-    frob = frob[low]
+    if not splits:  # prime n: nothing decomposes
+        return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx,
+                            np.zeros((words, 0), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8))
+    # every composition's key, each split in its own columns, and the keys
+    # of the few Frobenius compositions, which have nonzero coefficients
+    # only at multiples of p
+    non_frob = [i for i in range(n + 1) if i % ctx.p]
+    keys = np.empty((words, sum(sizes)), dtype=np.uint64)
+    frob, at = [], 0
+    for e in splits:
+        for codes, block, _ in _census_blocks(ctx, n, e):
+            keys[:, at : at + block.shape[1]] = block
+            at += block.shape[1]
+            frob.append(block[:, ~codes[non_frob].any(axis=0)])
+    del codes, block  # the last block goes before the keys are grouped
+    keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
+    frob = np.unique(_locate(keys, np.concatenate(frob, axis=1))[0])  # their rows
     hit = counts > 0
-    decs = counts.sum(axis=1, dtype=np.intp)
+    decs = _decompositions(counts)
     pair_int, pair_int_nf = {}, {}
     for (i, a), (j, b2) in itertools.combinations(enumerate(splits), 2):
-        both = hit[:, i] & hit[:, j]
-        pair_int[(a, b2)] = int(both.sum())
-        pair_int_nf[(a, b2)] = int((both & ~frob).sum())
+        pair_int[(a, b2)] = int(np.count_nonzero(hit[i] & hit[j]))
+        pair_int_nf[(a, b2)] = pair_int[(a, b2)] - int(np.count_nonzero(hit[i, frob] & hit[j, frob]))
     # each distinct key's splits as a bit mask in the smallest dtype
-    code = np.zeros(len(low), dtype=np.min_scalar_type((1 << len(splits)) - 1))
-    for t in range(len(splits)):
-        code[hit[:, t]] |= 1 << t
-    # bincount casts its input to intp, so it takes blocks of _CHUNK_ROWS
-    step = max(1, _CHUNK_ROWS)
-    mask_counts = sum((np.bincount(code[lo : lo + step], minlength=1 << len(splits))
-                       for lo in range(0, len(code), step)), np.zeros(1 << len(splits), dtype=np.intp))
+    code = np.zeros(len(decs), dtype=np.min_scalar_type((1 << len(splits)) - 1))
+    for t, row in enumerate(hit):
+        code |= row.astype(code.dtype) << t
     profiles = {
         tuple(e for t, e in enumerate(splits) if m >> t & 1): c
-        for m, c in enumerate(mask_counts.tolist()) if c
+        for m, c in enumerate(_bincount(code, 1 << len(splits)).tolist()) if c
     }
     return CensusReport(
         n=n,
         q=q,
-        total=len(low),
-        per_split=dict(zip(splits, hit.sum(axis=0).tolist())),
+        total=len(decs),
+        per_split=dict(zip(splits, np.count_nonzero(hit, axis=1).tolist())),
         pair_intersections=pair_int,
         pair_intersections_nonfrobenius=pair_int_nf,
-        collision_histogram={k: v for k, v in enumerate(np.bincount(decs).tolist()) if v},
-        frobenius_members=int(frob.sum()),
-        frobenius_collisions=int((frob & (decs >= 2)).sum()),
+        collision_histogram={k: v for k, v in enumerate(_bincount(decs, int(decs.max()) + 1).tolist()) if v},
+        frobenius_members=len(frob),
+        frobenius_collisions=int(np.count_nonzero(decs[frob] >= 2)),
         split_profiles=dict(sorted(profiles.items())),
         ctx=ctx,
-        _rows=partial(_census_rows, keys, counts, low, n, q),
+        _keys=keys,
+        _counts=counts,
     )
 
 

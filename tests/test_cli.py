@@ -173,6 +173,13 @@ def test_census_at_prime_degree_is_empty():
     assert rec["per_split"] == rec["pair_intersections"] == rec["collision_histogram"] == {}
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_census_below_degree_1_names_the_census_degree(n, capsys):
+    rc, out = run(["census", "--n", str(n), "--q", "2"])
+    assert rc == 2 and out == ""
+    assert f"census degree n must be >= 1, got n = {n}" in capsys.readouterr().err
+
+
 # one complete argv per family; each test drops one of its flags
 FAMILY_ARGV = {
     "ritt1": ["--q", "5", "--l", "2", "--k", "1", "--w", "x+1", "--a", "0"],

@@ -464,7 +464,7 @@ def test_census_multiword_keys(monkeypatch):
     "q, width, m",
     [(5, 10, 2000), (2, 30, 3000), (2, 65, 500), (257, 14, 2000), (3, 4, 0)],
 )
-def test_group_by_matches_counter(q, width, m):
+def test_group_by_matches_counter(q, width, m, monkeypatch):
     rng = random.Random(q * 1000 + width)
     # a small pool of distinct rows, so most rows repeat
     pool = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(m // 5 + 1)]
@@ -484,28 +484,37 @@ def test_group_by_matches_counter(q, width, m):
     shuffled = np.array(rng.sample(range(m), m), dtype=np.int64)
     cuts = sorted(rng.sample(range(1, m), min(m - 1, 9))) if m > 1 else []
     blocks = [(at, keys[:, at]) for at in np.split(shuffled, cuts)]
-    distinct, low, counts = orc._group(len(keys), m, iter(blocks), offsets)
-    rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).T.tolist()]
-    assert len(rows_got) == len(want)  # one entry per distinct key
-    got = {
-        row: [lo, Counter({t: c for t, c in enumerate(cs) if c})]
-        for row, lo, cs in zip(rows_got, low.tolist(), counts.tolist())
-    }
-    assert got == want
+    # 7 columns per block puts runs across the seams of the compaction
+    for chunk in (orc._CHUNK_ROWS, 7):
+        monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+        distinct, counts = orc._tally(keys.copy(), offsets)
+        low = orc._first(distinct, iter(blocks))
+        rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).T.tolist()]
+        assert len(rows_got) == len(want)  # one entry per distinct key
+        got = {
+            row: [lo, Counter({t: c for t, c in enumerate(cs) if c})]
+            for row, lo, cs in zip(rows_got, low.tolist(), counts.T.tolist())
+        }
+        assert got == want
     assert orc._runs(keys, permute=False)[1].sum() == len(want)
 
 
 # The budget counts composed pairs; at most 40 bytes per pair, measured by
 # tracemalloc after a warm-up call (code tables, monomial slots), make it a
-# bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2; and
-# 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of degree 4 times 14.
-# The F_13 composer sums g(h) in uint8: 13 bytes per pair, 16 in uint16 and
-# 20 in int32, so its gate at 15 fails if those sums come back wide.
+# bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2;
+# 8^(e-1) times 8^(12/e - 1) over the four splits of 12, which the census
+# merges; and 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
+# degree 4 times 14.  A census sorts each split's keys in place and holds no
+# sort permutation unless it merges several splits, so one split stays
+# within 24 bytes a pair and four within 30.  The F_13 composer sums g(h) in
+# uint8: 13 bytes per pair, 16 in uint16 and 20 in int32, so its gate at 15
+# fails if those sums come back wide.
 @pytest.mark.parametrize("build, pairs, limit", [
-    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 40),
-    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 40),
+    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 24),
+    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 24),
+    (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 30),
     (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 15),
-], ids=["census-25-F5", "census-9-F27", "mv-2-4-F13"])
+], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
     import tracemalloc
 
