@@ -27,16 +27,19 @@ polynomials' codes into uint64 keys block by block and groups them with one
 sort (see the packed keys below).  The census writes each split's keys
 into its own columns of one preallocated key array and groups them there
 (``_tally``): each split is sorted in place, its distinct keys move down
-with their counts, and one stable sort merges the splits.  So it holds no
-sort permutation at one split and no Frobenius flag per pair, at most 24
-bytes per pair at one split and 30 when it merges several with one-word
-keys, and the pair budget bounds its memory too.  The order of first
-enumeration is recovered only when its per-polynomial ``details`` or its
-``collisions``, the rows with two or more decompositions as arrays, are
-read, by composing every pair again.  numpy is imported inside the
-functions that use it, never at module import.  Every builder sizes all it
-builds (products or compositions, q x q code tables, extension fields) from
-q, r, n and t through ``ff.check_budget`` before it builds any of it.
+with their counts, and one stable sort merges the splits.  Its Frobenius
+members, the polynomials with nonzero coefficients only at multiples of p,
+are enumerated once and looked up among the distinct keys; no composed
+pair is tested for that shape.  So it holds no sort permutation at one
+split, at most 24 bytes per pair at one split and 28 when it merges
+several with one-word keys, and the pair budget bounds its memory too.
+The order of first enumeration is recovered only when its per-polynomial
+``details`` or its ``collisions``, the rows with two or more
+decompositions as arrays, are read, by composing every pair again.
+numpy is imported inside the functions that use it, never at module
+import.  Every builder sizes all it builds (products or compositions, q x q
+code tables, extension fields) from q, r, n and t through
+``ff.check_budget`` before it builds any of it.
 """
 
 from __future__ import annotations
@@ -586,12 +589,31 @@ def _split_pairs(q: int, n: int, e: int) -> int:
 
 def _census_blocks(ctx: FieldCtx, n: int, e: int):
     """``_compositions`` at r = 1 with deg g = e, block by block: each
-    block's codes, constant first, their packed keys and their ranks.
-    Every composition has code 0 at slot 0 and code 1 at slot n, so the
-    keys hold slots 1 to n - 1."""
+    block's packed keys and their ranks.  Every composition has code 1 at
+    x^n and code 0 at the constant, so the keys hold the codes of x up to
+    x^(n-1), x's the most significant."""
     for codes, rank in _compositions(ctx, 1, n, e):
-        codes = codes[::-1]
-        yield codes, _pack(codes[1:n], ctx.q), rank
+        yield _pack(codes[n - 1 : 0 : -1], ctx.q), rank
+
+
+def _frobenius_rows(keys, q: int, p: int, n: int):
+    """The rows among the sorted distinct (k, R) keys of a census at
+    composite n of its Frobenius members, the monic original degree-n
+    polynomials whose nonzero coefficients all sit at multiples of p, the
+    characteristic.  There are q^(n/p - 1) of them when p | n, none
+    otherwise; each F(x^p) is F composed with x^p, so all of them
+    decompose.  They number at most the pairs of the split deg g = p, so
+    the census's budget covers them."""
+    import numpy as np
+
+    if n % p:
+        return np.zeros(0, dtype=np.intp)
+    free = n // p - 1
+    # the codes of x up to x^(n-1), as the keys hold them: x^p, x^2p, ... run free
+    digits = np.zeros((n - 1, q**free), dtype=np.min_scalar_type(q - 1))
+    digits[p - 1 :: p] = np.indices((q,) * free, dtype=digits.dtype).reshape(free, -1)
+    at, found = _locate(keys, _pack(digits, q))
+    return at[found]
 
 
 class CensusRows(NamedTuple):
@@ -666,7 +688,7 @@ class CensusReport:
         def blocks():
             offset = 0
             for e in self.per_split:
-                for _, block, rank in _census_blocks(self.ctx, n, e):
+                for block, rank in _census_blocks(self.ctx, n, e):
                     yield rank + offset, block
                 offset += _split_pairs(q, n, e)
 
@@ -714,8 +736,9 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     """Compose every monic original pair (g, h) over every degree split of n,
     deduplicate by packed coefficient key, and tabulate everything the bounds
     need: per-split counts, pairwise intersections (with and without
-    Frobenius compositions), the histogram of decomposition counts, and
-    Frobenius membership."""
+    Frobenius members), the histogram of decomposition counts, and
+    Frobenius membership, which is looked up once for the q^(n/p - 1)
+    candidates (``_frobenius_rows``) after the keys are grouped."""
     if n < 1:
         raise ValueError(f"census degree n must be >= 1, got n = {n}")
     q = ctx.q
@@ -730,20 +753,16 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     if not splits:  # prime n: nothing decomposes
         return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx,
                             np.zeros((words, 0), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8))
-    # every composition's key, each split in its own columns, and the keys
-    # of the few Frobenius compositions, which have nonzero coefficients
-    # only at multiples of p
-    non_frob = [i for i in range(n + 1) if i % ctx.p]
+    # every composition's key, each split in its own columns
     keys = np.empty((words, sum(sizes)), dtype=np.uint64)
-    frob, at = [], 0
+    at = 0
     for e in splits:
-        for codes, block, _ in _census_blocks(ctx, n, e):
+        for block, _ in _census_blocks(ctx, n, e):
             keys[:, at : at + block.shape[1]] = block
             at += block.shape[1]
-            frob.append(block[:, ~codes[non_frob].any(axis=0)])
-    del codes, block  # the last block goes before the keys are grouped
+    del block  # the last block goes before the keys are grouped
     keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
-    frob = np.unique(_locate(keys, np.concatenate(frob, axis=1))[0])  # their rows
+    frob = _frobenius_rows(keys, q, ctx.p, n)
     hit = counts > 0
     decs = _decompositions(counts)
     pair_int, pair_int_nf = {}, {}

@@ -302,6 +302,12 @@ def test_census_frobenius_counts():
     assert orc.oracle_decomp_census(9, F3).frobenius_collisions == 8
     rep8 = orc.oracle_decomp_census(8, F2)
     assert rep8.frobenius_members == 8  # q^(n/p - 1) at n = 8
+    # each F(x^p) is F composed with x^p, so all q^(n/p - 1) of them are
+    # members wherever p | n and n > p, and none are where p does not divide n
+    for n, q in [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (12, 2), (12, 3), (12, 4), (25, 5), (6, 5), (8, 3)]:
+        ctx = field_make(*factor_prime_power(q))
+        want = q ** (n // ctx.p - 1) if n % ctx.p == 0 else 0
+        assert orc.oracle_decomp_census(n, ctx).frobenius_members == want, (n, q)
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +434,7 @@ def _census_fields(rep):
 # 2^15, 7 cuts most blocks unevenly and 0 composes one h per block, so the
 # details order is recovered from ranks across blocks and splits.
 @pytest.mark.parametrize("chunk", [20000, 7, 0])
-@pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4)])
+@pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4), (12, 3)])
 def test_census_report_matches_compose_tabulation(n, q, chunk, monkeypatch):
     monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
     ctx = field_make(*factor_prime_power(q))
@@ -453,9 +459,10 @@ def test_census_over_f256():
 
 
 def test_census_multiword_keys(monkeypatch):
-    # three digits per word, so each census key spans several uint64 words
+    # three digits per word, so each census key spans several uint64 words,
+    # and at (8, 8) so do the keys of its 512 Frobenius candidates
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
-    for n, q in [(12, 5), (9, 9)]:
+    for n, q in [(12, 5), (9, 9), (8, 8)]:
         ctx = field_make(*factor_prime_power(q))
         assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
 
@@ -506,13 +513,15 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
 # merges; and 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
 # degree 4 times 14.  A census sorts each split's keys in place and holds no
 # sort permutation unless it merges several splits, so one split stays
-# within 24 bytes a pair and four within 30.  The F_13 composer sums g(h) in
-# uint8: 13 bytes per pair, 16 in uint16 and 20 in int32, so its gate at 15
-# fails if those sums come back wide.
+# within 24 bytes a pair.  It looks its Frobenius members up after the
+# merge and holds nothing for them through it, so four splits stay within
+# 28 (26.7 measured).  The F_13 composer sums g(h) in uint8: 13 bytes per
+# pair, 16 in uint16 and 20 in int32, so its gate at 15 fails if those sums
+# come back wide.
 @pytest.mark.parametrize("build, pairs, limit", [
     (lambda: orc.oracle_decomp_census(25, F5), 390_625, 24),
     (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 24),
-    (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 30),
+    (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 28),
     (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 15),
 ], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
@@ -690,6 +699,18 @@ def test_collisions_view_leaves_a_small_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 80, proc.stdout
+
+
+def test_census_leaves_numpy_ma_out():
+    # numpy 2's np.unique imports numpy.ma (about 1.3 MB); no census needs it
+    import subprocess
+    import sys
+
+    code = ("import sys; from ffcount.ff import field_make; from ffcount.oracle import oracle_decomp_census; "
+            "oracle_decomp_census(25, field_make(5, 1)); oracle_decomp_census(12, field_make(2, 3)); "
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "True False", proc.stderr
 
 
 def test_reference_is_independent_of_the_oracle():
