@@ -330,19 +330,19 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    ctx = field_from_q(args.q)
-    oracle_val = oracle_count(args.cls, args.r, args.n, ctx, args.s)
-    if CLASSES[args.cls].exact is None:
+    # the formula side first, so a query outside the theory exits 2 before
+    # the oracle sizes or builds anything
+    approximate = CLASSES[args.cls].exact is None
+    if approximate:
         rep = count_report(args.cls, args.r, args.n, args.s)
         alpha = rep.main_term.evaluate(args.q)
         bsq = rep.rel_bound_sq.evaluate(args.q)
-        diff = oracle_val - alpha
-        ok = diff * diff <= alpha * alpha * bsq
         formula_txt = f"{alpha} (main term, rel bound squared {bsq})"
     else:
         formula = exact_count(args.cls, args.r, args.n, args.s, args.q)
-        ok = formula == oracle_val
         formula_txt = str(formula)
+    oracle_val = oracle_count(args.cls, args.r, args.n, field_from_q(args.q), args.s)
+    ok = (oracle_val - alpha) ** 2 <= alpha * alpha * bsq if approximate else formula == oracle_val
     record = {
         "command": "verify",
         "query": {"class": args.cls, "r": str(args.r), "n": str(args.n),

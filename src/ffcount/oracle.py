@@ -22,9 +22,14 @@ sums, reduced mod p by conditional subtraction; over F_{p^d} q x q addition
 and multiplication tables): products of r-variate polynomials go through
 one kernel, ``_mul``, and compositions g(h), g univariate and h in r
 variables, through one composer, ``_compositions``, which serves both the
-univariate census (the case r = 1) and the multivariate decomposables.  Each builder packs its
-polynomials' codes into uint64 keys block by block and groups them with one
-sort (see the packed keys below).  The census writes each split's keys
+univariate census (the case r = 1) and the multivariate decomposables.  Its
+blocks hold at most ``_CHUNK_ROWS`` pairs, a slice of one h's q^(e-1) g's
+when they do not all fit; per pair it composes only the slots of degree
+<= (e - 1) n / e, which g's tails reach, and keeps the slots above them,
+h^e's, once per h.  Each builder packs its polynomials' codes into uint64
+keys block by block, in place in its key array, with a composed block's
+per-h slots broadcast over its pairs, and groups them with one sort (see
+the packed keys below).  The census writes each split's keys
 into its own columns of one preallocated key array and groups them there
 (``_tally``): each split is sorted in place, its distinct keys move down
 with their counts, and one stable sort merges the splits.  Its Frobenius
@@ -32,8 +37,10 @@ members, the polynomials with nonzero coefficients only at multiples of p,
 are enumerated once and looked up among the distinct keys; no composed
 pair is tested for that shape.  So it holds no sort permutation at one
 split, at most 24 bytes per pair at one split and 28 when it merges
-several with one-word keys, and the pair budget bounds its memory too.
-The order of first enumeration is recovered only when its per-polynomial
+several with one-word keys; the multivariate count holds 11.2 bytes a
+pair at r = 2, n = 4 over F_13 (one-word keys) and 33.7 at n = 7 over F_8
+(two words, sorted through a permutation); so the pair budget bounds their
+memory too.  The order of first enumeration is recovered only when its per-polynomial
 ``details`` or its ``collisions``, the rows with two or more
 decompositions as arrays, are read, by composing every pair again.
 numpy is imported inside the functions that use it, never at module
@@ -47,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, prod
 from typing import Any, NamedTuple
 
 from .ff import FieldCtx, _deglex_monomials, check_budget, check_log_tables, count_monic, field_embed
@@ -59,10 +66,10 @@ from .series import divisors, smallest_prime_factor
 # polynomial per column over the deg-lex-descending monomials of
 # ``_deglex_monomials(r, n)``.  Those of degree <= d are its last C(r + d, r)
 # in the same order, so a degree-d polynomial's own array is the tail of its
-# array at any degree n >= d.  Polynomials are built in blocks of about
+# array at any degree n >= d.  Polynomials are built in blocks of at most
 # _CHUNK_ROWS, so the full code array never exists.  Each block's codes are
-# packed base q into k uint64 words (k = 1 unless q^width >= 2^64) before the
-# next block.
+# packed base q into k uint64 words (k = 1 unless q^width >= 2^64), in place
+# in the builder's key array, before the next block.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -161,21 +168,28 @@ def _field_ops(ctx: FieldCtx):
     return add_into, (lambda a, b: mul.take(at(a, b))), (lambda acc, terms: acc)
 
 
-def _pack(digits, q: int):
-    """A (width, m) array of base-q digits as packed keys: a (k, m) uint64
-    array, each word holding up to ``_digits_per_word(q)`` digits, most
-    significant first."""
+def _pack(digits, q: int, out=None):
+    """Base-q digits as packed keys: ``digits`` is a sequence of width
+    arrays, most significant first, that broadcast to one shape of m
+    entries, and each of the m keys takes k = ceil(width /
+    ``_digits_per_word(q)``) uint64 words, each holding up to that many
+    digits.  The keys fill ``out``, a (k, m) uint64 array with contiguous
+    rows, in place by Horner's rule, each digit cast as it is added, and
+    ``out`` is returned (a new array when it is None).  So a (width, m)
+    array gives (k, m) keys."""
     import numpy as np
 
     per = _digits_per_word(q)
-    words = []
-    for lo in range(0, max(len(digits), 1), per):
-        word = np.zeros(digits.shape[1], dtype=np.uint64)
-        for d in digits[lo : lo + per]:
+    shape = np.broadcast_shapes(*(np.shape(d) for d in digits))
+    if out is None:
+        out = np.empty((-(-len(digits) // per), prod(shape)), dtype=np.uint64)
+    for word, lo in zip(out, range(0, len(digits), per)):
+        word = word.reshape(shape)  # a view, since the row is contiguous
+        word[...] = digits[lo]
+        for d in digits[lo + 1 : lo + per]:
             word *= q
-            word += d.astype(np.uint64)
-        words.append(word)
-    return np.stack(words)
+            np.add(word, d, out=word, dtype=np.uint64, casting="unsafe")  # codes are never negative
+    return out
 
 
 def _unpack(keys, q: int, width: int):
@@ -436,7 +450,7 @@ def _product_keys(ctx: FieldCtx, r: int, n: int, total: int, factors):
         if a > b:  # the kernel loops over the slots of its first factor
             a, G, b, H = b, H, a, G
         for i, j in _pair_blocks(G.shape[1], H.shape[1], triangle):
-            keys[:, at : at + len(i)] = _pack(_mul(ctx, r, a, b, G[:, i], H[:, j]), q)
+            _pack(_mul(ctx, r, a, b, G[:, i], H[:, j]), q, keys[:, at : at + len(i)])
             at += len(i)
     return _distinct(keys)
 
@@ -537,15 +551,17 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
 
 
 def _g_of_h(ctx: FieldCtx, powers, tails):
-    """g(h) = h^e + sum_i g_i h^i as a (width, m, n_g) code array, from the
-    powers h^1..h^e, each slot-major (width, m) over the monomials of its
-    own degree, and the tails g_1..g_{e-1} as an (e - 1, 1, n_g) array in
-    ``_code_dtype(ctx, e - 1)``, the dtype of the result."""
+    """The slots of g(h) = h^e + sum_i g_i h^i that g's tails reach, those of
+    degree <= (e - 1) deg h, as a (width, m, n_g) code array, width the
+    width of h^(e-1): from the powers h^1..h^e, each slot-major (width, m)
+    over the monomials of its own degree, and the tails g_1..g_{e-1} as an
+    (e - 1, 1, n_g) array in ``_code_dtype(ctx, e - 1)``, the dtype of the
+    result.  g(h)'s slots of higher degree are h^e's."""
     import numpy as np
 
     add, mul, mod = _field_ops(ctx)
-    F = np.empty(powers[-1].shape + tails.shape[-1:], dtype=tails.dtype)
-    F[...] = powers[-1][:, :, None]
+    F = np.empty(powers[-2].shape + tails.shape[-1:], dtype=tails.dtype)
+    F[...] = powers[-1][-len(F) :, :, None]
     for P, g_i in zip(powers, tails):
         P = P.astype(F.dtype, copy=False)
         add(F[len(F) - len(P) :], mul(P[:, :, None], g_i))  # h^i fills the last slots
@@ -555,27 +571,35 @@ def _g_of_h(ctx: FieldCtx, powers, tails):
 def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
     """Compose g(h) for every univariate monic original g of degree e and
     every r-variate monic original h of degree n / e, in blocks of at most
-    ``max(1, _CHUNK_ROWS // n_g)`` h's, each with every g.  Yields
-    ``(codes, rank)``: a slot-major (width, m) code array over
-    ``_deglex_monomials(r, n)`` (x^n first, the constant last) and each
-    column's rank g * n_h + h, its position when g is outer and h inner."""
+    ``max(1, _CHUNK_ROWS)`` pairs: as many h's as fit, each with every g, or
+    one h with a slice of the g's when the g's alone do not fit.  Yields
+    ``(high, low, h_rank, g_rank)`` over ``_deglex_monomials(r, n)`` (x^n
+    first, the constant last): g(h)'s slots of degree above (e - 1) n / e,
+    which come from h^e alone, as a (width_hi, m_h, 1) code array, one
+    column per h; its other slots as a (width_lo, m_h, m_g) code array
+    (``_g_of_h``); and the block's h's and g's as 1-D arrays of h and
+    g * n_h, so the pair at (i, j) has rank h_rank[i] + g_rank[j], its
+    position when g is outer and h inner."""
     import numpy as np
 
     q, ne = ctx.q, n // e
     hs = _monic_rows(q, r, ne, original=True)
     n_g, n_h = q ** (e - 1), hs.shape[1]
-    # coefficient tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
-    tails = np.indices((q,) * (e - 1), dtype=_code_dtype(ctx, e - 1)).reshape(e - 1, 1, n_g)
-    g_rank = np.arange(0, n_g * n_h, n_h)
-    step = max(1, _CHUNK_ROWS // n_g)
-    for lo in range(0, n_h, step):
-        h = hs[:, lo : lo + step]
+    step = max(1, _CHUNK_ROWS)
+    m_h, m_g = max(1, step // n_g), min(n_g, step)
+    places = q ** np.arange(e - 2, -1, -1)
+    for lo in range(0, n_h, m_h):
+        h = hs[:, lo : lo + m_h]
         # h^1..h^e of every h in the block; h's constant slot, its last, is 0
         powers = [h]
         for k in range(1, e):
             powers.append(_mul(ctx, r, ne, k * ne, h[:-1], powers[-1]))
-        F = _g_of_h(ctx, powers, tails)
-        yield F.reshape(len(F), -1), (np.arange(lo, lo + h.shape[1])[:, None] + g_rank).ravel()
+        high = powers[-1][: -len(powers[-2]), :, None]
+        for g0 in range(0, n_g, m_g):
+            g = np.arange(g0, min(g0 + m_g, n_g))
+            # these g's tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
+            tails = (g // places[:, None] % q).astype(_code_dtype(ctx, e - 1))[:, None]
+            yield high, _g_of_h(ctx, powers, tails), np.arange(lo, lo + h.shape[1]), g * n_h
 
 
 # -- univariate decomposition census --------------------------------------
@@ -589,11 +613,14 @@ def _split_pairs(q: int, n: int, e: int) -> int:
 
 def _census_blocks(ctx: FieldCtx, n: int, e: int):
     """``_compositions`` at r = 1 with deg g = e, block by block: each
-    block's packed keys and their ranks.  Every composition has code 1 at
-    x^n and code 0 at the constant, so the keys hold the codes of x up to
-    x^(n-1), x's the most significant."""
-    for codes, rank in _compositions(ctx, 1, n, e):
-        yield _pack(codes[n - 1 : 0 : -1], ctx.q), rank
+    block's digits to ``_pack``, which broadcast to (m_h, m_g), and its
+    ``h_rank`` and ``g_rank`` (see there).  Every composition has code
+    1 at x^n and code 0 at the constant, so the keys hold the codes of x up
+    to x^(n-1), x's the most significant: those of the pair's own slots
+    first (low, from x^((e-1)n/e) down to the constant), then those of its
+    h's (high, from x^n down)."""
+    for high, low, h_rank, g_rank in _compositions(ctx, 1, n, e):
+        yield [*low[-2::-1], *high[:0:-1]], h_rank, g_rank
 
 
 def _frobenius_rows(keys, q: int, p: int, n: int):
@@ -683,13 +710,15 @@ class CensusReport:
         """The first-enumeration rank of each of the sorted (k, m) keys: its
         smallest position when the splits run ascending, each g outer and h
         inner, found by composing every pair again."""
+        import numpy as np
+
         q, n = self.q, self.n
 
         def blocks():
             offset = 0
             for e in self.per_split:
-                for block, rank in _census_blocks(self.ctx, n, e):
-                    yield rank + offset, block
+                for digits, h_rank, g_rank in _census_blocks(self.ctx, n, e):
+                    yield np.add.outer(h_rank, g_rank + offset).ravel(), _pack(digits, q)
                 offset += _split_pairs(q, n, e)
 
         return _first(keys, blocks())
@@ -757,10 +786,11 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     keys = np.empty((words, sum(sizes)), dtype=np.uint64)
     at = 0
     for e in splits:
-        for block, _ in _census_blocks(ctx, n, e):
-            keys[:, at : at + block.shape[1]] = block
-            at += block.shape[1]
-    del block  # the last block goes before the keys are grouped
+        for digits, h_rank, g_rank in _census_blocks(ctx, n, e):
+            m = len(h_rank) * len(g_rank)
+            _pack(digits, q, keys[:, at : at + m])
+            at += m
+    del digits  # the last block goes before the keys are grouped
     keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
     frob = _frobenius_rows(keys, q, ctx.p, n)
     hit = counts > 0
@@ -801,6 +831,8 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     """Count decomposable monic original r-variate degree-n polynomials by
     composing every (univariate monic original g, multivariate monic
     original h) pair with deg g >= 2 across all degree splits."""
+    if n < 1:
+        raise ValueError(f"decomposable degree n must be >= 1, got n = {n}")
     q = ctx.q
     splits = [e for e in divisors(n) if e >= 2]
     total = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in splits)
@@ -814,7 +846,8 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     keys = np.empty((-(-(width - 1) // _digits_per_word(q)), total), dtype=np.uint64)
     at = 0
     for e in splits:
-        for codes, _ in _compositions(ctx, r, n, e):
-            keys[:, at : at + codes.shape[1]] = _pack(codes[:-1], q)
-            at += codes.shape[1]
+        for high, low, _, _ in _compositions(ctx, r, n, e):
+            m = low[0].size
+            _pack([*high, *low[:-1]], q, keys[:, at : at + m])
+            at += m
     return int(np.count_nonzero(_runs(keys, permute=False)[1]))

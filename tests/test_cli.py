@@ -595,6 +595,25 @@ def test_large_prime_q_answers_at_once():
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("n, q", [(6, 32), (12, 16)])
+def test_verify_decomposable_mv_at_r_1_exits_2_before_composing(n, q):
+    # the formula side refuses r = 1 before the oracle composes its 33.5M
+    # pairs at (6, F_32) or sizes the over-budget ones at (12, F_16)
+    import subprocess
+    import time
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffcount", "verify", "--class", "decomposable_mv",
+         "--r", "1", "--n", str(n), "--q", str(q)],
+        capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "need r >= 2" in proc.stderr
+    assert elapsed < 2.0, elapsed
+
+
 def test_verify_over_f65536_builds_its_field_at_once():
     import subprocess
     import sys

@@ -319,6 +319,17 @@ def _census_pairs_by_compose(ctx, n, e):
     return [tuple(g.compose(h).c) for g in gs for h in hs]
 
 
+def _composed_rows(ctx, r, n, e):
+    """``_compositions``' rows as {rank: codes over ``_deglex_monomials(r,
+    n)``}, each block's per-h high slots spread over its pairs."""
+    rows = {}
+    for high, low, h_rank, g_rank in orc._compositions(ctx, r, n, e):
+        codes = np.concatenate([np.broadcast_to(high, (len(high),) + low.shape[1:]), low])
+        rank = np.add.outer(h_rank, g_rank).ravel()
+        rows.update(zip(rank.tolist(), map(tuple, codes.reshape(len(codes), -1).T.tolist())))
+    return rows
+
+
 @pytest.mark.parametrize(
     "p, d, n", [(5, 1, 6), (2, 1, 8), (2, 1, 12), (2, 3, 6), (3, 2, 6), (2, 2, 8), (3, 1, 9)]
 )
@@ -330,11 +341,56 @@ def test_census_pairs_python_matches_compose(p, d, n, monkeypatch):
     ctx = field_make(p, d)
     for e in divisors(n):
         if 1 < e < n:
-            rows = {}
-            for codes, rank in orc._compositions(ctx, 1, n, e):
-                # slots run from x^n down to the constant
-                rows.update(zip(rank.tolist(), map(tuple, codes[::-1].T.tolist())))
+            # slots run from x^n down to the constant
+            rows = {rank: row[::-1] for rank, row in _composed_rows(ctx, 1, n, e).items()}
             assert [rows[i] for i in range(len(rows))] == _census_pairs_by_compose(ctx, n, e)
+
+
+# 5 pairs per block is fewer than the q^(e-1) g's of the largest split, so
+# blocks cut the g range there and the h range elsewhere.
+@pytest.mark.parametrize("r, n, p, d", [(2, 4, 3, 1), (2, 4, 2, 2), (2, 6, 2, 1), (3, 4, 2, 1), (3, 2, 5, 1)])
+def test_mv_compositions_match_mvpoly(r, n, p, d, monkeypatch):
+    # the r-variate compositions are g(h) by MvPoly arithmetic, each pair
+    # at rank g * n_h + h: g in enumerate_monic_uni order, h in the order
+    # of _monic_rows, whose h's are enumerate_monic_mv's
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", 5)
+    ctx = field_make(p, d)
+
+    def codes(poly, degree):
+        slot = {m: i for i, m in enumerate(_deglex_monomials(r, degree))}
+        row = [0] * len(slot)
+        for exp, code in poly.terms.items():
+            row[slot[exp]] = code
+        return tuple(row)
+
+    for e in divisors(n):
+        if e > 1:
+            hs = list(map(tuple, orc._monic_rows(ctx.q, r, n // e, original=True).T.tolist()))
+            ref = {codes(h, n // e): h for h in enumerate_monic_mv(ctx, r, n // e, original=True)}
+            assert sorted(hs) == sorted(ref)
+            want = {}
+            for g_at, g in enumerate(enumerate_monic_uni(ctx, e, original=True)):
+                for h_at, h in enumerate(map(ref.get, hs)):
+                    f = sum((h**i * g.coeff(i) for i in range(1, e)), h**e)
+                    want[g_at * len(hs) + h_at] = codes(f, n)
+            assert _composed_rows(ctx, r, n, e) == want
+
+
+@pytest.mark.parametrize("chunk", [0, 5, 7, 64])
+@pytest.mark.parametrize("r, n, q", [(1, 12, 2), (1, 8, 3), (2, 4, 3), (2, 6, 2), (3, 4, 2)])
+def test_composition_blocks_hold_at_most_chunk_rows_pairs(r, n, q, chunk, monkeypatch):
+    # the g's of the largest split outnumber blocks of 0, 5 and 7 pairs,
+    # and of 64 at r = 1, so the blocks slice them; each pair comes once
+    monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    ctx = field_make(*factor_prime_power(q))
+    for e in divisors(n):
+        if e > 1:
+            ranks = []
+            for high, low, h_rank, g_rank in orc._compositions(ctx, r, n, e):
+                assert low[0].size <= max(1, chunk) and low.shape[1:] == (len(h_rank), len(g_rank))
+                assert high.shape[1:] == (len(h_rank), 1)
+                ranks.extend(np.add.outer(h_rank, g_rank).ravel().tolist())
+            assert sorted(ranks) == list(range(q ** (e - 1) * count_monic(q, r, n // e, original=True)))
 
 
 def test_field_ops_match_field_arithmetic():
@@ -430,9 +486,9 @@ def _census_fields(rep):
     }
 
 
-# Rows per composed block: 20000 puts the seams elsewhere than the default
-# 2^15, 7 cuts most blocks unevenly and 0 composes one h per block, so the
-# details order is recovered from ranks across blocks and splits.
+# Pairs per composed block: 20000 puts the seams elsewhere than the default
+# 2^15, 7 cuts most blocks unevenly and 0 composes one pair per block, so
+# the details order is recovered from ranks across blocks and splits.
 @pytest.mark.parametrize("chunk", [20000, 7, 0])
 @pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4), (12, 3)])
 def test_census_report_matches_compose_tabulation(n, q, chunk, monkeypatch):
@@ -510,20 +566,26 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
 # tracemalloc after a warm-up call (code tables, monomial slots), make it a
 # bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2;
 # 8^(e-1) times 8^(12/e - 1) over the four splits of 12, which the census
-# merges; and 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
-# degree 4 times 14.  A census sorts each split's keys in place and holds no
-# sort permutation unless it merges several splits, so one split stays
-# within 24 bytes a pair.  It looks its Frobenius members up after the
-# merge and holds nothing for them through it, so four splits stay within
-# 28 (26.7 measured).  The F_13 composer sums g(h) in uint8: 13 bytes per
-# pair, 16 in uint16 and 20 in int32, so its gate at 15 fails if those sums
-# come back wide.
+# merges; 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
+# degree 4 times 14; and 16^(e-1) g's times 16^(6/e - 1) univariate h's
+# over the splits of 6.  A census sorts each split's keys in place and
+# holds no sort permutation unless it merges several splits, so one split
+# stays within 24 bytes a pair.  It looks its Frobenius members up after
+# the merge and holds nothing for them through it, so four splits stay
+# within 28 (26.7 measured).  A composed block holds at most _CHUNK_ROWS
+# pairs, and per pair only the slots that g's tails reach, so past its key
+# (8 bytes in one word) and the sort's run marks (1) a pair costs little:
+# mv (2, 4, F_13) measures 11.2, but 14.9 with its sums in int32 and 18.1
+# with blocks of 2^18 pairs, so its gate at 12 fails if either comes back.
+# At (1, 6, F_16) one h has 16^5 g's, which the blocks slice: 13.2, where a
+# block of one h with all its g's held 147.
 @pytest.mark.parametrize("build, pairs, limit", [
     (lambda: orc.oracle_decomp_census(25, F5), 390_625, 24),
     (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 24),
     (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 28),
-    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 15),
-], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13"])
+    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 12),
+    (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 16),
+], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13", "mv-1-6-F16"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
     import tracemalloc
 
@@ -589,7 +651,8 @@ def test_mv_decomp_numpy_dedups_across_splits():
     assert _mv_decomp_by_compose(2, 4, f7) == 21903
 
 
-# 7 rows per block cuts the h list unevenly and 0 composes one h per block
+# 7 pairs per block cuts the h list unevenly, and the q^3 g's of degree 4
+# too; 0 composes one pair per block
 @pytest.mark.parametrize("chunk", [7, 0])
 @pytest.mark.parametrize("p, d", [(7, 1), (2, 2)])
 def test_mv_decomp_block_seams(p, d, chunk, monkeypatch):
@@ -605,6 +668,12 @@ def test_mv_decomp_numpy_wide_keys():
     # pairs gives its own polynomial.
     assert len(_deglex_monomials(5, 2)) - 1 > orc._digits_per_word(11)
     assert orc.oracle_mv_decomp(5, 2, field_make(11, 1)) == 11 * (11**5 - 1) // 10
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_mv_decomp_below_degree_1_names_the_degree(n):
+    with pytest.raises(ValueError, match=f"decomposable degree n must be >= 1, got n = {n}"):
+        orc.oracle_mv_decomp(2, n, F2)
 
 
 def test_mv_decomp_prime_degree_uses_linear_h():
