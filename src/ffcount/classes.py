@@ -123,9 +123,15 @@ def count_report(cls: str, r: int, n: int, s: Optional[int] = None) -> mv_counts
     return _lookup(cls, s, "report")(r, n, s)
 
 
-def oracle_count(cls: str, r: int, n: int, ctx: FieldCtx, s: Optional[int] = None) -> int:
-    """The exact count of a class over ``ctx`` by exhaustive enumeration."""
+def _oracle(cls: str, r: int, n: int, s: Optional[int]) -> Callable:
+    """A class's oracle function, once the class, s, r and n are checked,
+    so a caller can reject a query before it builds the field."""
     fn = _lookup(cls, s, "oracle")
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    return fn(r, n, ctx, s)
+    return fn
+
+
+def oracle_count(cls: str, r: int, n: int, ctx: FieldCtx, s: Optional[int] = None) -> int:
+    """The exact count of a class over ``ctx`` by exhaustive enumeration."""
+    return _oracle(cls, r, n, s)(r, n, ctx, s)

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import mv_counts, oracle, uv_counts, uv_families
-from .classes import CLASSES, count_report, exact_count, oracle_count
+from .classes import CLASSES, _oracle, count_report, exact_count
 from .ff import BudgetExceeded, FieldCtx, FqElem, UniPoly, check_budget, field_from_q
 from .qrat import QPoly
 from .series import factor_prime_power
@@ -330,18 +330,22 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    # the formula side first, so a query outside the theory exits 2 before
-    # the oracle sizes or builds anything
+    # a main term first, so a query outside its theory (decomposable_mv at
+    # r = 1) exits 2 before the oracle sizes anything, and the query checked
+    # before the field is built; an exact count last: the oracle refuses a
+    # query over its budget at once, where the formula can take seconds
+    # (O(n^3) at a fixed q)
     approximate = CLASSES[args.cls].exact is None
     if approximate:
         rep = count_report(args.cls, args.r, args.n, args.s)
         alpha = rep.main_term.evaluate(args.q)
         bsq = rep.rel_bound_sq.evaluate(args.q)
         formula_txt = f"{alpha} (main term, rel bound squared {bsq})"
-    else:
+    enumerate_class = _oracle(args.cls, args.r, args.n, args.s)
+    oracle_val = enumerate_class(args.r, args.n, field_from_q(args.q), args.s)
+    if not approximate:
         formula = exact_count(args.cls, args.r, args.n, args.s, args.q)
         formula_txt = str(formula)
-    oracle_val = oracle_count(args.cls, args.r, args.n, field_from_q(args.q), args.s)
     ok = (oracle_val - alpha) ** 2 <= alpha * alpha * bsq if approximate else formula == oracle_val
     record = {
         "command": "verify",

@@ -9,10 +9,10 @@ coefficient key:
   reducible image;
 * relatively irreducible = products of the t conjugates of each monic u over
   the degree-t extension, for every prime t dividing the degree, that lie
-  over the base field and are not reducible (an irreducible polynomial's
-  absolutely irreducible components are conjugate and equinumerous, so
-  reducibility first shows up over prime extension degrees, with factors of
-  equal degree);
+  over the base field, less those found among the reducible keys (an
+  irreducible polynomial's absolutely irreducible components are conjugate
+  and equinumerous, so reducibility first shows up over prime extension
+  degrees, with factors of equal degree);
 * decomposables  = image of {g(h)} over monic original component pairs.
 
 No symbolic shortcut from the formula side enters any of these.  Every
@@ -29,10 +29,14 @@ when they do not all fit; per pair it composes only the slots of degree
 h^e's, once per h.  Each builder packs its polynomials' codes into uint64
 keys block by block, in place in its key array, with a composed block's
 per-h slots broadcast over its pairs, and groups them with one sort (see
-the packed keys below).  The census writes each split's keys
+the packed keys below): ``_sort``, stable and in ``np.lexsort`` order,
+which one-word keys skip for a direct in-place sort of the same order.
+Keys are found among sorted ones by one lookup, ``_locate``; the
+degree-p^2 classifier in ``uv_families`` sorts and looks up its family
+keys through the same two.  The census writes each split's keys
 into its own columns of one preallocated key array and groups them there
 (``_tally``): each split is sorted in place, its distinct keys move down
-with their counts, and one stable sort merges the splits.  Its Frobenius
+with their counts, and one ``_sort`` merges the splits.  Its Frobenius
 members, the polynomials with nonzero coefficients only at multiples of p,
 are enumerated once and looked up among the distinct keys; no composed
 pair is tested for that shape.  So it holds no sort permutation at one
@@ -204,24 +208,27 @@ def _unpack(keys, q: int, width: int):
     return np.concatenate(digits)
 
 
-def _runs(keys, permute: bool = True):
-    """Sort (k, m) packed keys in place and mark the runs of equal ones.
-
-    Returns ``(order, new)``: the sorting permutation and ``_run_starts`` of
-    the sorted keys, so ``order[new]`` holds an input position of each
-    distinct key.  With ``permute=False`` one-word keys are sorted directly,
-    several times faster, and ``order`` is None.
-    """
+def _sort(keys):
+    """Sort (k, m) packed keys in place, stably, in ``np.lexsort`` order (the
+    last word foremost), and return the sorting permutation; the keys are
+    permuted a word at a time, so with one word of scratch."""
     import numpy as np
 
-    if len(keys) == 1 and not permute:
-        order = None
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0], kind="stable")
+    for w in range(len(keys)):
+        keys[w] = keys[w][order]
+    return order
+
+
+def _runs(keys):
+    """Sort (k, m) packed keys in place and return ``_run_starts`` of them.
+    One-word keys are sorted directly, several times faster than through
+    ``_sort``'s permutation."""
+    if len(keys) == 1:
         keys.sort(axis=1)
     else:
-        order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
-        for w in range(len(keys)):  # a word at a time, so one word of scratch
-            keys[w] = keys[w][order]
-    return order, _run_starts(keys)
+        _sort(keys)
+    return _run_starts(keys)
 
 
 def _run_starts(keys):
@@ -239,7 +246,7 @@ def _run_starts(keys):
 
 def _locate(keys, probes):
     """Where each of the (k, m) probes stands among the (k, R) keys, R >= 1,
-    sorted as ``_runs`` sorts them (by ``np.lexsort``, the last word
+    sorted as ``_sort`` sorts them (by ``np.lexsort``, the last word
     foremost): ``(at, found)``, the first column not below the probe, as a
     ``searchsorted`` index array, and a bool mask, True where that column
     equals the probe.  Several words take a binary search on all probes at
@@ -264,19 +271,10 @@ def _locate(keys, probes):
     return at, found
 
 
-def _distinct(keys, banned: int = 0):
+def _distinct(keys):
     """The sorted distinct keys among (k, m) packed keys, as a read-only
-    (m', k) array with one key per row, leaving out every key that also
-    occurs in the last ``banned`` columns."""
-    import numpy as np
-
-    order, new = _runs(keys, permute=banned > 0)
-    if banned:
-        run = np.cumsum(new) - 1
-        hit = np.zeros(len(new), dtype=bool)
-        hit[run[order >= len(order) - banned]] = True
-        new &= ~hit[run]
-    out = keys[:, new].T
+    (m', k) array with one key per row."""
+    out = keys[:, _runs(keys)].T
     out.flags.writeable = False  # lru_cache hands the same array to every caller
     return out
 
@@ -316,7 +314,7 @@ def _tally(keys, offsets):
     firsts, counts, at = [], [np.zeros(0, dtype=np.uint8)], 0
     for lo, hi in zip(offsets, ends):
         firsts.append(at)
-        new = _runs(keys[:, lo:hi], permute=False)[1]
+        new = _runs(keys[:, lo:hi])
         last = None  # where the run still open begins
         for i, sel in _compact(keys, lo, new, at):
             starts = np.flatnonzero(sel) + i
@@ -331,9 +329,7 @@ def _tally(keys, offsets):
     if len(offsets) == 1:
         return keys[:, :at], counts[None]
     merged = keys[:, :at]
-    order = np.lexsort(merged) if len(merged) > 1 else np.argsort(merged[0], kind="stable")
-    for w in range(len(merged)):
-        merged[w] = merged[w][order]
+    order = _sort(merged)
     new = _run_starts(merged)
     tally = np.zeros((len(offsets), np.count_nonzero(new)), dtype=counts.dtype)
     run = -1  # the run of the copy before the block
@@ -347,7 +343,7 @@ def _tally(keys, offsets):
 
 
 def _first(keys, blocks):
-    """The smallest position of each of the (k, R) keys, sorted as ``_runs``
+    """The smallest position of each of the (k, R) keys, sorted as ``_sort``
     sorts them, among ``blocks``, which yield a block's positions and its
     (k, m) packed keys; a block's keys outside ``keys`` are passed over.
     With no keys it reads no block."""
@@ -512,8 +508,8 @@ def _powerful_keys(ctx: FieldCtx, r: int, n: int, s: int):
 def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
     import numpy as np
 
-    if n < 1:
-        return np.empty((0, 1), dtype=np.uint64)
+    if n < 2:  # no prime divides n
+        return np.empty((0, -(-comb(r + n, r) // _digits_per_word(ctx.q))), dtype=np.uint64)
     # size every F_{q^t} from q and t before any of them is built: its log
     # tables, its conjugate factors and its code tables; _reducible_keys
     # then sizes its own products before it builds them
@@ -541,7 +537,10 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
             codes = pullback[product]
             found.append(_pack(codes[:, (codes >= 0).all(axis=0)], ctx.q))
     # a monic degree-n product over F_q is irreducible unless it is reducible
-    return _distinct(np.concatenate(found + [reducible.T], axis=1), banned=len(reducible))
+    products = _distinct(np.concatenate(found, axis=1)).T
+    out = products[:, ~_locate(reducible.T, products)[1]].T
+    out.flags.writeable = False
+    return out
 
 
 # -- composing g(h) in blocks ----------------------------------------------
@@ -850,4 +849,4 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
             m = low[0].size
             _pack([*high, *low[:-1]], q, keys[:, at : at + m])
             at += m
-    return int(np.count_nonzero(_runs(keys, permute=False)[1]))
+    return int(np.count_nonzero(_runs(keys)))

@@ -9,7 +9,8 @@ families that exhaust degree p^2 together with a classifier for that degree.
 
 The classifier works on numpy code arrays, many polynomials at once.  Once
 per field it builds, from parameter columns, a sorted key index of every S
-and M family polynomial with two or more decompositions.  On each block of
+and M family polynomial with two or more decompositions, in the oracle's
+packed keys, sorted by ``oracle._sort`` and searched by ``oracle._locate``.  On each block of
 f columns it divides every f by every right component h directly (its
 decomposition count, independent of any census) and takes every shift
 f(x + w) - f(w) by Taylor's formula, which it looks up in the index.
@@ -31,7 +32,8 @@ from functools import lru_cache, partial
 
 from .ff import FieldCtx, FqElem, UniPoly, check_budget
 from .oracle import (
-    _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _field_ops, _monic_rows, _mul, _pack,
+    _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _field_ops, _locate, _monic_rows, _mul, _pack,
+    _run_starts, _sort,
 )
 from .series import divisors
 
@@ -345,18 +347,6 @@ def _poly_mul(ctx: FieldCtx, P, Q):
     return _mul(ctx, 1, len(P) - 1, len(Q) - 1, P[::-1], Q[::-1])[::-1]
 
 
-def _flat_keys(codes, q: int):
-    """Columns of codes as a 1-D array of sortable keys: their packed words
-    (``oracle._pack``), as one uint64 each when one word holds a column, or
-    else as bytes, most significant word first."""
-    import numpy as np
-
-    keys = _pack(codes, q)
-    if len(keys) == 1:
-        return keys[0]
-    return np.ascontiguousarray(keys.T.astype(">u8")).view(f"V{8 * len(keys)}").ravel()
-
-
 # the parameters of each family in ``classify_p2``'s witness, in order; the
 # first two are field elements, the rest integers
 _PARAMS = {"S": ("u", "s", "eps", "m", "t_count"), "M": ("a", "b", "m", "t_count")}
@@ -447,11 +437,10 @@ def _m_families(ctx: FieldCtx):
 def _family_index(ctx: FieldCtx) -> dict:
     """The S and M families of degree p^2 over ctx with two or more
     decompositions, built once per field: {label: (keys, params)}, the
-    sorted distinct ``_flat_keys`` of their coefficients (slots 1..p^2 - 1)
-    and, per key, the parameters (rows as in ``_PARAMS``) first in the
-    search order, m, eps, u, s for S and m, b, a for M."""
-    import numpy as np
-
+    sorted distinct (k, R) packed keys (``oracle._pack``, sorted by
+    ``oracle._sort``) of their coefficients (slots 1..p^2 - 1) and, per key,
+    the parameters (rows as in ``_PARAMS``) first in the search order, m,
+    eps, u, s for S and m, b, a for M."""
     p, q = ctx.p, ctx.q
     n = p * p
     check_budget(2 * len(divisors(p - 1)) * q * q + max(p - 3, 0) * q * q,
@@ -459,12 +448,10 @@ def _family_index(ctx: FieldCtx) -> dict:
     _check_tables(q, ctx.d)
     index = {}
     for label, (codes, params) in (("S", _s_families(ctx)), ("M", _m_families(ctx))):
-        keys = _flat_keys(codes[1:n], q)
-        order = np.argsort(keys, kind="stable")  # equal keys keep the search order
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        index[label] = keys[first], params[:, order[first]]
+        keys = _pack(codes[1:n], q)
+        order = _sort(keys)  # stable: equal keys keep the search order
+        first = _run_starts(keys)
+        index[label] = keys[:, first], params[:, order[first]]
     return index
 
 
@@ -557,12 +544,11 @@ def _classify(ctx: FieldCtx, F) -> list[tuple[str, dict]]:
         block = F[:, lo : lo + step]
         cols = np.arange(block.shape[1])
         decs[lo : lo + step] = _decompositions(ctx, block)
-        shifts = _flat_keys(_shifts(ctx, block).reshape(n - 1, -1), q).reshape(q, -1)
+        shifts = _pack(_shifts(ctx, block).reshape(n - 1, -1), q)
         for label, (keys, _) in index.items():
-            if not len(keys):
+            if not keys.shape[1]:
                 continue
-            at = np.minimum(np.searchsorted(keys, shifts), len(keys) - 1)
-            found = keys[at] == shifts
+            at, found = (a.reshape(q, -1) for a in _locate(keys, shifts))
             w = found.argmax(axis=0)  # the smallest shift that lands in the family
             hits[label][0][lo : lo + step] = np.where(found[w, cols], w, -1)
             hits[label][1][lo : lo + step] = at[w, cols]

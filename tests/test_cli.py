@@ -614,6 +614,37 @@ def test_verify_decomposable_mv_at_r_1_exits_2_before_composing(n, q):
     assert elapsed < 2.0, elapsed
 
 
+def test_verify_sizes_the_oracle_before_an_exact_formula(monkeypatch):
+    # the oracle refuses 2^400-odd reducible products at once; the exact
+    # count at n = 400 grows a composition table for seconds first
+    import subprocess
+    import time
+
+    monkeypatch.delenv("FFCOUNT_BUDGET", raising=False)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffcount", "verify", "--class", "irreducible",
+         "--r", "1", "--n", "400", "--q", "2"],
+        capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "reducible witness products at n=400" in proc.stderr
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["--class", "irreducible", "--r", "0", "--n", "2"],
+    ["--class", "powerful", "--r", "2", "--n", "2"],
+])
+def test_verify_checks_the_query_before_the_field(argv, capsys):
+    # F_{2^27}'s log tables exceed the budget; a query outside the theory
+    # still exits 2, so it is rejected before the field is built
+    rc, out = run(["verify", *argv, "--q", str(2**27)])
+    assert rc == 2 and out == ""
+    assert "budget" not in capsys.readouterr().err
+
+
 def test_verify_over_f65536_builds_its_field_at_once():
     import subprocess
     import sys

@@ -1,4 +1,5 @@
-"""Time and size the composition oracles in one interpreter.
+"""Time and size the enumeration oracles and the degree-p^2 classifier in one
+interpreter.
 
 Usage::
 
@@ -9,7 +10,12 @@ Usage::
 For each fixed case below it makes one warm-up call, which also imports
 numpy and builds the field's code tables, then prints one JSON line: the
 minimum of 10 timed warm calls in ms, and the tracemalloc peak of one
-further call divided by the case's composed pairs, in bytes per pair.
+further call divided by the case's items, in bytes per item.  An item is a
+composed pair for the composition oracles, a reducible key for the
+relatively irreducible keys (built uncached, with the reducible keys that
+the warm-up call cached), an indexed family polynomial for the classifier's
+family index (built cold, its cache cleared before each call), and an
+(f, h) pair for the classifier.
 """
 
 from __future__ import annotations
@@ -28,27 +34,52 @@ CASES = [
     ("mv", 2, 4, 13, 1),
     ("mv", 2, 7, 2, 3),
     ("mv", 1, 6, 2, 4),
+    ("rel_irreducible", 2, 5, 2, 1),
+    ("rel_irreducible", 4, 3, 2, 1),
+    ("family_index", None, None, 7, 1),
+    ("family_index", None, None, 2, 8),
+    ("classify_census", None, 25, 5, 1),
 ]
 
 
 def main() -> int:
     if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python3 tools/oracle_probe.py <src dir>", file=sys.stderr)
         return 2
     sys.path.insert(0, sys.argv[1])
+    import ffcount.oracle as orc
+    import ffcount.uv_families as uf
     from ffcount.ff import count_monic, field_make
-    from ffcount.oracle import oracle_decomp_census, oracle_mv_decomp
     from ffcount.series import divisors
+
+    def family_index(ctx):
+        uf._family_index.cache_clear()
+        return uf._family_index(ctx)
 
     for oracle, r, n, p, d in CASES:
         ctx = field_make(p, d)
         q = ctx.q
         if oracle == "census":
-            pairs = sum(q ** (e - 1) * q ** (n // e - 1) for e in divisors(n) if 1 < e < n)
-            call = lambda: oracle_decomp_census(n, ctx)  # noqa: E731
+            item = "pair"
+            items = sum(q ** (e - 1) * q ** (n // e - 1) for e in divisors(n) if 1 < e < n)
+            call = lambda: orc.oracle_decomp_census(n, ctx)  # noqa: E731
+        elif oracle == "mv":
+            item = "pair"
+            items = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in divisors(n) if e > 1)
+            call = lambda: orc.oracle_mv_decomp(r, n, ctx)  # noqa: E731
+        elif oracle == "rel_irreducible":
+            item = "reducible key"
+            items = len(orc._reducible_keys(ctx, r, n))
+            call = lambda: orc._rel_irreducible_keys.__wrapped__(ctx, r, n)  # noqa: E731
+        elif oracle == "family_index":
+            item = "family polynomial"
+            items = sum(params.shape[1] for _, params in family_index(ctx).values())
+            call = lambda: family_index(ctx)  # noqa: E731
         else:
-            pairs = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in divisors(n) if e > 1)
-            call = lambda: oracle_mv_decomp(r, n, ctx)  # noqa: E731
+            item = "(f, h) pair"
+            rep = orc.oracle_decomp_census(n, ctx)
+            items = len(rep.collisions.codes) * q ** (p - 1)
+            call = lambda: uf.classify_census(rep)  # noqa: E731
         call()
         best = float("inf")
         for _ in range(CALLS):
@@ -61,9 +92,9 @@ def main() -> int:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        case = f"{oracle} r={r} n={n} F_{q}" if r else f"{oracle} n={n} F_{q}"
-        print(json.dumps({"case": case, "pairs": pairs, "min_ms": round(best * 1e3, 1),
-                          "bytes_per_pair": round(peak / pairs, 2)}), flush=True)
+        case = " ".join([oracle] + [f"{k}={v}" for k, v in (("r", r), ("n", n)) if v is not None] + [f"F_{q}"])
+        print(json.dumps({"case": case, "item": item, "items": items, "min_ms": round(best * 1e3, 1),
+                          "bytes_per_item": round(peak / items, 2)}), flush=True)
     return 0
 
 
