@@ -103,8 +103,7 @@ def parse_upoly(ctx: FieldCtx, text: str) -> UniPoly:
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "json":
         record = {"schema_version": SCHEMA_VERSION, **record}
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(record, indent=2) + "\n")  # one write, not one per encoder chunk
         return
     if fmt == "csv":
         writer = csv.writer(out)

@@ -24,29 +24,35 @@ one kernel, ``_mul``, and compositions g(h), g univariate and h in r
 variables, through one composer, ``_compositions``, which serves both the
 univariate census (the case r = 1) and the multivariate decomposables.  Its
 blocks hold at most ``_CHUNK_ROWS`` pairs, a slice of one h's q^(e-1) g's
-when they do not all fit; per pair it composes only the slots of degree
-<= (e - 1) n / e, which g's tails reach, and keeps the slots above them,
-h^e's, once per h.  Each builder packs its polynomials' codes into uint64
-keys block by block, in place in its key array, with a composed block's
-per-h slots broadcast over its pairs, and groups them with one sort (see
-the packed keys below): ``_sort``, stable and in ``np.lexsort`` order,
-which one-word keys skip for a direct in-place sort of the same order.
-Keys are found among sorted ones by one lookup, ``_locate``; the
-degree-p^2 classifier in ``uv_families`` sorts and looks up its family
-keys through the same two.  The census writes each split's keys
-into its own columns of one preallocated key array and groups them there
-(``_tally``): each split is sorted in place, its distinct keys move down
-with their counts, and one ``_sort`` merges the splits.  Its Frobenius
-members, the polynomials with nonzero coefficients only at multiples of p,
-are enumerated once and looked up among the distinct keys; no composed
-pair is tested for that shape.  So it holds no sort permutation at one
-split, at most 24 bytes per pair at one split and 28 when it merges
-several with one-word keys; the multivariate count holds 11.2 bytes a
-pair at r = 2, n = 4 over F_13 (one-word keys) and 33.7 at n = 7 over F_8
-(two words, sorted through a permutation); so the pair budget bounds their
-memory too.  The order of first enumeration is recovered only when its per-polynomial
-``details`` or its ``collisions``, the rows with two or more
-decompositions as arrays, are read, by composing every pair again.
+when they do not all fit, and it composes them a slot at a time (several
+at a time in a block too small to fill ``_SLOT_CODES`` codes): a slot of
+degree <= (e - 1) n / e, which g's tails reach, is composed and reduced in
+slot-sized scratch, and one above them is h^e's, kept once per h.  Each
+builder packs its polynomials' codes into uint64 keys block by block, slot
+by slot as the composer yields them, in place in its key array, and groups
+them with one sort (see the packed keys below): ``_sort``, stable and in
+``np.lexsort`` order, which one-word keys skip for a direct in-place sort
+of the same order.  Keys are found among sorted ones by one lookup,
+``_locate``; the degree-p^2 classifier in ``uv_families`` sorts and looks
+up its family keys through the same two.  Sorted keys are grouped a block
+of ``_TALLY_COLS`` columns at a time (``_squeeze``), so no mask or index
+over all of them exists.  The census writes each split's keys into its own
+columns of one preallocated key array and groups them there (``_tally``):
+each split is sorted in place, its distinct keys move down, their run
+lengths go into one byte a column, and one ``_sort`` merges the splits.
+Its Frobenius members, the polynomials with nonzero coefficients only at
+multiples of p, are enumerated once and looked up among the distinct keys;
+no composed pair is tested for that shape.  Its tables are read off the
+counts a block at a time (``_profiles``).  So at one split it holds its
+keys, a count byte and scratch for one block: 9.5 bytes a pair at n = 25
+over F_5 and 9.3 at n = 9 over F_27, and 25.5 at n = 12 over F_8, whose
+four splits it merges through a permutation (one-word keys).  The
+multivariate count holds 9.0 bytes a pair at r = 2, n = 4 over F_13
+(one-word keys) and 32.1 at n = 7 over F_8 (two words, sorted through a
+permutation); so the pair budget bounds their memory too.  The order of
+first enumeration is recovered only when its per-polynomial ``details`` or
+its ``collisions``, the rows with two or more decompositions as arrays,
+are read, by composing every pair again.
 numpy is imported inside the functions that use it, never at module
 import.  Every builder sizes all it builds (products or compositions, q x q
 code tables, extension fields) from q, r, n and t through
@@ -73,10 +79,12 @@ from .series import divisors, smallest_prime_factor
 # array at any degree n >= d.  Polynomials are built in blocks of at most
 # _CHUNK_ROWS, so the full code array never exists.  Each block's codes are
 # packed base q into k uint64 words (k = 1 unless q^width >= 2^64), in place
-# in the builder's key array, before the next block.
+# in the builder's key array, before the next block; a composed block's, a
+# slot at a time, so not even its own code array exists.
 _CHUNK_ROWS = 1 << 15
 
 
+@lru_cache(maxsize=None)
 def _digits_per_word(q: int) -> int:
     """The most base-q digits one uint64 holds."""
     s = 1
@@ -172,27 +180,55 @@ def _field_ops(ctx: FieldCtx):
     return add_into, (lambda a, b: mul.take(at(a, b))), (lambda acc, terms: acc)
 
 
+@lru_cache(maxsize=None)
+def _digits_per_short(q: int) -> int:
+    """The most base-q digits, at least one, that a uint16 holds."""
+    s = 1
+    while q ** (s + 1) <= 1 << 16:
+        s += 1
+    return s
+
+
 def _pack(digits, q: int, out=None):
-    """Base-q digits as packed keys: ``digits`` is a sequence of width
-    arrays, most significant first, that broadcast to one shape of m
-    entries, and each of the m keys takes k = ceil(width /
+    """Base-q digits as packed keys: ``digits`` yields width arrays, most
+    significant first, and each key takes k = ceil(width /
     ``_digits_per_word(q)``) uint64 words, each holding up to that many
-    digits.  The keys fill ``out``, a (k, m) uint64 array with contiguous
-    rows, in place by Horner's rule, each digit cast as it is added, and
-    ``out`` is returned (a new array when it is None).  So a (width, m)
-    array gives (k, m) keys."""
+    digits.  The keys fill ``out``, a (k, ...) uint64 array whose words the
+    digits broadcast to, in place by Horner's rule, and ``out`` is
+    returned.  Runs of ``_digits_per_short(q)`` digits are gathered by
+    Horner's rule in one uint16 array (a wider one past q = 2^16) before
+    each run goes into its word, so most steps move 2 bytes a key, not 8.
+    Without ``out``, ``digits`` is a (width, m) array, and the keys a new
+    (k, m) array."""
     import numpy as np
 
-    per = _digits_per_word(q)
-    shape = np.broadcast_shapes(*(np.shape(d) for d in digits))
+    per, run = _digits_per_word(q), _digits_per_short(q)
     if out is None:
-        out = np.empty((-(-len(digits) // per), prod(shape)), dtype=np.uint64)
-    for word, lo in zip(out, range(0, len(digits), per)):
-        word = word.reshape(shape)  # a view, since the row is contiguous
-        word[...] = digits[lo]
-        for d in digits[lo + 1 : lo + per]:
-            word *= q
-            np.add(word, d, out=word, dtype=np.uint64, casting="unsafe")  # codes are never negative
+        out = np.empty((-(-len(digits) // per), np.shape(digits)[1]), dtype=np.uint64)
+    sub = np.empty(out.shape[1:], dtype=np.min_scalar_type(max(q**run, 1 << 16) - 1))
+
+    def fold(i, size):
+        # the run of size digits in sub, ending before digit i, into its word
+        word = out[(i - size) // per]
+        if (i - size) % per:
+            word *= q**size
+            np.add(word, sub, out=word)
+        else:
+            word[...] = sub
+
+    size = 0
+    for i, d in enumerate(digits):
+        if size and (i % per) % run == 0:
+            fold(i, size)
+            size = 0
+        if size:
+            sub *= q
+            np.add(sub, d, out=sub, casting="unsafe")  # codes are never negative
+        else:
+            sub[...] = d
+        size += 1
+    if size:
+        fold(i + 1, size)
     return out
 
 
@@ -220,28 +256,60 @@ def _sort(keys):
     return order
 
 
-def _runs(keys):
-    """Sort (k, m) packed keys in place and return ``_run_starts`` of them.
-    One-word keys are sorted directly, several times faster than through
-    ``_sort``'s permutation."""
+def _sort_keys(keys):
+    """Sort (k, m) packed keys in place in ``_sort``'s order.  One-word keys
+    are sorted directly, several times faster than through ``_sort``'s
+    permutation."""
     if len(keys) == 1:
         keys.sort(axis=1)
     else:
         _sort(keys)
-    return _run_starts(keys)
 
 
-def _run_starts(keys):
-    """A bool mask over sorted (k, m) packed keys, True where a run of equal
-    keys begins."""
+# Sorted keys are grouped _TALLY_COLS columns at a time, so a pass over them
+# holds scratch for one such block alone: its run marks, starts and counts.
+_TALLY_COLS = 1 << 12
+
+
+def _run_starts(keys, lo: int = 0, hi: int | None = None, first: int = 0):
+    """A bool mask over the columns lo..hi of (k, m) packed keys sorted from
+    column ``first`` <= lo on, True where a run of equal keys begins: at
+    ``first`` and wherever a key differs from the one before it."""
     import numpy as np
 
-    new = np.empty(keys.shape[1], dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[0, 1:], keys[0, :-1], out=new[1:])
+    hi = keys.shape[1] if hi is None else hi
+    new = np.empty(hi - lo, dtype=bool)
+    a = min(lo + (lo == first), hi)  # the first column compared with the one before
+    new[: a - lo] = True
+    np.not_equal(keys[0, a:hi], keys[0, a - 1 : hi - 1], out=new[a - lo :])
     for word in keys[1:]:
-        new[1:] |= word[1:] != word[:-1]
+        new[a - lo :] |= word[a:hi] != word[a - 1 : hi - 1]
     return new
+
+
+def _run_count(keys) -> int:
+    """How many runs of equal keys the sorted (k, m) packed keys hold."""
+    import numpy as np
+
+    m = keys.shape[1]
+    return sum(int(np.count_nonzero(_run_starts(keys, lo, min(lo + _TALLY_COLS, m))))
+               for lo in range(0, m, _TALLY_COLS))
+
+
+def _squeeze(keys, lo: int, hi: int, at: int):
+    """Move the first key of each run of equal keys among the sorted columns
+    lo..hi of the (k, m) keys down to columns at, at + 1, ... (at <= lo), in
+    order, ``_TALLY_COLS`` columns at a time.  Yields each block's first
+    column, counted from lo, and its ``_run_starts``.  A key moves to its
+    own column or below, so column i - 1 still holds its sorted key when the
+    block at i compares with it."""
+    for i in range(lo, hi, _TALLY_COLS):
+        new = _run_starts(keys, i, min(i + _TALLY_COLS, hi), lo)
+        for word in keys:  # a word at a time: 1-D masks are several times faster
+            kept = word[i : i + len(new)][new]
+            word[at : at + len(kept)] = kept
+        at += len(kept)
+        yield i - lo, new
 
 
 def _locate(keys, probes):
@@ -272,25 +340,15 @@ def _locate(keys, probes):
 
 
 def _distinct(keys):
-    """The sorted distinct keys among (k, m) packed keys, as a read-only
-    (m', k) array with one key per row."""
-    out = keys[:, _runs(keys)].T
+    """The sorted distinct keys among (k, m) packed keys, which it sorts and
+    overwrites, as a read-only (m', k) array with one key per row."""
+    import numpy as np
+
+    _sort_keys(keys)
+    at = sum(int(np.count_nonzero(new)) for _, new in _squeeze(keys, 0, keys.shape[1], 0))
+    out = keys[:, :at].copy().T
     out.flags.writeable = False  # lru_cache hands the same array to every caller
     return out
-
-
-def _compact(keys, lo: int, new, at: int):
-    """Move the columns lo + i of the (k, m) keys where ``new[i]`` is True
-    down to columns at, at + 1, ... (at <= lo), in order, a block of
-    ``max(1, _CHUNK_ROWS)`` columns at a time, so no index array over all of
-    them exists.  Yields each block's first i and its part of ``new``."""
-    step = max(1, _CHUNK_ROWS)
-    for i in range(0, len(new), step):
-        sel = new[i : i + step]
-        kept = keys[:, lo + i : lo + i + len(sel)][:, sel]
-        keys[:, at : at + kept.shape[1]] = kept
-        at += kept.shape[1]
-        yield i, sel
 
 
 def _tally(keys, offsets):
@@ -300,42 +358,53 @@ def _tally(keys, offsets):
     Returns ``(distinct, counts)``: the sorted distinct keys, a (k, R) view
     of the front of ``keys``, and how many copies of each fall in each bin,
     a (len(offsets), R) array in the narrowest dtype that holds the largest
-    count.  Each bin is sorted in place and its distinct keys move
-    down behind those of the bins before it, with their copies counted from
-    the run lengths.  With several bins one stable sort then merges the
-    bins' sorted runs, and each copy's bin comes from its position in that
-    concatenation.  So per key it holds the keys, a byte of run marks and a
-    byte of counts, and for a merge the merge permutation and the word it
-    permutes the keys through.
+    count.  Each bin is sorted in place and its distinct keys move down
+    behind those of the bins before it (``_squeeze``), their run lengths
+    written into one array of a byte per column, widened only for a count
+    past 255.  So at one bin it holds the keys, that byte and block-sized
+    scratch.  With several bins one stable sort then merges the bins'
+    sorted runs, and each copy's bin comes from its position in that
+    concatenation, so a merge also holds the merge permutation and the word
+    it permutes the keys through.
     """
     import numpy as np
 
-    ends = list(offsets[1:]) + [keys.shape[1]]
-    firsts, counts, at = [], [np.zeros(0, dtype=np.uint8)], 0
-    for lo, hi in zip(offsets, ends):
+    def fit(counts, top):
+        # counts, widened if it cannot hold top
+        return counts if top <= np.iinfo(counts.dtype).max else counts.astype(np.min_scalar_type(top))
+
+    bins = list(zip(offsets, list(offsets[1:]) + [keys.shape[1]]))
+    for lo, hi in bins:
+        _sort_keys(keys[:, lo:hi])
+    # after the sorts, whose permutation multiword keys need
+    counts = np.empty(keys.shape[1], dtype=np.uint8)
+    firsts, at = [], 0
+    for lo, hi in bins:
         firsts.append(at)
-        new = _runs(keys[:, lo:hi])
-        last = None  # where the run still open begins
-        for i, sel in _compact(keys, lo, new, at):
-            starts = np.flatnonzero(sel) + i
-            if len(starts):  # each start closes the run before it
-                runs = np.diff(starts) if last is None else np.diff(starts, prepend=last)
-                counts.append(runs.astype(np.min_scalar_type(runs.max(initial=0))))
+        last = 0  # where the run still open begins, counted from lo
+        for i, new in _squeeze(keys, lo, hi, at):
+            starts = np.flatnonzero(new) + i
+            if len(starts):
+                if at > firsts[-1]:  # the block's first start closes the open run
+                    counts = fit(counts, starts[0] - last)
+                    counts[at - 1] = starts[0] - last
+                runs = starts[1:] - starts[:-1]
+                counts = fit(counts, runs.max(initial=0))
+                counts[at : at + len(runs)] = runs
                 last = starts[-1]
                 at += len(starts)
-        if last is not None:
-            counts.append(np.array([hi - lo - last], dtype=np.min_scalar_type(hi - lo - last)))
-    counts = np.concatenate(counts)
+        if at > firsts[-1]:
+            counts = fit(counts, hi - lo - last)
+            counts[at - 1] = hi - lo - last
     if len(offsets) == 1:
-        return keys[:, :at], counts[None]
+        return keys[:, :at], counts[None, :at]
     merged = keys[:, :at]
     order = _sort(merged)
-    new = _run_starts(merged)
-    tally = np.zeros((len(offsets), np.count_nonzero(new)), dtype=counts.dtype)
+    tally = np.zeros((len(offsets), _run_count(merged)), dtype=counts.dtype)
     run = -1  # the run of the copy before the block
-    for i, sel in _compact(merged, 0, new, 0):
-        copies = order[i : i + len(sel)]
-        runs = np.cumsum(sel) + run
+    for i, new in _squeeze(merged, 0, at, 0):
+        copies = order[i : i + len(new)]
+        runs = np.cumsum(new) + run
         # a run holds at most one copy from each bin
         tally[np.searchsorted(firsts, copies, side="right") - 1, runs] = counts[copies]
         run = runs[-1]
@@ -549,36 +618,75 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
 # census is the case r = 1.
 
 
-def _g_of_h(ctx: FieldCtx, powers, tails):
-    """The slots of g(h) = h^e + sum_i g_i h^i that g's tails reach, those of
-    degree <= (e - 1) deg h, as a (width, m, n_g) code array, width the
-    width of h^(e-1): from the powers h^1..h^e, each slot-major (width, m)
-    over the monomials of its own degree, and the tails g_1..g_{e-1} as an
-    (e - 1, 1, n_g) array in ``_code_dtype(ctx, e - 1)``, the dtype of the
-    result.  g(h)'s slots of higher degree are h^e's."""
+# A block's slots are composed and reduced in scratch of at most
+# _SLOT_CODES codes, one slot of a full block: as many slots at a time as fit,
+# so a smaller block makes fewer numpy calls per pair, and at least one.
+_SLOT_CODES = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _slot_groups(slots: range, widths: tuple[int, ...], size: int):
+    """``slots``, indices into the monomials of g(h) = h^e + sum_i g_i h^i,
+    cut into groups of ``size`` slots in their order, where h^i has
+    ``widths[i - 1]`` slots and fills the last ones.  Per group: its size,
+    its rows of h^e and, for each h^i, i < e, that reaches it, (i - 1, the
+    part of the group it reaches, its rows of h^i), all slices: a range
+    runs one way, so the slots from any one on form its start or its end."""
+
+    def rows(part, first):
+        stop = part.stop - first
+        return slice(part.start - first, stop if stop >= 0 else None, part.step)
+
+    groups = []
+    for lo in range(0, len(slots), size):
+        group = slots[lo : lo + size]
+        terms = []
+        for i, width in enumerate(widths[:-1]):
+            first = widths[-1] - width
+            reach = [k for k, s in enumerate(group) if s >= first]
+            if reach:
+                part = slice(reach[0], reach[-1] + 1)
+                terms.append((i, part, rows(group[part], first)))
+        groups.append((len(group), rows(group, 0), terms))
+    return groups
+
+
+def _g_of_h(ctx: FieldCtx, powers, tails, groups):
+    """g(h) = h^e + sum_i g_i h^i at the slots of ``groups``
+    (``_slot_groups``), one by one in their order: from the powers
+    h^1..h^e, each slot-major (width, m_h) over the monomials of its own
+    degree, and the tails g_1..g_{e-1} as an (e - 1, m_g) array, all in
+    ``_code_dtype(ctx, e - 1)``.  Each group is composed and reduced in one
+    scratch array and yielded as (m_h, m_g) views into it, which the next
+    group overwrites, so each slot must be read before the next is
+    drawn."""
     import numpy as np
 
     add, mul, mod = _field_ops(ctx)
-    F = np.empty(powers[-2].shape + tails.shape[-1:], dtype=tails.dtype)
-    F[...] = powers[-1][-len(F) :, :, None]
-    for P, g_i in zip(powers, tails):
-        P = P.astype(F.dtype, copy=False)
-        add(F[len(F) - len(P) :], mul(P[:, :, None], g_i))  # h^i fills the last slots
-    return mod(F, len(tails))
+    top = powers[-1]
+    scratch = np.empty((max((g[0] for g in groups), default=0), top.shape[1], tails.shape[1]), dtype=tails.dtype)
+    for size, top_rows, terms in groups:
+        acc = scratch[:size]
+        acc[...] = top[top_rows, :, None]
+        for i, part, rows in terms:
+            add(acc[part], mul(powers[i][rows, :, None], tails[i]))
+        if terms:  # a slot holds at most one term from each h^i
+            mod(acc, len(terms))
+        yield from acc
 
 
-def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
+def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range):
     """Compose g(h) for every univariate monic original g of degree e and
     every r-variate monic original h of degree n / e, in blocks of at most
     ``max(1, _CHUNK_ROWS)`` pairs: as many h's as fit, each with every g, or
     one h with a slice of the g's when the g's alone do not fit.  Yields
-    ``(high, low, h_rank, g_rank)`` over ``_deglex_monomials(r, n)`` (x^n
-    first, the constant last): g(h)'s slots of degree above (e - 1) n / e,
-    which come from h^e alone, as a (width_hi, m_h, 1) code array, one
-    column per h; its other slots as a (width_lo, m_h, m_g) code array
-    (``_g_of_h``); and the block's h's and g's as 1-D arrays of h and
-    g * n_h, so the pair at (i, j) has rank h_rank[i] + g_rank[j], its
-    position when g is outer and h inner."""
+    ``(codes, h_rank, g_rank)``: ``codes`` yields g(h)'s codes at
+    ``slots``, a range of indices into ``_deglex_monomials(r, n)`` (x^n
+    first, the constant last), in its order, each an (m_h, m_g) array that
+    holds until the next is drawn (``_g_of_h``); ``h_rank`` and ``g_rank``
+    are the block's h's and g's as 1-D arrays of h and g * n_h, so the pair
+    at (i, j) has rank h_rank[i] + g_rank[j], its position when g is outer
+    and h inner."""
     import numpy as np
 
     q, ne = ctx.q, n // e
@@ -587,18 +695,22 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int):
     step = max(1, _CHUNK_ROWS)
     m_h, m_g = max(1, step // n_g), min(n_g, step)
     places = q ** np.arange(e - 2, -1, -1)
+    dtype = _code_dtype(ctx, e - 1)
+    widths = tuple(comb(r + i * ne, r) for i in range(1, e + 1))  # of h^1..h^e
     for lo in range(0, n_h, m_h):
         h = hs[:, lo : lo + m_h]
         # h^1..h^e of every h in the block; h's constant slot, its last, is 0
         powers = [h]
         for k in range(1, e):
             powers.append(_mul(ctx, r, ne, k * ne, h[:-1], powers[-1]))
-        high = powers[-1][: -len(powers[-2]), :, None]
+        powers = [P.astype(dtype, copy=False) for P in powers]
+        h_rank = np.arange(lo, lo + h.shape[1])
         for g0 in range(0, n_g, m_g):
             g = np.arange(g0, min(g0 + m_g, n_g))
-            # these g's tails g_1..g_{e-1} in itertools.product order, as (i, 1, g)
-            tails = (g // places[:, None] % q).astype(_code_dtype(ctx, e - 1))[:, None]
-            yield high, _g_of_h(ctx, powers, tails), np.arange(lo, lo + h.shape[1]), g * n_h
+            # these g's tails g_1..g_{e-1} in itertools.product order, as (i, g)
+            tails = (g // places[:, None] % q).astype(dtype)
+            groups = _slot_groups(slots, widths, max(1, _SLOT_CODES // (len(h_rank) * len(g))))
+            yield _g_of_h(ctx, powers, tails, groups), h_rank, g * n_h
 
 
 # -- univariate decomposition census --------------------------------------
@@ -611,15 +723,11 @@ def _split_pairs(q: int, n: int, e: int) -> int:
 
 
 def _census_blocks(ctx: FieldCtx, n: int, e: int):
-    """``_compositions`` at r = 1 with deg g = e, block by block: each
-    block's digits to ``_pack``, which broadcast to (m_h, m_g), and its
-    ``h_rank`` and ``g_rank`` (see there).  Every composition has code
-    1 at x^n and code 0 at the constant, so the keys hold the codes of x up
-    to x^(n-1), x's the most significant: those of the pair's own slots
-    first (low, from x^((e-1)n/e) down to the constant), then those of its
-    h's (high, from x^n down)."""
-    for high, low, h_rank, g_rank in _compositions(ctx, 1, n, e):
-        yield [*low[-2::-1], *high[:0:-1]], h_rank, g_rank
+    """``_compositions`` at r = 1 with deg g = e at the slots a census key
+    holds.  Every composition has code 1 at x^n and code 0 at the constant,
+    so the keys hold the codes of x up to x^(n-1), x's the most
+    significant; slot i of ``_deglex_monomials(1, n)`` is x^(n-i)."""
+    return _compositions(ctx, 1, n, e, range(n - 1, 0, -1))
 
 
 def _frobenius_rows(keys, q: int, p: int, n: int):
@@ -711,13 +819,14 @@ class CensusReport:
         inner, found by composing every pair again."""
         import numpy as np
 
-        q, n = self.q, self.n
+        q, n, words = self.q, self.n, len(keys)
 
         def blocks():
             offset = 0
             for e in self.per_split:
-                for digits, h_rank, g_rank in _census_blocks(self.ctx, n, e):
-                    yield np.add.outer(h_rank, g_rank + offset).ravel(), _pack(digits, q)
+                for codes, h_rank, g_rank in _census_blocks(self.ctx, n, e):
+                    block = _pack(codes, q, np.empty((words, len(h_rank), len(g_rank)), dtype=np.uint64))
+                    yield np.add.outer(h_rank, g_rank + offset).ravel(), block.reshape(words, -1)
                 offset += _split_pairs(q, n, e)
 
         return _first(keys, blocks())
@@ -750,14 +859,20 @@ def _decompositions(counts):
     return counts.sum(axis=0, dtype=np.min_scalar_type(len(counts) * int(counts.max(initial=0))))
 
 
-def _bincount(values, length: int):
-    """``np.bincount(values, minlength=length)`` a block of ``_CHUNK_ROWS``
-    at a time: bincount casts its input to intp."""
+def _profiles(counts):
+    """How many columns of the (splits, R) counts have each set of nonzero
+    rows, as {bit mask (row t is bit t): columns}, and each column sum, as
+    a histogram array, both taken ``_TALLY_COLS`` columns at a time."""
     import numpy as np
 
-    step = max(1, _CHUNK_ROWS)
-    return sum((np.bincount(values[lo : lo + step], minlength=length) for lo in range(0, len(values), step)),
-               np.zeros(length, dtype=np.intp))
+    bits = 1 << np.arange(len(counts))
+    masks = np.zeros(1 << len(counts), dtype=np.intp)
+    sums = np.zeros(len(counts) * int(counts.max(initial=0)) + 1, dtype=np.intp)
+    for lo in range(0, counts.shape[1], _TALLY_COLS):
+        block = counts[:, lo : lo + _TALLY_COLS]
+        masks += np.bincount(bits @ (block > 0), minlength=len(masks))
+        sums += np.bincount(_decompositions(block), minlength=len(sums))
+    return {m: c for m, c in enumerate(masks.tolist()) if c}, sums
 
 
 def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
@@ -766,7 +881,9 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     need: per-split counts, pairwise intersections (with and without
     Frobenius members), the histogram of decomposition counts, and
     Frobenius membership, which is looked up once for the q^(n/p - 1)
-    candidates (``_frobenius_rows``) after the keys are grouped."""
+    candidates (``_frobenius_rows``) after the keys are grouped.  The
+    tables all come from two histograms of the counts (``_profiles``): of
+    each key's set of splits and of its decompositions."""
     if n < 1:
         raise ValueError(f"census degree n must be >= 1, got n = {n}")
     q = ctx.q
@@ -785,38 +902,35 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     keys = np.empty((words, sum(sizes)), dtype=np.uint64)
     at = 0
     for e in splits:
-        for digits, h_rank, g_rank in _census_blocks(ctx, n, e):
+        for codes, h_rank, g_rank in _census_blocks(ctx, n, e):
             m = len(h_rank) * len(g_rank)
-            _pack(digits, q, keys[:, at : at + m])
+            # a view, since the rows of keys are contiguous
+            _pack(codes, q, keys[:, at : at + m].reshape(words, len(h_rank), len(g_rank)))
             at += m
-    del digits  # the last block goes before the keys are grouped
     keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
     frob = _frobenius_rows(keys, q, ctx.p, n)
-    hit = counts > 0
-    decs = _decompositions(counts)
-    pair_int, pair_int_nf = {}, {}
-    for (i, a), (j, b2) in itertools.combinations(enumerate(splits), 2):
-        pair_int[(a, b2)] = int(np.count_nonzero(hit[i] & hit[j]))
-        pair_int_nf[(a, b2)] = pair_int[(a, b2)] - int(np.count_nonzero(hit[i, frob] & hit[j, frob]))
-    # each distinct key's splits as a bit mask in the smallest dtype
-    code = np.zeros(len(decs), dtype=np.min_scalar_type((1 << len(splits)) - 1))
-    for t, row in enumerate(hit):
-        code |= row.astype(code.dtype) << t
-    profiles = {
-        tuple(e for t, e in enumerate(splits) if m >> t & 1): c
-        for m, c in enumerate(_bincount(code, 1 << len(splits)).tolist()) if c
-    }
+    profile, sums = _profiles(counts)
+    frob_profile, frob_sums = _profiles(counts[:, frob])
+
+    def having(profile, *ts):
+        # how many keys have a decomposition in each of the splits ts
+        return sum(c for m, c in profile.items() if all(m >> t & 1 for t in ts))
+
+    pairs = list(itertools.combinations(range(len(splits)), 2))
     return CensusReport(
         n=n,
         q=q,
-        total=len(decs),
-        per_split=dict(zip(splits, np.count_nonzero(hit, axis=1).tolist())),
-        pair_intersections=pair_int,
-        pair_intersections_nonfrobenius=pair_int_nf,
-        collision_histogram={k: v for k, v in enumerate(_bincount(decs, int(decs.max()) + 1).tolist()) if v},
+        total=keys.shape[1],
+        per_split={e: having(profile, t) for t, e in enumerate(splits)},
+        pair_intersections={(splits[i], splits[j]): having(profile, i, j) for i, j in pairs},
+        pair_intersections_nonfrobenius={
+            (splits[i], splits[j]): having(profile, i, j) - having(frob_profile, i, j) for i, j in pairs
+        },
+        collision_histogram={k: v for k, v in enumerate(sums.tolist()) if v},
         frobenius_members=len(frob),
-        frobenius_collisions=int(np.count_nonzero(decs[frob] >= 2)),
-        split_profiles=dict(sorted(profiles.items())),
+        frobenius_collisions=int(frob_sums[2:].sum()),
+        split_profiles=dict(sorted((tuple(e for t, e in enumerate(splits) if m >> t & 1), c)
+                                   for m, c in profile.items())),
         ctx=ctx,
         _keys=keys,
         _counts=counts,
@@ -845,8 +959,9 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     keys = np.empty((-(-(width - 1) // _digits_per_word(q)), total), dtype=np.uint64)
     at = 0
     for e in splits:
-        for high, low, _, _ in _compositions(ctx, r, n, e):
-            m = low[0].size
-            _pack([*high, *low[:-1]], q, keys[:, at : at + m])
+        for codes, h_rank, g_rank in _compositions(ctx, r, n, e, range(width - 1)):
+            m = len(h_rank) * len(g_rank)
+            _pack(codes, q, keys[:, at : at + m].reshape(len(keys), len(h_rank), len(g_rank)))
             at += m
-    return int(np.count_nonzero(_runs(keys)))
+    _sort_keys(keys)
+    return _run_count(keys)

@@ -322,12 +322,12 @@ def _census_pairs_by_compose(ctx, n, e):
 
 def _composed_rows(ctx, r, n, e):
     """``_compositions``' rows as {rank: codes over ``_deglex_monomials(r,
-    n)``}, each block's per-h high slots spread over its pairs."""
+    n)``}, each slot copied before the next is drawn."""
     rows = {}
-    for high, low, h_rank, g_rank in orc._compositions(ctx, r, n, e):
-        codes = np.concatenate([np.broadcast_to(high, (len(high),) + low.shape[1:]), low])
+    for codes, h_rank, g_rank in orc._compositions(ctx, r, n, e, range(len(_deglex_monomials(r, n)))):
+        block = np.array([slot.copy() for slot in codes])
         rank = np.add.outer(h_rank, g_rank).ravel()
-        rows.update(zip(rank.tolist(), map(tuple, codes.reshape(len(codes), -1).T.tolist())))
+        rows.update(zip(rank.tolist(), map(tuple, block.reshape(len(block), -1).T.tolist())))
     return rows
 
 
@@ -377,6 +377,59 @@ def test_mv_compositions_match_mvpoly(r, n, p, d, monkeypatch):
             assert _composed_rows(ctx, r, n, e) == want
 
 
+@lru_cache(maxsize=None)
+def _g_of_h_by_mvpoly(ctx, r, n, e):
+    """g(h) by MvPoly arithmetic for every g in enumerate_monic_uni order and
+    every h in the order of _monic_rows, as {(g, h): {monomial: code}}."""
+    h_monos = _deglex_monomials(r, n // e)
+    out = {}
+    for h_at, codes in enumerate(orc._monic_rows(ctx.q, r, n // e, original=True).T.tolist()):
+        h = MvPoly.from_code_terms(ctx, r, dict(zip(h_monos, codes)))
+        powers = [h]
+        for _ in range(1, e):
+            powers.append(powers[-1] * h)
+        for g_at, g in enumerate(enumerate_monic_uni(ctx, e, original=True)):
+            f = sum((powers[i - 1] * g.coeff(i) for i in range(1, e)), powers[-1])
+            out[g_at, h_at] = f.terms
+    return out
+
+
+# Every slot is checked as it is drawn, before the next may overwrite it, in
+# the slot orders the census and the multivariate count draw (a part of the
+# slots, low degree first, and all but the constant, high degree first) and
+# in both orders over all slots.  Blocks of 7 pairs cut the pairs unevenly;
+# scratch of one code composes one slot at a time, as full blocks do, and of
+# 20 codes two slots at a time at 7 pairs a block; by default a small block
+# composes all its slots at once.
+@pytest.mark.parametrize("chunk, slot_codes", [(None, None), (7, None), (None, 1), (7, 20)])
+@pytest.mark.parametrize("r, n, q", [(1, 4, 7), (1, 6, 4), (2, 2, 7), (2, 4, 4)])
+def test_composer_yields_every_slot_of_g_of_h(r, n, q, chunk, slot_codes, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    if slot_codes is not None:
+        monkeypatch.setattr(orc, "_SLOT_CODES", slot_codes)
+    ctx = field_make(*factor_prime_power(q))
+    monos = _deglex_monomials(r, n)
+    width = len(monos)
+    orders = [range(width - 2, 0, -1), range(width - 1), range(width), range(width - 1, -1, -1)]
+    for e in divisors(n):
+        if e > 1:
+            want = _g_of_h_by_mvpoly(ctx, r, n, e)
+            n_h = count_monic(q, r, n // e, original=True)
+            for slots in orders:
+                pairs = 0
+                for codes, h_rank, g_rank in orc._compositions(ctx, r, n, e, slots):
+                    drawn = 0
+                    for s, slot in zip(slots, codes):
+                        assert slot.tolist() == [
+                            [want[g // n_h, h].get(monos[s], 0) for g in g_rank.tolist()] for h in h_rank.tolist()
+                        ]
+                        drawn += 1
+                    assert drawn == len(slots)
+                    pairs += len(h_rank) * len(g_rank)
+                assert pairs == len(want)
+
+
 @pytest.mark.parametrize("chunk", [0, 5, 7, 64])
 @pytest.mark.parametrize("r, n, q", [(1, 12, 2), (1, 8, 3), (2, 4, 3), (2, 6, 2), (3, 4, 2)])
 def test_composition_blocks_hold_at_most_chunk_rows_pairs(r, n, q, chunk, monkeypatch):
@@ -387,9 +440,11 @@ def test_composition_blocks_hold_at_most_chunk_rows_pairs(r, n, q, chunk, monkey
     for e in divisors(n):
         if e > 1:
             ranks = []
-            for high, low, h_rank, g_rank in orc._compositions(ctx, r, n, e):
-                assert low[0].size <= max(1, chunk) and low.shape[1:] == (len(h_rank), len(g_rank))
-                assert high.shape[1:] == (len(h_rank), 1)
+            width = len(_deglex_monomials(r, n))
+            for codes, h_rank, g_rank in orc._compositions(ctx, r, n, e, range(width)):
+                shape = (len(h_rank), len(g_rank))
+                assert len(h_rank) * len(g_rank) <= max(1, chunk)
+                assert [slot.shape for slot in codes] == [shape] * width
                 ranks.extend(np.add.outer(h_rank, g_rank).ravel().tolist())
             assert sorted(ranks) == list(range(q ** (e - 1) * count_monic(q, r, n // e, original=True)))
 
@@ -549,8 +604,8 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
     cuts = sorted(rng.sample(range(1, m), min(m - 1, 9))) if m > 1 else []
     blocks = [(at, keys[:, at]) for at in np.split(shuffled, cuts)]
     # 7 columns per block puts runs across the seams of the compaction
-    for chunk in (orc._CHUNK_ROWS, 7):
-        monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    for cols in (orc._TALLY_COLS, 7):
+        monkeypatch.setattr(orc, "_TALLY_COLS", cols)
         distinct, counts = orc._tally(keys.copy(), offsets)
         low = orc._first(distinct, iter(blocks))
         rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).T.tolist()]
@@ -571,7 +626,9 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
         for probe, a, f in zip(probes.T.tolist(), at.tolist(), found.tolist()):
             probe = tuple(reversed(probe))
             assert (a, f) == (bisect.bisect_left(among, probe), probe in among)
-    assert orc._runs(keys.copy()).sum() == len(want)
+    # _distinct sorts and groups alike, and _run_count counts the runs of sorted keys
+    assert (orc._distinct(keys.copy()).T == distinct).all()
+    assert orc._run_count(distinct) == orc._run_count(np.repeat(distinct, 3, axis=1)) == len(want)
     # _sort permutes stably by the last word foremost: at one word a key, as
     # packed, and at three digits a word, which spreads a key over several
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
@@ -590,22 +647,25 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
 # 8^(e-1) times 8^(12/e - 1) over the four splits of 12, which the census
 # merges; 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
 # degree 4 times 14; and 16^(e-1) g's times 16^(6/e - 1) univariate h's
-# over the splits of 6.  A census sorts each split's keys in place and
-# holds no sort permutation unless it merges several splits, so one split
-# stays within 24 bytes a pair.  It looks its Frobenius members up after
-# the merge and holds nothing for them through it, so four splits stay
-# within 28 (26.7 measured).  A composed block holds at most _CHUNK_ROWS
-# pairs, and per pair only the slots that g's tails reach, so past its key
-# (8 bytes in one word) and the sort's run marks (1) a pair costs little:
-# mv (2, 4, F_13) measures 11.2, but 14.9 with its sums in int32 and 18.1
-# with blocks of 2^18 pairs, so its gate at 12 fails if either comes back.
-# At (1, 6, F_16) one h has 16^5 g's, which the blocks slice: 13.2, where a
-# block of one h with all its g's held 147.
+# over the splits of 6.  A census at one split holds its keys (8 bytes in
+# one word), a count byte per pair and scratch for one block: the composer
+# reduces and packs a slot at a time, and the grouping and the tables run
+# over blocks of a few thousand keys.  So (25, F_5) measures 9.5 and
+# (9, F_27) 9.3, where composing whole blocks, grouping through
+# whole-split masks and index arrays and building the tables over every
+# key held 14.0 and 17.4; their gates at 11 and 10.5 fail if that comes
+# back.  It looks its Frobenius members up after the merge and holds
+# nothing for them through it, so four splits stay within 28 (25.5
+# measured).  mv (2, 4, F_13) measures 9.0, but 9.9 with its sums in
+# int32 and 11.2 with whole blocks composed and runs marked over every key,
+# so its gate at 9.5 fails if either comes back.  At (1, 6, F_16) one h has
+# 16^5 g's, which the blocks slice: 11.6, where a block of one h with all
+# its g's held 147.
 @pytest.mark.parametrize("build, pairs, limit", [
-    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 24),
-    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 24),
+    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 11),
+    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 10.5),
     (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 28),
-    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 12),
+    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 9.5),
     (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 16),
 ], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13", "mv-1-6-F16"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
