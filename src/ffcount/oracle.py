@@ -29,30 +29,31 @@ at a time in a block too small to fill ``_SLOT_CODES`` codes): a slot of
 degree <= (e - 1) n / e, which g's tails reach, is composed and reduced in
 slot-sized scratch, and one above them is h^e's, kept once per h.  Each
 builder packs its polynomials' codes into uint64 keys block by block, slot
-by slot as the composer yields them, in place in its key array, and groups
-them with one sort (see the packed keys below): ``_sort``, stable and in
-``np.lexsort`` order, which one-word keys skip for a direct in-place sort
-of the same order.  Keys are found among sorted ones by one lookup,
-``_locate``; the degree-p^2 classifier in ``uv_families`` sorts and looks
-up its family keys through the same two.  Sorted keys are grouped a block
-of ``_TALLY_COLS`` columns at a time (``_squeeze``), so no mask or index
-over all of them exists.  The census writes each split's keys into its own
-columns of one preallocated key array and groups them there (``_tally``):
-each split is sorted in place, its distinct keys move down, their run
-lengths go into one byte a column, and one ``_sort`` merges the splits.
-Its Frobenius members, the polynomials with nonzero coefficients only at
-multiples of p, are enumerated once and looked up among the distinct keys;
-no composed pair is tested for that shape.  Its tables are read off the
-counts a block at a time (``_profiles``).  So at one split it holds its
-keys, a count byte and scratch for one block: 9.5 bytes a pair at n = 25
-over F_5 and 9.3 at n = 9 over F_27, and 25.5 at n = 12 over F_8, whose
-four splits it merges through a permutation (one-word keys).  The
-multivariate count holds 9.0 bytes a pair at r = 2, n = 4 over F_13
-(one-word keys) and 32.1 at n = 7 over F_8 (two words, sorted through a
-permutation); so the pair budget bounds their memory too.  The order of
-first enumeration is recovered only when its per-polynomial ``details`` or
-its ``collisions``, the rows with two or more decompositions as arrays,
-are read, by composing every pair again.
+by slot as the composer yields them, in place in its key array, one key per
+row (see the packed keys below).  Each key array is read through one view
+with an element per key (``_view``): it is sorted in place (``_sort``),
+grouped and searched (``_locate``) as one numpy array, and the degree-p^2
+classifier in ``uv_families`` sorts and looks up its family keys through
+the same view.  Sorted keys are grouped a block of ``_TALLY_KEYS`` keys at
+a time (``_squeeze``), so no mask or index over all of them exists.  The
+census writes each split's keys into its own rows of one preallocated key
+array and groups them there (``_tally``): each split is sorted in place,
+its distinct keys move down, their run lengths go into one byte a key, and
+one stable argsort merges the splits.  Its Frobenius members, the
+polynomials with nonzero coefficients only at multiples of p, are
+enumerated once and looked up among the distinct keys; no composed pair is
+tested for that shape.  Its tables are read off the counts a block at a
+time (``_profiles``).  So at one split it holds its keys, a count byte and
+scratch for one block: 9.5 bytes a pair at n = 25 over F_5 and 9.3 at
+n = 9 over F_27 (one-word keys), 17.2 at n = 121 over F_2 (two words).  It
+holds 25.5 at n = 12 over F_8, whose four splits it merges through a
+permutation (one-word keys), and 33.2 at n = 91 over F_2 (two splits, two
+words).  The multivariate count holds 9.0 bytes a pair at r = 2, n = 4
+over F_13 (one-word keys) and 16.9 at n = 7 over F_8 (two words); so the
+pair budget bounds their memory too.  The order of first enumeration is
+recovered only when its per-polynomial ``details`` or its ``collisions``,
+the rows with two or more decompositions as arrays, are read, by composing
+every pair again.
 numpy is imported inside the functions that use it, never at module
 import.  Every builder sizes all it builds (products or compositions, q x q
 code tables, extension fields) from q, r, n and t through
@@ -64,7 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, prod
+from math import comb
 from typing import Any, NamedTuple
 
 from .ff import FieldCtx, _deglex_monomials, check_budget, check_log_tables, count_monic, field_embed
@@ -78,9 +79,11 @@ from .series import divisors, smallest_prime_factor
 # in the same order, so a degree-d polynomial's own array is the tail of its
 # array at any degree n >= d.  Polynomials are built in blocks of at most
 # _CHUNK_ROWS, so the full code array never exists.  Each block's codes are
-# packed base q into k uint64 words (k = 1 unless q^width >= 2^64), in place
-# in the builder's key array, before the next block; a composed block's, a
-# slot at a time, so not even its own code array exists.
+# packed base q into k uint64 words (k = 1 exactly when q^width <= 2^64),
+# in place in the builder's key array of one key per row, before the next
+# block; a composed block's, a slot at a time, so not even its own code
+# array exists.  Only this module knows the key format: callers hold keys
+# as (m, k) arrays and sort, group and search them through ``_view``.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -193,23 +196,23 @@ def _pack(digits, q: int, out=None):
     """Base-q digits as packed keys: ``digits`` yields width arrays, most
     significant first, and each key takes k = ceil(width /
     ``_digits_per_word(q)``) uint64 words, each holding up to that many
-    digits.  The keys fill ``out``, a (k, ...) uint64 array whose words the
-    digits broadcast to, in place by Horner's rule, and ``out`` is
-    returned.  Runs of ``_digits_per_short(q)`` digits are gathered by
-    Horner's rule in one uint16 array (a wider one past q = 2^16) before
-    each run goes into its word, so most steps move 2 bytes a key, not 8.
-    Without ``out``, ``digits`` is a (width, m) array, and the keys a new
-    (k, m) array."""
+    digits.  The keys fill ``out``, a (..., k) uint64 array whose words,
+    ``out[..., w]``, the digits broadcast to, in place by Horner's rule,
+    and ``out`` is returned.  Runs of ``_digits_per_short(q)`` digits are
+    gathered by Horner's rule in one uint16 array (a wider one past q =
+    2^16) before each run goes into its word, so most steps move 2 bytes a
+    key, not 8.  Without ``out``, ``digits`` is a (width, m) array, and the
+    keys a new (m, k) array."""
     import numpy as np
 
     per, run = _digits_per_word(q), _digits_per_short(q)
     if out is None:
-        out = np.empty((-(-len(digits) // per), np.shape(digits)[1]), dtype=np.uint64)
-    sub = np.empty(out.shape[1:], dtype=np.min_scalar_type(max(q**run, 1 << 16) - 1))
+        out = np.empty((np.shape(digits)[1], -(-len(digits) // per)), dtype=np.uint64)
+    sub = np.empty(out.shape[:-1], dtype=np.min_scalar_type(max(q**run, 1 << 16) - 1))
 
     def fold(i, size):
         # the run of size digits in sub, ending before digit i, into its word
-        word = out[(i - size) // per]
+        word = out[..., (i - size) // per]
         if (i - size) % per:
             word *= q**size
             np.add(word, sub, out=word)
@@ -233,136 +236,115 @@ def _pack(digits, q: int, out=None):
 
 
 def _unpack(keys, q: int, width: int):
-    """The inverse of ``_pack``: (k, m) keys back to (width, m) digits."""
+    """The inverse of ``_pack``: (m, k) keys back to their width digits,
+    one key per row, an (m, width) array."""
     import numpy as np
 
     per = _digits_per_word(q)
     digits = []
-    for word, lo in zip(keys, range(0, width, per)):
+    for w, lo in enumerate(range(0, width, per)):
         places = np.uint64(q) ** np.arange(min(per, width - lo) - 1, -1, -1, dtype=np.uint64)
-        digits.append(word // places[:, None] % q)
-    return np.concatenate(digits)
+        digits.append(keys[:, w, None] // places % q)
+    return np.concatenate(digits, axis=1)
+
+
+def _view(keys):
+    """The (m, k) packed keys, C-contiguous, as a 1-D array of m elements
+    over the same memory, one per key, which sorts, compares and searches
+    keys as wholes: the uint64 column itself at k = 1, a ``V(8k)`` view of
+    the rows otherwise, ordered by their bytes."""
+    import numpy as np
+
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
 
 
 def _sort(keys):
-    """Sort (k, m) packed keys in place, stably, in ``np.lexsort`` order (the
-    last word foremost), and return the sorting permutation; the keys are
-    permuted a word at a time, so with one word of scratch."""
-    import numpy as np
-
-    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0], kind="stable")
-    for w in range(len(keys)):
-        keys[w] = keys[w][order]
-    return order
+    """Sort (m, k) packed keys in place, in ``_view``'s order."""
+    _view(keys).sort()
 
 
-def _sort_keys(keys):
-    """Sort (k, m) packed keys in place in ``_sort``'s order.  One-word keys
-    are sorted directly, several times faster than through ``_sort``'s
-    permutation."""
-    if len(keys) == 1:
-        keys.sort(axis=1)
-    else:
-        _sort(keys)
-
-
-# Sorted keys are grouped _TALLY_COLS columns at a time, so a pass over them
+# Sorted keys are grouped _TALLY_KEYS keys at a time, so a pass over them
 # holds scratch for one such block alone: its run marks, starts and counts.
-_TALLY_COLS = 1 << 12
+_TALLY_KEYS = 1 << 12
 
 
 def _run_starts(keys, lo: int = 0, hi: int | None = None, first: int = 0):
-    """A bool mask over the columns lo..hi of (k, m) packed keys sorted from
-    column ``first`` <= lo on, True where a run of equal keys begins: at
+    """A bool mask over the rows lo..hi of (m, k) packed keys sorted from
+    row ``first`` <= lo on, True where a run of equal keys begins: at
     ``first`` and wherever a key differs from the one before it."""
     import numpy as np
 
-    hi = keys.shape[1] if hi is None else hi
+    view = _view(keys)
+    hi = len(view) if hi is None else hi
     new = np.empty(hi - lo, dtype=bool)
-    a = min(lo + (lo == first), hi)  # the first column compared with the one before
+    a = min(lo + (lo == first), hi)  # the first row compared with the one before
     new[: a - lo] = True
-    np.not_equal(keys[0, a:hi], keys[0, a - 1 : hi - 1], out=new[a - lo :])
-    for word in keys[1:]:
-        new[a - lo :] |= word[a:hi] != word[a - 1 : hi - 1]
+    new[a - lo :] = view[a:hi] != view[a - 1 : hi - 1]
     return new
 
 
 def _run_count(keys) -> int:
-    """How many runs of equal keys the sorted (k, m) packed keys hold."""
+    """How many runs of equal keys the sorted (m, k) packed keys hold."""
     import numpy as np
 
-    m = keys.shape[1]
-    return sum(int(np.count_nonzero(_run_starts(keys, lo, min(lo + _TALLY_COLS, m))))
-               for lo in range(0, m, _TALLY_COLS))
+    return sum(int(np.count_nonzero(_run_starts(keys, lo, min(lo + _TALLY_KEYS, len(keys)))))
+               for lo in range(0, len(keys), _TALLY_KEYS))
 
 
 def _squeeze(keys, lo: int, hi: int, at: int):
-    """Move the first key of each run of equal keys among the sorted columns
-    lo..hi of the (k, m) keys down to columns at, at + 1, ... (at <= lo), in
-    order, ``_TALLY_COLS`` columns at a time.  Yields each block's first
-    column, counted from lo, and its ``_run_starts``.  A key moves to its
-    own column or below, so column i - 1 still holds its sorted key when the
-    block at i compares with it."""
-    for i in range(lo, hi, _TALLY_COLS):
-        new = _run_starts(keys, i, min(i + _TALLY_COLS, hi), lo)
-        for word in keys:  # a word at a time: 1-D masks are several times faster
-            kept = word[i : i + len(new)][new]
-            word[at : at + len(kept)] = kept
+    """Move the first key of each run of equal keys among the sorted rows
+    lo..hi of the (m, k) keys down to rows at, at + 1, ... (at <= lo), in
+    order, ``_TALLY_KEYS`` rows at a time.  Yields each block's first row,
+    counted from lo, and its ``_run_starts``.  A key moves to its own row
+    or below, so row i - 1 still holds its sorted key when the block at i
+    compares with it."""
+    view = _view(keys)
+    for i in range(lo, hi, _TALLY_KEYS):
+        new = _run_starts(keys, i, min(i + _TALLY_KEYS, hi), lo)
+        kept = view[i : i + len(new)][new]
+        view[at : at + len(kept)] = kept
         at += len(kept)
         yield i - lo, new
 
 
 def _locate(keys, probes):
-    """Where each of the (k, m) probes stands among the (k, R) keys, R >= 1,
-    sorted as ``_sort`` sorts them (by ``np.lexsort``, the last word
-    foremost): ``(at, found)``, the first column not below the probe, as a
-    ``searchsorted`` index array, and a bool mask, True where that column
-    equals the probe.  Several words take a binary search on all probes at
-    once."""
+    """Where each of the (m, k) probes stands among the (R, k) keys, R >= 1,
+    sorted as ``_sort`` sorts them: ``(at, found)``, the first row not
+    below the probe, as a ``searchsorted`` index array, and a bool mask,
+    True where that row equals the probe."""
     import numpy as np
 
-    if len(keys) == 1:
-        at = np.searchsorted(keys[0], probes[0])
-    else:
-        lo = np.zeros(probes.shape[1], dtype=np.intp)
-        hi = np.full(probes.shape[1], keys.shape[1], dtype=np.intp)
-        while (open_ := lo < hi).any():
-            mid = (lo + hi) // 2
-            pivot = keys[:, np.minimum(mid, keys.shape[1] - 1)]
-            below = np.zeros(len(mid), dtype=bool)
-            for p_w, k_w in zip(probes, pivot):  # a later word overrules
-                below = np.where(p_w != k_w, k_w < p_w, below)
-            lo = np.where(open_ & below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-        at = lo
-    found = (keys[:, np.minimum(at, keys.shape[1] - 1)] == probes).all(axis=0)
-    return at, found
+    view, probes = _view(keys), _view(probes)
+    at = np.searchsorted(view, probes)
+    return at, view[np.minimum(at, len(view) - 1)] == probes
 
 
 def _distinct(keys):
-    """The sorted distinct keys among (k, m) packed keys, which it sorts and
-    overwrites, as a read-only (m', k) array with one key per row."""
+    """The sorted distinct keys among (m, k) packed keys, which it sorts and
+    overwrites, as a read-only (m', k) array."""
     import numpy as np
 
-    _sort_keys(keys)
-    at = sum(int(np.count_nonzero(new)) for _, new in _squeeze(keys, 0, keys.shape[1], 0))
-    out = keys[:, :at].copy().T
+    _sort(keys)
+    at = sum(int(np.count_nonzero(new)) for _, new in _squeeze(keys, 0, len(keys), 0))
+    out = keys[:at].copy()
     out.flags.writeable = False  # lru_cache hands the same array to every caller
     return out
 
 
 def _tally(keys, offsets):
-    """Group (k, m) packed keys in place; the ascending ``offsets``, the
-    first of them 0, cut the columns into bins.
+    """Group (m, k) packed keys in place; the ascending ``offsets``, the
+    first of them 0, cut the rows into bins.
 
-    Returns ``(distinct, counts)``: the sorted distinct keys, a (k, R) view
+    Returns ``(distinct, counts)``: the sorted distinct keys, an (R, k) view
     of the front of ``keys``, and how many copies of each fall in each bin,
     a (len(offsets), R) array in the narrowest dtype that holds the largest
     count.  Each bin is sorted in place and its distinct keys move down
     behind those of the bins before it (``_squeeze``), their run lengths
-    written into one array of a byte per column, widened only for a count
-    past 255.  So at one bin it holds the keys, that byte and block-sized
-    scratch.  With several bins one stable sort then merges the bins'
+    written into one array of a byte per row, widened only for a count past
+    255.  So at one bin it holds the keys, that byte and block-sized
+    scratch.  With several bins one stable argsort then merges the bins'
     sorted runs, and each copy's bin comes from its position in that
     concatenation, so a merge also holds the merge permutation and the word
     it permutes the keys through.
@@ -373,11 +355,10 @@ def _tally(keys, offsets):
         # counts, widened if it cannot hold top
         return counts if top <= np.iinfo(counts.dtype).max else counts.astype(np.min_scalar_type(top))
 
-    bins = list(zip(offsets, list(offsets[1:]) + [keys.shape[1]]))
+    bins = list(zip(offsets, list(offsets[1:]) + [len(keys)]))
     for lo, hi in bins:
-        _sort_keys(keys[:, lo:hi])
-    # after the sorts, whose permutation multiword keys need
-    counts = np.empty(keys.shape[1], dtype=np.uint8)
+        _sort(keys[lo:hi])
+    counts = np.empty(len(keys), dtype=np.uint8)
     firsts, at = [], 0
     for lo, hi in bins:
         firsts.append(at)
@@ -397,29 +378,30 @@ def _tally(keys, offsets):
             counts = fit(counts, hi - lo - last)
             counts[at - 1] = hi - lo - last
     if len(offsets) == 1:
-        return keys[:, :at], counts[None, :at]
-    merged = keys[:, :at]
-    order = _sort(merged)
-    tally = np.zeros((len(offsets), _run_count(merged)), dtype=counts.dtype)
+        return keys[:at], counts[None, :at]
+    order = np.argsort(_view(keys[:at]), kind="stable")
+    for word in keys[:at].T:  # a word at a time, so with one word of scratch
+        word[...] = word[order]
+    tally = np.zeros((len(offsets), _run_count(keys[:at])), dtype=counts.dtype)
     run = -1  # the run of the copy before the block
-    for i, new in _squeeze(merged, 0, at, 0):
+    for i, new in _squeeze(keys, 0, at, 0):
         copies = order[i : i + len(new)]
         runs = np.cumsum(new) + run
         # a run holds at most one copy from each bin
         tally[np.searchsorted(firsts, copies, side="right") - 1, runs] = counts[copies]
         run = runs[-1]
-    return keys[:, : tally.shape[1]], tally
+    return keys[: tally.shape[1]], tally
 
 
 def _first(keys, blocks):
-    """The smallest position of each of the (k, R) keys, sorted as ``_sort``
+    """The smallest position of each of the (R, k) keys, sorted as ``_sort``
     sorts them, among ``blocks``, which yield a block's positions and its
-    (k, m) packed keys; a block's keys outside ``keys`` are passed over.
+    (m, k) packed keys; a block's keys outside ``keys`` are passed over.
     With no keys it reads no block."""
     import numpy as np
 
-    low = np.full(keys.shape[1], np.iinfo(np.intp).max, dtype=np.intp)
-    if keys.shape[1]:
+    low = np.full(len(keys), np.iinfo(np.intp).max, dtype=np.intp)
+    if len(keys):
         for at, block in blocks:
             pos, found = _locate(keys, block)
             np.minimum.at(low, pos[found], at[found])
@@ -509,13 +491,13 @@ def _product_keys(ctx: FieldCtx, r: int, n: int, total: int, factors):
     import numpy as np
 
     q = ctx.q
-    keys = np.empty((-(-comb(r + n, r) // _digits_per_word(q)), total), dtype=np.uint64)
+    keys = np.empty((total, -(-comb(r + n, r) // _digits_per_word(q))), dtype=np.uint64)
     at = 0
     for a, G, b, H, triangle in factors:
         if a > b:  # the kernel loops over the slots of its first factor
             a, G, b, H = b, H, a, G
         for i, j in _pair_blocks(G.shape[1], H.shape[1], triangle):
-            _pack(_mul(ctx, r, a, b, G[:, i], H[:, j]), q, keys[:, at : at + len(i)])
+            _pack(_mul(ctx, r, a, b, G[:, i], H[:, j]), q, keys[at : at + len(i)])
             at += len(i)
     return _distinct(keys)
 
@@ -606,8 +588,8 @@ def _rel_irreducible_keys(ctx: FieldCtx, r: int, n: int):
             codes = pullback[product]
             found.append(_pack(codes[:, (codes >= 0).all(axis=0)], ctx.q))
     # a monic degree-n product over F_q is irreducible unless it is reducible
-    products = _distinct(np.concatenate(found, axis=1)).T
-    out = products[:, ~_locate(reducible.T, products)[1]].T
+    products = _distinct(np.concatenate(found))
+    out = products[~_locate(reducible, products)[1]]
     out.flags.writeable = False
     return out
 
@@ -694,7 +676,6 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range):
     n_g, n_h = q ** (e - 1), hs.shape[1]
     step = max(1, _CHUNK_ROWS)
     m_h, m_g = max(1, step // n_g), min(n_g, step)
-    places = q ** np.arange(e - 2, -1, -1)
     dtype = _code_dtype(ctx, e - 1)
     widths = tuple(comb(r + i * ne, r) for i in range(1, e + 1))  # of h^1..h^e
     for lo in range(0, n_h, m_h):
@@ -708,7 +689,9 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range):
         for g0 in range(0, n_g, m_g):
             g = np.arange(g0, min(g0 + m_g, n_g))
             # these g's tails g_1..g_{e-1} in itertools.product order, as (i, g)
-            tails = (g // places[:, None] % q).astype(dtype)
+            tails = np.empty((e - 1, len(g)), dtype=dtype)
+            for i, tail in enumerate(tails):
+                tail[...] = g // q ** (e - 2 - i) % q
             groups = _slot_groups(slots, widths, max(1, _SLOT_CODES // (len(h_rank) * len(g))))
             yield _g_of_h(ctx, powers, tails, groups), h_rank, g * n_h
 
@@ -731,7 +714,7 @@ def _census_blocks(ctx: FieldCtx, n: int, e: int):
 
 
 def _frobenius_rows(keys, q: int, p: int, n: int):
-    """The rows among the sorted distinct (k, R) keys of a census at
+    """The rows among the sorted distinct (R, k) keys of a census at
     composite n of its Frobenius members, the monic original degree-n
     polynomials whose nonzero coefficients all sit at multiples of p, the
     characteristic.  There are q^(n/p - 1) of them when p | n, none
@@ -805,7 +788,7 @@ class CensusReport:
         import numpy as np
 
         pick = np.flatnonzero(_decompositions(self._counts) >= 2)
-        ranks = self._ranks[pick] if "_ranks" in vars(self) else self._first_ranks(self._keys[:, pick])
+        ranks = self._ranks[pick] if "_ranks" in vars(self) else self._first_ranks(self._keys[pick])
         return self._rows(pick, ranks)
 
     @cached_property
@@ -814,19 +797,19 @@ class CensusReport:
         return self._first_ranks(self._keys)
 
     def _first_ranks(self, keys):
-        """The first-enumeration rank of each of the sorted (k, m) keys: its
+        """The first-enumeration rank of each of the sorted (m, k) keys: its
         smallest position when the splits run ascending, each g outer and h
         inner, found by composing every pair again."""
         import numpy as np
 
-        q, n, words = self.q, self.n, len(keys)
+        q, n, words = self.q, self.n, keys.shape[1]
 
         def blocks():
             offset = 0
             for e in self.per_split:
                 for codes, h_rank, g_rank in _census_blocks(self.ctx, n, e):
-                    block = _pack(codes, q, np.empty((words, len(h_rank), len(g_rank)), dtype=np.uint64))
-                    yield np.add.outer(h_rank, g_rank + offset).ravel(), block.reshape(words, -1)
+                    block = _pack(codes, q, np.empty((len(h_rank), len(g_rank), words), dtype=np.uint64))
+                    yield np.add.outer(h_rank, g_rank + offset).ravel(), block.reshape(-1, words)
                 offset += _split_pairs(q, n, e)
 
         return _first(keys, blocks())
@@ -839,7 +822,7 @@ class CensusReport:
         pick = pick[np.argsort(ranks)]
         rows = np.zeros((len(pick), self.n + 1), dtype=np.uint8)
         if len(pick):  # at n = 1 the keys hold no digits to unpack
-            rows[:, 1 : self.n] = _unpack(self._keys[:, pick], self.q, self.n - 1).T
+            rows[:, 1 : self.n] = _unpack(self._keys[pick], self.q, self.n - 1)
             rows[:, self.n] = 1
         return CensusRows(rows, self._counts[:, pick].T)
 
@@ -862,14 +845,14 @@ def _decompositions(counts):
 def _profiles(counts):
     """How many columns of the (splits, R) counts have each set of nonzero
     rows, as {bit mask (row t is bit t): columns}, and each column sum, as
-    a histogram array, both taken ``_TALLY_COLS`` columns at a time."""
+    a histogram array, both taken ``_TALLY_KEYS`` columns (keys) at a time."""
     import numpy as np
 
     bits = 1 << np.arange(len(counts))
     masks = np.zeros(1 << len(counts), dtype=np.intp)
     sums = np.zeros(len(counts) * int(counts.max(initial=0)) + 1, dtype=np.intp)
-    for lo in range(0, counts.shape[1], _TALLY_COLS):
-        block = counts[:, lo : lo + _TALLY_COLS]
+    for lo in range(0, counts.shape[1], _TALLY_KEYS):
+        block = counts[:, lo : lo + _TALLY_KEYS]
         masks += np.bincount(bits @ (block > 0), minlength=len(masks))
         sums += np.bincount(_decompositions(block), minlength=len(sums))
     return {m: c for m, c in enumerate(masks.tolist()) if c}, sums
@@ -897,15 +880,15 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     words = -(-(n - 1) // _digits_per_word(q))
     if not splits:  # prime n: nothing decomposes
         return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx,
-                            np.zeros((words, 0), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8))
-    # every composition's key, each split in its own columns
-    keys = np.empty((words, sum(sizes)), dtype=np.uint64)
+                            np.zeros((0, words), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8))
+    # every composition's key, each split in its own rows
+    keys = np.empty((sum(sizes), words), dtype=np.uint64)
     at = 0
     for e in splits:
         for codes, h_rank, g_rank in _census_blocks(ctx, n, e):
             m = len(h_rank) * len(g_rank)
             # a view, since the rows of keys are contiguous
-            _pack(codes, q, keys[:, at : at + m].reshape(words, len(h_rank), len(g_rank)))
+            _pack(codes, q, keys[at : at + m].reshape(len(h_rank), len(g_rank), words))
             at += m
     keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
     frob = _frobenius_rows(keys, q, ctx.p, n)
@@ -920,7 +903,7 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     return CensusReport(
         n=n,
         q=q,
-        total=keys.shape[1],
+        total=len(keys),
         per_split={e: having(profile, t) for t, e in enumerate(splits)},
         pair_intersections={(splits[i], splits[j]): having(profile, i, j) for i, j in pairs},
         pair_intersections_nonfrobenius={
@@ -956,12 +939,13 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     width = len(_deglex_monomials(r, n))
     # every composition's packed key, written block by block; the constant
     # slot is last and always 0
-    keys = np.empty((-(-(width - 1) // _digits_per_word(q)), total), dtype=np.uint64)
+    words = -(-(width - 1) // _digits_per_word(q))
+    keys = np.empty((total, words), dtype=np.uint64)
     at = 0
     for e in splits:
         for codes, h_rank, g_rank in _compositions(ctx, r, n, e, range(width - 1)):
             m = len(h_rank) * len(g_rank)
-            _pack(codes, q, keys[:, at : at + m].reshape(len(keys), len(h_rank), len(g_rank)))
+            _pack(codes, q, keys[at : at + m].reshape(len(h_rank), len(g_rank), words))
             at += m
-    _sort_keys(keys)
+    _sort(keys)
     return _run_count(keys)

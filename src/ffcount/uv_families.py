@@ -10,10 +10,11 @@ families that exhaust degree p^2 together with a classifier for that degree.
 The classifier works on numpy code arrays, many polynomials at once.  Once
 per field it builds, from parameter columns, a sorted key index of every S
 and M family polynomial with two or more decompositions, in the oracle's
-packed keys, sorted by ``oracle._sort`` and searched by ``oracle._locate``.  On each block of
-f columns it divides every f by every right component h directly (its
-decomposition count, independent of any census) and takes every shift
-f(x + w) - f(w) by Taylor's formula, which it looks up in the index.
+packed keys, one per row, sorted and searched as wholes through one view
+(``oracle._view``, ``oracle._locate``).  On each block of f columns it
+divides every f by every right component h directly (its decomposition
+count, independent of any census) and takes every shift f(x + w) - f(w) by
+Taylor's formula, which it looks up in the index.
 ``classify_p2`` is the one-column case of ``classify_census``, which
 classifies every collision of a degree-p^2 census in one call.  The tests
 check it against an exhaustive ``UniPoly`` reference (``tests/reference.py``).
@@ -33,7 +34,7 @@ from functools import lru_cache, partial
 from .ff import FieldCtx, FqElem, UniPoly, check_budget
 from .oracle import (
     _CHUNK_ROWS, CensusReport, _check_tables, _code_dtype, _field_ops, _locate, _monic_rows, _mul, _pack,
-    _run_starts, _sort,
+    _run_starts, _view,
 )
 from .series import divisors
 
@@ -437,10 +438,12 @@ def _m_families(ctx: FieldCtx):
 def _family_index(ctx: FieldCtx) -> dict:
     """The S and M families of degree p^2 over ctx with two or more
     decompositions, built once per field: {label: (keys, params)}, the
-    sorted distinct (k, R) packed keys (``oracle._pack``, sorted by
-    ``oracle._sort``) of their coefficients (slots 1..p^2 - 1) and, per key,
+    sorted distinct (R, k) packed keys (``oracle._pack``, in the order of
+    ``oracle._view``) of their coefficients (slots 1..p^2 - 1) and, per key,
     the parameters (rows as in ``_PARAMS``) first in the search order, m,
     eps, u, s for S and m, b, a for M."""
+    import numpy as np
+
     p, q = ctx.p, ctx.q
     n = p * p
     check_budget(2 * len(divisors(p - 1)) * q * q + max(p - 3, 0) * q * q,
@@ -449,9 +452,10 @@ def _family_index(ctx: FieldCtx) -> dict:
     index = {}
     for label, (codes, params) in (("S", _s_families(ctx)), ("M", _m_families(ctx))):
         keys = _pack(codes[1:n], q)
-        order = _sort(keys)  # stable: equal keys keep the search order
+        order = np.argsort(_view(keys), kind="stable")  # equal keys keep the search order
+        keys = keys[order]
         first = _run_starts(keys)
-        index[label] = keys[:, first], params[:, order[first]]
+        index[label] = keys[first], params[:, order[first]]
     return index
 
 
@@ -546,7 +550,7 @@ def _classify(ctx: FieldCtx, F) -> list[tuple[str, dict]]:
         decs[lo : lo + step] = _decompositions(ctx, block)
         shifts = _pack(_shifts(ctx, block).reshape(n - 1, -1), q)
         for label, (keys, _) in index.items():
-            if not keys.shape[1]:
+            if not len(keys):
                 continue
             at, found = (a.reshape(q, -1) for a in _locate(keys, shifts))
             w = found.argmax(axis=0)  # the smallest shift that lands in the family

@@ -204,7 +204,7 @@ def test_key_builders_hold_their_class(r, n, q):
         keys = builder(ctx, r, n, *([s] if s else []))
         assert len(keys) == fc.oracle_count(cls, r, n, ctx, s) == len(ref)
         assert not keys.flags.writeable
-        codes = orc._unpack(np.ascontiguousarray(keys.T), q, width).T.tolist()
+        codes = orc._unpack(keys, q, width).tolist()
         assert len(set(map(tuple, codes))) == len(codes)
         assert set(map(tuple, codes)) == _slot_codes(ref, r, n)
 
@@ -579,6 +579,12 @@ def test_census_multiword_keys(monkeypatch):
         assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
 
 
+def _view_order(keys):
+    """Each of the (m, k) packed keys as Python orders ``oracle._view``'s
+    elements: the integer at one word, the row's bytes at several."""
+    return [int(row[0]) if keys.shape[1] == 1 else row.tobytes() for row in keys]
+
+
 @pytest.mark.parametrize(
     "q, width, m",
     [(5, 10, 2000), (2, 30, 3000), (2, 65, 500), (257, 14, 2000), (3, 4, 0)],
@@ -592,8 +598,8 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
     keys = orc._pack(digits, q)
     per_word = orc._digits_per_word(q)
     assert q**per_word <= 1 << 64 < q ** (per_word + 1)
-    assert keys.shape == (-(-width // per_word), m)
-    assert (orc._unpack(keys, q, width) == digits).all()
+    assert keys.shape == (m, -(-width // per_word))
+    assert (orc._unpack(keys, q, width) == digits.T).all()
     offsets = [0, m // 3, 2 * m // 3]  # three bins of positions
     want: dict = {}  # row -> [smallest position, Counter of bins]
     for at, row in enumerate(rows):
@@ -602,72 +608,88 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
     # the positions arrive shuffled, in blocks of uneven sizes
     shuffled = np.array(rng.sample(range(m), m), dtype=np.int64)
     cuts = sorted(rng.sample(range(1, m), min(m - 1, 9))) if m > 1 else []
-    blocks = [(at, keys[:, at]) for at in np.split(shuffled, cuts)]
-    # 7 columns per block puts runs across the seams of the compaction
-    for cols in (orc._TALLY_COLS, 7):
-        monkeypatch.setattr(orc, "_TALLY_COLS", cols)
+    blocks = [(at, keys[at]) for at in np.split(shuffled, cuts)]
+    # 7 rows per block puts runs across the seams of the compaction
+    for block in (orc._TALLY_KEYS, 7):
+        monkeypatch.setattr(orc, "_TALLY_KEYS", block)
         distinct, counts = orc._tally(keys.copy(), offsets)
         low = orc._first(distinct, iter(blocks))
-        rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).T.tolist()]
+        rows_got = [tuple(r) for r in orc._unpack(distinct, q, width).tolist()]
         assert len(rows_got) == len(want)  # one entry per distinct key
         got = {
             row: [lo, Counter({t: c for t, c in enumerate(cs) if c})]
             for row, lo, cs in zip(rows_got, low.tolist(), counts.T.tolist())
         }
         assert got == want
-    # _locate finds every distinct key at its row, an absent probe at the
-    # row it would go before, and looks among one column alike
-    absent = [row for row in (tuple(rng.randrange(q) for _ in range(width)) for _ in range(50)) if row not in want]
-    probes = orc._pack(np.array(list(want) + absent, dtype=np.int64).reshape(-1, width).T, q)
-    sorted_keys = [tuple(reversed(key)) for key in distinct.T.tolist()]
-    for cols in ([slice(None), slice(0, 1)] if len(want) else []):
-        at, found = orc._locate(distinct[:, cols], probes)
-        among = sorted_keys[cols]
-        for probe, a, f in zip(probes.T.tolist(), at.tolist(), found.tolist()):
-            probe = tuple(reversed(probe))
-            assert (a, f) == (bisect.bisect_left(among, probe), probe in among)
     # _distinct sorts and groups alike, and _run_count counts the runs of sorted keys
-    assert (orc._distinct(keys.copy()).T == distinct).all()
-    assert orc._run_count(distinct) == orc._run_count(np.repeat(distinct, 3, axis=1)) == len(want)
-    # _sort permutes stably by the last word foremost: at one word a key, as
-    # packed, and at three digits a word, which spreads a key over several
+    assert (orc._distinct(keys.copy()) == distinct).all()
+    assert orc._run_count(distinct) == orc._run_count(np.repeat(distinct, 3, axis=0)) == len(want)
+    # at one word a key, as packed, and at three digits a word, which
+    # spreads a key over several: _sort sorts in the view's order, the
+    # stable argsort of the view keeps equal keys in their order, and
+    # _locate finds every distinct key at its row, an absent probe at the
+    # row it would go before, and looks among one row alike
+    absent = [row for row in (tuple(rng.randrange(q) for _ in range(width)) for _ in range(50)) if row not in want]
+    probe_digits = np.array(list(want) + absent, dtype=np.int64).reshape(-1, width).T
+    packed_probes = orc._pack(probe_digits, q)
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
     several = orc._pack(digits, q)
-    assert len(several) == -(-width // 3) >= 2
-    for words in (keys[:1], keys, several):
-        want_order = sorted(range(m), key=lambda i: tuple(reversed(words[:, i].tolist())))
+    assert several.shape[1] == -(-width // 3) >= 2
+    for words, probes in [(np.ascontiguousarray(keys[:, :1]), np.ascontiguousarray(packed_probes[:, :1])),
+                          (keys, packed_probes), (several, orc._pack(probe_digits, q))]:
+        order = _view_order(words)
         got = words.copy()
-        assert orc._sort(got).tolist() == want_order
-        assert (got == words[:, want_order]).all()
+        orc._sort(got)
+        assert _view_order(got) == sorted(order)
+        stable = np.argsort(orc._view(words), kind="stable")
+        assert stable.tolist() == sorted(range(m), key=order.__getitem__)
+        assert (got == words[stable]).all()
+        sorted_distinct = orc._distinct(words.copy())
+        sorted_keys = _view_order(sorted_distinct)
+        for cols in ([slice(None), slice(0, 1)] if len(sorted_distinct) else []):
+            at, found = orc._locate(sorted_distinct[cols], probes)
+            among = sorted_keys[cols]
+            for probe, a, f in zip(_view_order(probes), at.tolist(), found.tolist()):
+                assert (a, f) == (bisect.bisect_left(among, probe), probe in among)
 
 
 # The budget counts composed pairs; at most 40 bytes per pair, measured by
-# tracemalloc after a warm-up call (code tables, monomial slots), make it a
-# bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2;
+# tracemalloc after a warm-up call (code tables, monomial slots), make it
+# a bound on memory too.  Pairs: 5^4 g's times 5^4 h's; 27^2 times 27^2;
 # 8^(e-1) times 8^(12/e - 1) over the four splits of 12, which the census
 # merges; 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
-# degree 4 times 14; and 16^(e-1) g's times 16^(6/e - 1) univariate h's
-# over the splits of 6.  A census at one split holds its keys (8 bytes in
-# one word), a count byte per pair and scratch for one block: the composer
-# reduces and packs a slot at a time, and the grouping and the tables run
-# over blocks of a few thousand keys.  So (25, F_5) measures 9.5 and
-# (9, F_27) 9.3, where composing whole blocks, grouping through
-# whole-split masks and index arrays and building the tables over every
-# key held 14.0 and 17.4; their gates at 11 and 10.5 fail if that comes
-# back.  It looks its Frobenius members up after the merge and holds
+# degree 4 times 14; 16^(e-1) g's times 16^(6/e - 1) univariate h's over
+# the splits of 6; 2^10 g's times 2^10 h's at the one split of 121, whose
+# keys take two words; and 2^(e-1) times 2^(91/e - 1) over the two splits
+# of 91, which the census merges with two-word keys.  A census at one
+# split holds its keys (8 bytes a word), a count byte per pair and scratch
+# for one block: the composer reduces and packs a slot at a time, the
+# grouping and the tables run over blocks of a few thousand keys, and keys
+# of any width sort in place.  So (25, F_5) measures 9.5 and (9, F_27)
+# 9.3, where composing whole blocks, grouping through whole-split masks
+# and index arrays and building the tables over every key held 14.0 and
+# 17.4; their gates at 11 and 10.5 fail if that comes back.  (121, F_2)
+# measures 17.2, where sorting its two-word keys through a permutation
+# held 32.0.  It looks its Frobenius members up after the merge and holds
 # nothing for them through it, so four splits stay within 28 (25.5
-# measured).  mv (2, 4, F_13) measures 9.0, but 9.9 with its sums in
-# int32 and 11.2 with whole blocks composed and runs marked over every key,
-# so its gate at 9.5 fails if either comes back.  At (1, 6, F_16) one h has
-# 16^5 g's, which the blocks slice: 11.6, where a block of one h with all
-# its g's held 147.
+# measured).  Its merge holds the merge permutation and permutes the keys
+# a word at a time: (91, F_2) measures 33.2, and 41.2 with each key
+# gathered whole, which its gate at 35 fails.  mv (2, 4, F_13) measures
+# 9.0, but 9.9 with its sums in int32 and 11.2 with whole blocks composed
+# and runs marked over every key, so its gate at 9.5 fails if either comes
+# back.  At (1, 6, F_16) one h has 16^5 g's, which the blocks slice: 9.7
+# with each slice's g tails written in the code dtype, 11.6 with them
+# built in int64, and 147 with a block of one h with all its g's.
 @pytest.mark.parametrize("build, pairs, limit", [
     (lambda: orc.oracle_decomp_census(25, F5), 390_625, 11),
     (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 10.5),
     (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 28),
+    (lambda: orc.oracle_decomp_census(121, F2), 1_048_576, 18),
+    (lambda: orc.oracle_decomp_census(91, F2), 524_288, 35),
     (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 9.5),
-    (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 16),
-], ids=["census-25-F5", "census-9-F27", "census-12-F8", "mv-2-4-F13", "mv-1-6-F16"])
+    (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 10.5),
+], ids=["census-25-F5", "census-9-F27", "census-12-F8", "census-121-F2", "census-91-F2", "mv-2-4-F13",
+        "mv-1-6-F16"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
     import tracemalloc
 

@@ -537,13 +537,13 @@ def test_family_index_f256_in_a_second():
     elapsed = time.perf_counter() - start
     keys, params = index["S"]
     # one S family per (eps, u, s) whose u has two or more roots t
-    assert keys.shape[1] > 10_000 and index["M"][0].shape[1] == 0
+    assert len(keys) > 10_000 and len(index["M"][0]) == 0
     assert elapsed < 1.0, elapsed
 
 
 def test_classifier_with_multiword_keys(monkeypatch):
     # three digits per word, so every key spans several uint64 words and
-    # the shifts are found in the index by a binary search on all of them
+    # the shifts are found in the index as wholes, through one view
     want = {q: _census_and_classes(q)[1] for q in (9, 5)}
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
     uf._family_index.cache_clear()
@@ -551,6 +551,6 @@ def test_classifier_with_multiword_keys(monkeypatch):
         for q, classes in want.items():
             got = uf.classify_census(_census_and_classes(q)[0])
             assert [(l, _as_codes(i)) for l, i in got] == [(l, _as_codes(i)) for l, i in classes]
-            assert len(uf._family_index(field_from_q(q))["S"][0]) > 1
+            assert uf._family_index(field_from_q(q))["S"][0].shape[1] > 1
     finally:
         uf._family_index.cache_clear()

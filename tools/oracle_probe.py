@@ -31,6 +31,8 @@ CASES = [
     ("census", None, 25, 5, 1),
     ("census", None, 12, 2, 3),
     ("census", None, 9, 3, 3),
+    ("census", None, 121, 2, 1),
+    ("census", None, 91, 2, 1),
     ("mv", 2, 4, 13, 1),
     ("mv", 2, 7, 2, 3),
     ("mv", 1, 6, 2, 4),
