@@ -35,25 +35,32 @@ with an element per key (``_view``): it is sorted in place (``_sort``),
 grouped and searched (``_locate``) as one numpy array, and the degree-p^2
 classifier in ``uv_families`` sorts and looks up its family keys through
 the same view.  Sorted keys are grouped a block of ``_TALLY_KEYS`` keys at
-a time (``_squeeze``), so no mask or index over all of them exists.  The
-census writes each split's keys into its own rows of one preallocated key
-array and groups them there (``_tally``): each split is sorted in place,
-its distinct keys move down, their run lengths go into one byte a key, and
-one stable argsort merges the splits.  Its Frobenius members, the
-polynomials with nonzero coefficients only at multiples of p, are
-enumerated once and looked up among the distinct keys; no composed pair is
-tested for that shape.  Its tables are read off the counts a block at a
-time (``_profiles``).  So at one split it holds its keys, a count byte and
-scratch for one block: 9.5 bytes a pair at n = 25 over F_5 and 9.3 at
-n = 9 over F_27 (one-word keys), 17.2 at n = 121 over F_2 (two words).  It
-holds 25.5 at n = 12 over F_8, whose four splits it merges through a
-permutation (one-word keys), and 33.2 at n = 91 over F_2 (two splits, two
-words).  The multivariate count holds 9.0 bytes a pair at r = 2, n = 4
-over F_13 (one-word keys) and 16.9 at n = 7 over F_8 (two words); so the
-pair budget bounds their memory too.  The order of first enumeration is
-recovered only when its per-polynomial ``details`` or its ``collisions``,
-the rows with two or more decompositions as arrays, are read, by composing
-every pair again.
+a time (``_squeeze``), so no mask or index over all of them exists.  A
+census of more than 2^16 pairs is taken in q buckets, one for each value of
+f's coefficient at x^(n - spf(n)), whose pairs it enumerates directly and
+whose tables add up (module ``buckets``, imported on first use); a smaller
+one in one bucket.  Each bucket writes each split's keys into its own rows
+of one key array, sized for the largest bucket, and groups them there
+(``_tally``): each split is sorted in place, its distinct keys move down,
+their run lengths go into one byte a key, and one stable argsort merges
+the splits.  Its Frobenius members, the polynomials with nonzero
+coefficients only at multiples of p, are enumerated for the bucket and
+looked up among its distinct keys; no composed pair is tested for that
+shape.  Its tables are read off the counts a block at a time, and only its
+collisions, the keys with two or more decompositions, are kept past it.  So
+a bucket at one split holds its keys, a count byte and scratch for one
+block, 9.5 bytes a pair with one-word keys and 17.2 with two words, and
+25.5 when it merges several splits.  A whole census holds one bucket and
+the collisions: 2.6 bytes a pair at n = 25 over F_5, 1.5 at n = 9 over
+F_27 and 5.0 at n = 12 over F_8, 10.2 at n = 121 over F_2 (two words, two
+buckets), and at n = 8 4.4 over F_16, 1.2 over F_32 and 0.6 over F_64.
+The multivariate count holds 9.0 bytes a pair at r = 2, n = 4 over F_13
+(one-word keys) and 16.9 at n = 7 over F_8 (two words); so the pair budget
+bounds its memory too, and the census's work.  The order of first
+enumeration is recovered only when its per-polynomial ``details``, which
+takes the census again bucket by bucket, or its ``collisions``, the rows
+with two or more decompositions as arrays, are read, by composing every
+pair again.
 numpy is imported inside the functions that use it, never at module
 import.  Every builder sizes all it builds (products or compositions, q x q
 code tables, extension fields) from q, r, n and t through
@@ -63,6 +70,7 @@ code tables, extension fields) from q, r, n and t through
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
@@ -657,7 +665,16 @@ def _g_of_h(ctx: FieldCtx, powers, tails, groups):
         yield from acc
 
 
-def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range):
+def _powers(ctx: FieldCtx, r: int, ne: int, e: int, h):
+    """h^1..h^e of the slot-major r-variate h of degree ne, each over the
+    monomials of its own degree."""
+    powers = [h]
+    for k in range(1, e):  # h's constant slot, its last, is 0
+        powers.append(_mul(ctx, r, ne, k * ne, h[:-1], powers[-1]))
+    return powers
+
+
+def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range, pick=None, fold=None):
     """Compose g(h) for every univariate monic original g of degree e and
     every r-variate monic original h of degree n / e, in blocks of at most
     ``max(1, _CHUNK_ROWS)`` pairs: as many h's as fit, each with every g, or
@@ -666,34 +683,53 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range):
     ``slots``, a range of indices into ``_deglex_monomials(r, n)`` (x^n
     first, the constant last), in its order, each an (m_h, m_g) array that
     holds until the next is drawn (``_g_of_h``); ``h_rank`` and ``g_rank``
-    are the block's h's and g's as 1-D arrays of h and g * n_h, so the pair
-    at (i, j) has rank h_rank[i] + g_rank[j], its position when g is outer
-    and h inner."""
+    are 1-D arrays such that the pair at (i, j) has rank h_rank[i] +
+    g_rank[j], its position when g is outer and h inner.
+
+    ``pick``, an ascending index array into the h's, composes those h's
+    alone.  ``fold``, ``(powers, last)``, composes every h from its powers
+    h^1..h^e (``_powers``, in ``_code_dtype(ctx, e - 1)``), read, not built
+    again, and gives each h one g_{e-1}, ``last``, codes aligned with the
+    h's: g's least significant digit, folded into h's top power, h^e +
+    g_{e-1} h^(e-1), so the g's run over their tails g_1..g_{e-2} alone."""
     import numpy as np
 
     q, ne = ctx.q, n // e
     hs = _monic_rows(q, r, ne, original=True)
-    n_g, n_h = q ** (e - 1), hs.shape[1]
+    n_h = hs.shape[1]
+    free = e - 1 if fold is None else e - 2  # the tails the g's run over
+    n_g, g_step = q**free, n_h if fold is None else q * n_h
     step = max(1, _CHUNK_ROWS)
     m_h, m_g = max(1, step // n_g), min(n_g, step)
+    add, mul, mod = _field_ops(ctx)
     dtype = _code_dtype(ctx, e - 1)
-    widths = tuple(comb(r + i * ne, r) for i in range(1, e + 1))  # of h^1..h^e
-    for lo in range(0, n_h, m_h):
-        h = hs[:, lo : lo + m_h]
-        # h^1..h^e of every h in the block; h's constant slot, its last, is 0
-        powers = [h]
-        for k in range(1, e):
-            powers.append(_mul(ctx, r, ne, k * ne, h[:-1], powers[-1]))
-        powers = [P.astype(dtype, copy=False) for P in powers]
-        h_rank = np.arange(lo, lo + h.shape[1])
+    # the widths of h^1..h^e, but for h^(e-1) when it is folded into the top
+    widths = tuple(comb(r + i * ne, r) for i in range(1, e + 1) if fold is None or i != e - 1)
+    for lo in range(0, n_h if pick is None else len(pick), m_h):
+        at = slice(lo, lo + m_h) if pick is None else pick[lo : lo + m_h]
+        if fold is None:
+            # h alone first, which frees the last block's powers before these
+            # are built; take, not hs[:, at], whose rows would be strided
+            block = [hs[:, at] if pick is None else hs.take(at, axis=1)]
+            block = [P.astype(dtype, copy=False) for P in _powers(ctx, r, ne, e, block[0])]
+            h_rank = np.arange(lo, lo + block[0].shape[1]) if pick is None else at
+        else:
+            powers, last = fold
+            block = [P[:, at].copy() for P in powers]  # copies: the fold changes the top one
+            g_last = last[at]
+            # h^(e-1) fills the last slots of h^e, each a product and a code there
+            top = block[-1][len(block[-1]) - len(block[-2]) :]
+            mod(add(top, mul(g_last.astype(dtype), block[-2])), 1)
+            block = block[:-2] + block[-1:]
+            h_rank = np.arange(lo, lo + len(g_last)) + g_last.astype(np.intp) * n_h
         for g0 in range(0, n_g, m_g):
             g = np.arange(g0, min(g0 + m_g, n_g))
-            # these g's tails g_1..g_{e-1} in itertools.product order, as (i, g)
-            tails = np.empty((e - 1, len(g)), dtype=dtype)
+            # these g's tails in itertools.product order, as (i, g)
+            tails = np.empty((free, len(g)), dtype=dtype)
             for i, tail in enumerate(tails):
-                tail[...] = g // q ** (e - 2 - i) % q
+                tail[...] = g // q ** (free - 1 - i) % q
             groups = _slot_groups(slots, widths, max(1, _SLOT_CODES // (len(h_rank) * len(g))))
-            yield _g_of_h(ctx, powers, tails, groups), h_rank, g * n_h
+            yield _g_of_h(ctx, block, tails, groups), h_rank, g * g_step
 
 
 # -- univariate decomposition census --------------------------------------
@@ -705,32 +741,13 @@ def _split_pairs(q: int, n: int, e: int) -> int:
     return q ** (e - 1) * q ** (n // e - 1)
 
 
-def _census_blocks(ctx: FieldCtx, n: int, e: int):
+def _census_blocks(ctx: FieldCtx, n: int, e: int, pick=None, fold=None):
     """``_compositions`` at r = 1 with deg g = e at the slots a census key
-    holds.  Every composition has code 1 at x^n and code 0 at the constant,
-    so the keys hold the codes of x up to x^(n-1), x's the most
-    significant; slot i of ``_deglex_monomials(1, n)`` is x^(n-i)."""
-    return _compositions(ctx, 1, n, e, range(n - 1, 0, -1))
-
-
-def _frobenius_rows(keys, q: int, p: int, n: int):
-    """The rows among the sorted distinct (R, k) keys of a census at
-    composite n of its Frobenius members, the monic original degree-n
-    polynomials whose nonzero coefficients all sit at multiples of p, the
-    characteristic.  There are q^(n/p - 1) of them when p | n, none
-    otherwise; each F(x^p) is F composed with x^p, so all of them
-    decompose.  They number at most the pairs of the split deg g = p, so
-    the census's budget covers them."""
-    import numpy as np
-
-    if n % p:
-        return np.zeros(0, dtype=np.intp)
-    free = n // p - 1
-    # the codes of x up to x^(n-1), as the keys hold them: x^p, x^2p, ... run free
-    digits = np.zeros((n - 1, q**free), dtype=np.min_scalar_type(q - 1))
-    digits[p - 1 :: p] = np.indices((q,) * free, dtype=digits.dtype).reshape(free, -1)
-    at, found = _locate(keys, _pack(digits, q))
-    return at[found]
+    holds, with its ``pick`` or ``fold`` when given.
+    Every composition has code 1 at x^n and code 0 at the constant, so the
+    keys hold the codes of x up to x^(n-1), x's the most significant; slot
+    i of ``_deglex_monomials(1, n)`` is x^(n-i)."""
+    return _compositions(ctx, 1, n, e, range(n - 1, 0, -1), pick, fold)
 
 
 class CensusRows(NamedTuple):
@@ -747,9 +764,11 @@ class CensusRows(NamedTuple):
 class CensusReport:
     """Complete decomposition census of degree n over one field, ``ctx``.
 
-    It keeps each decomposable polynomial's packed key, sorted, and its
-    decompositions per split; the order of first enumeration is recovered
-    only when ``details`` or ``collisions`` is read."""
+    Of its polynomials it keeps only the collisions, those with two or more
+    decompositions: their packed keys, sorted, and their decompositions per
+    split.  The order of first enumeration is recovered only when
+    ``details`` or ``collisions`` is read, and ``details`` takes the census
+    again, bucket by bucket."""
 
     n: int
     q: int
@@ -771,10 +790,22 @@ class CensusReport:
         first) -> {split e: decompositions with deg g = e}, in order of first
         enumeration: splits ascending, then g outer and h inner, each in
         the lexicographic order of its codes from x up to its second-highest
-        power, x's coefficient slowest.  Built on first read."""
+        power, x's coefficient slowest.  Built on first read, from the
+        census taken again bucket by bucket (``buckets._census_buckets``),
+        which ranks each bucket's keys as it tallies them: a key's copies
+        all lie in its own bucket."""
         import numpy as np
 
-        rows = self._rows(np.arange(self.total), self._ranks)
+        from .buckets import _census_buckets
+
+        if not self.per_split:  # prime n: nothing decomposes
+            return {}
+        keys, counts, ranks = [], [], []
+        for _, k, c, r in _census_buckets(self.ctx, self.n, list(self.per_split), self._keys.shape[1], ranked=True):
+            keys.append(k.copy())  # the next bucket overwrites k
+            counts.append(c)
+            ranks.append(r)
+        rows = self._rows(np.concatenate(keys), np.concatenate(counts, axis=1), np.concatenate(ranks))
         return {
             row.tobytes(): {e: c for e, c in zip(self.per_split, cs) if c}
             for row, cs in zip(rows.codes, rows.counts.tolist())
@@ -783,18 +814,8 @@ class CensusReport:
     @cached_property
     def collisions(self) -> CensusRows:
         """The rows of ``details`` with two or more decompositions, in the
-        same order, as arrays; reading it builds no ``details``, and ranks
-        only its own rows unless ``details`` ranked them all."""
-        import numpy as np
-
-        pick = np.flatnonzero(_decompositions(self._counts) >= 2)
-        ranks = self._ranks[pick] if "_ranks" in vars(self) else self._first_ranks(self._keys[pick])
-        return self._rows(pick, ranks)
-
-    @cached_property
-    def _ranks(self):
-        """Every row's first-enumeration rank (see ``_first_ranks``)."""
-        return self._first_ranks(self._keys)
+        same order, as arrays; reading it builds no ``details``."""
+        return self._rows(self._keys, self._counts, self._first_ranks(self._keys))
 
     def _first_ranks(self, keys):
         """The first-enumeration rank of each of the sorted (m, k) keys: its
@@ -814,17 +835,17 @@ class CensusReport:
 
         return _first(keys, blocks())
 
-    def _rows(self, pick, ranks) -> CensusRows:
-        """``CensusRows`` of the rows ``pick``, an index array into the
-        sorted keys, ordered by their ``ranks``."""
+    def _rows(self, keys, counts, ranks) -> CensusRows:
+        """``CensusRows`` of the (m, k) keys and their (splits, m) counts,
+        ordered by their ``ranks``."""
         import numpy as np
 
-        pick = pick[np.argsort(ranks)]
-        rows = np.zeros((len(pick), self.n + 1), dtype=np.uint8)
-        if len(pick):  # at n = 1 the keys hold no digits to unpack
-            rows[:, 1 : self.n] = _unpack(self._keys[pick], self.q, self.n - 1)
+        order = np.argsort(ranks)
+        rows = np.zeros((len(keys), self.n + 1), dtype=np.uint8)
+        if len(keys):  # at n = 1 the keys hold no digits to unpack
+            rows[:, 1 : self.n] = _unpack(keys[order], self.q, self.n - 1)
             rows[:, self.n] = 1
-        return CensusRows(rows, self._counts[:, pick].T)
+        return CensusRows(rows, counts[:, order].T)
 
 
 def check_census_q(q: int) -> None:
@@ -842,58 +863,76 @@ def _decompositions(counts):
     return counts.sum(axis=0, dtype=np.min_scalar_type(len(counts) * int(counts.max(initial=0))))
 
 
-def _profiles(counts):
-    """How many columns of the (splits, R) counts have each set of nonzero
-    rows, as {bit mask (row t is bit t): columns}, and each column sum, as
-    a histogram array, both taken ``_TALLY_KEYS`` columns (keys) at a time."""
-    import numpy as np
-
-    bits = 1 << np.arange(len(counts))
-    masks = np.zeros(1 << len(counts), dtype=np.intp)
-    sums = np.zeros(len(counts) * int(counts.max(initial=0)) + 1, dtype=np.intp)
-    for lo in range(0, counts.shape[1], _TALLY_KEYS):
-        block = counts[:, lo : lo + _TALLY_KEYS]
-        masks += np.bincount(bits @ (block > 0), minlength=len(masks))
-        sums += np.bincount(_decompositions(block), minlength=len(sums))
-    return {m: c for m, c in enumerate(masks.tolist()) if c}, sums
-
-
 def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     """Compose every monic original pair (g, h) over every degree split of n,
     deduplicate by packed coefficient key, and tabulate everything the bounds
     need: per-split counts, pairwise intersections (with and without
     Frobenius members), the histogram of decomposition counts, and
-    Frobenius membership, which is looked up once for the q^(n/p - 1)
-    candidates (``_frobenius_rows``) after the keys are grouped.  The
-    tables all come from two histograms of the counts (``_profiles``): of
-    each key's set of splits and of its decompositions."""
+    Frobenius membership, which is looked up for the q^(n/p - 1)
+    candidates after the keys are grouped.  The tables all come from two
+    histograms of the counts: of each key's set of splits and of its
+    decompositions.
+
+    A census of more than 2^16 pairs is taken in q buckets (module
+    ``buckets``), one for each value v of f_j, the coefficient of f = g(h)
+    at x^j, where j = n - spf(n) and spf(n) is the smallest prime factor of
+    n.  Equal polynomials agree at x^j, so each lies in exactly one bucket:
+    every bucket is tallied as a census of its own, and each table is the
+    sum of the buckets' tables.  At the split deg g = e, deg h = m = n / e,
+    g(h) = h^e + g_{e-1} h^(e-1) + ... + g_1 h, where g_i h^i has degree
+    i m.  As m > 1 divides n, m >= spf(n), so j >= n - m = (e - 1) m, and
+    two cases occur:
+
+    * m = spf(n), so j = (e - 1) m.  Only h^e and g_{e-1} h^(e-1), whose
+      leading coefficient is 1, reach x^j, so f_j = [x^j]h^e + g_{e-1}.
+      Bucket v pairs each h with the one g_{e-1} = v - [x^j]h^e, folded
+      into its top power, h^e + g_{e-1} h^(e-1), and with each of the
+      q^(e-2) tails g_1..g_{e-2}.
+    * m > spf(n), so j > (e - 1) m.  Only h^e reaches x^j, so f_j =
+      [x^j]h^e depends on h alone.  Bucket v pairs each h with [x^j]h^e = v
+      with every g.
+
+    So each bucket's pairs are enumerated directly, never filtered, and
+    sized before any bucket is built: in the second case [x^j]h^e depends
+    on h's top spf(n) coefficients alone, so a bincount of its q^spf(n)
+    values counts each bucket's h's.  The buckets are built in turn in one
+    key array sized for the largest.  Where p | e, [x^j]h^e can be
+    constant: at n = 12 over F_8, [x^10]h^4 = 0, so every pair of the split
+    e = 4 lies in bucket 0.  The budget counts every pair, so it bounds the
+    work, and the largest bucket bounds the memory.  The report keeps the
+    collisions alone (see ``CensusReport``)."""
     if n < 1:
         raise ValueError(f"census degree n must be >= 1, got n = {n}")
     q = ctx.q
     check_census_q(q)
     splits = [e for e in divisors(n) if 1 < e < n]
     # at least q^2 pairs in every split, so they bound the code tables too
-    sizes = [_split_pairs(q, n, e) for e in splits]
-    check_budget(sum(sizes), f"decomposition census at n={n}, q={q}")
+    check_budget(sum(_split_pairs(q, n, e) for e in splits), f"decomposition census at n={n}, q={q}")
     import numpy as np
+
+    from .buckets import _census_buckets, _frobenius_rows, _profiles
 
     words = -(-(n - 1) // _digits_per_word(q))
     if not splits:  # prime n: nothing decomposes
         return CensusReport(n, q, 0, {}, {}, {}, {}, 0, 0, {}, ctx,
                             np.zeros((0, words), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8))
-    # every composition's key, each split in its own rows
-    keys = np.empty((sum(sizes), words), dtype=np.uint64)
-    at = 0
-    for e in splits:
-        for codes, h_rank, g_rank in _census_blocks(ctx, n, e):
-            m = len(h_rank) * len(g_rank)
-            # a view, since the rows of keys are contiguous
-            _pack(codes, q, keys[at : at + m].reshape(len(h_rank), len(g_rank), words))
-            at += m
-    keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
-    frob = _frobenius_rows(keys, q, ctx.p, n)
-    profile, sums = _profiles(counts)
-    frob_profile, frob_sums = _profiles(counts[:, frob])
+    # the profiles and decomposition sums of every key, then of the Frobenius members
+    tables = [Counter() for _ in range(4)]
+    total = members = 0
+    kept = []  # each bucket's collision rows: keys and counts
+    for v, keys, counts, _ in _census_buckets(ctx, n, splits, words):
+        frob = _frobenius_rows(keys, q, ctx.p, n, v)
+        for table, part in zip(tables, _profiles(counts) + _profiles(counts[:, frob])):
+            table.update(part)
+        total, members = total + len(keys), members + len(frob)
+        pick = np.flatnonzero(_decompositions(counts) >= 2)
+        kept.append((keys[pick], counts[:, pick]))
+    keys = np.concatenate([k for k, _ in kept])
+    counts = np.concatenate([c for _, c in kept], axis=1)
+    if len(kept) > 1:  # each bucket's keys are sorted, and distinct from the others'
+        order = np.argsort(_view(keys))
+        keys, counts = keys[order], counts[:, order]
+    profile, sums, frob_profile, frob_sums = tables
 
     def having(profile, *ts):
         # how many keys have a decomposition in each of the splits ts
@@ -903,15 +942,15 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     return CensusReport(
         n=n,
         q=q,
-        total=len(keys),
+        total=total,
         per_split={e: having(profile, t) for t, e in enumerate(splits)},
         pair_intersections={(splits[i], splits[j]): having(profile, i, j) for i, j in pairs},
         pair_intersections_nonfrobenius={
             (splits[i], splits[j]): having(profile, i, j) - having(frob_profile, i, j) for i, j in pairs
         },
-        collision_histogram={k: v for k, v in enumerate(sums.tolist()) if v},
-        frobenius_members=len(frob),
-        frobenius_collisions=int(frob_sums[2:].sum()),
+        collision_histogram=dict(sorted(sums.items())),
+        frobenius_members=members,
+        frobenius_collisions=sum(c for k, c in frob_sums.items() if k >= 2),
         split_profiles=dict(sorted((tuple(e for t, e in enumerate(splits) if m >> t & 1), c)
                                    for m, c in profile.items())),
         ctx=ctx,

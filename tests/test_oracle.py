@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import ffcount.buckets as bk
 import ffcount.classes as fc
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
@@ -544,13 +545,49 @@ def _census_fields(rep):
 
 # Pairs per composed block: 20000 puts the seams elsewhere than the default
 # 2^15, 7 cuts most blocks unevenly and 0 composes one pair per block, so
-# the details order is recovered from ranks across blocks and splits.
-@pytest.mark.parametrize("chunk", [20000, 7, 0])
-@pytest.mark.parametrize("n, q", [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4), (12, 3)])
-def test_census_report_matches_compose_tabulation(n, q, chunk, monkeypatch):
+# the details order is recovered from ranks across blocks and splits.  Each
+# census fits the default _BUCKET_PAIRS, so it is taken in one bucket, and
+# again in q buckets ("bucketed", at the block sizes that cut the h's and
+# g's of a bucket unevenly): over F_8, F_9 and F_4, through the field's code
+# tables; at (12, 3) and (16, 3), where f_j is 0 on every Frobenius member;
+# and at (24, 2), whose split deg g = 8 has [x^22]h^8 = 0, so all its pairs
+# lie in bucket 0.
+@pytest.mark.parametrize("n, q, chunk, buckets", [
+    pytest.param(n, q, chunk, buckets, id=f"{n}-{q}-{chunk}" + ("" if buckets is None else "-bucketed"))
+    for buckets in (None, 0)
+    for n, q in [(12, 5), (16, 3), (24, 2), (8, 8), (9, 9), (6, 4), (12, 3)]
+    for chunk in ((20000, 7, 0) if buckets is None else (20000, 7))
+])
+def test_census_report_matches_compose_tabulation(n, q, chunk, buckets, monkeypatch):
     monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    if buckets is not None:
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", buckets)
     ctx = field_make(*factor_prime_power(q))
     assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
+
+
+# Bucket v holds the polynomials f whose coefficient at x^j, j = n -
+# spf(n), is v, each with all its decompositions: at (12, 4) the split deg g
+# = 4 has [x^10]h^4 = 0, so all its pairs lie in bucket 0; at (9, 9) the one
+# split has deg h = spf(n), so each h takes one g_2 per bucket.
+@pytest.mark.parametrize("n, q", [(12, 4), (9, 9), (12, 5), (8, 4), (6, 4), (16, 3)])
+def test_census_buckets_hold_the_polynomials_of_their_coefficient(n, q, monkeypatch):
+    monkeypatch.setattr(bk, "_BUCKET_PAIRS", 0)
+    ctx = field_make(*factor_prime_power(q))
+    splits = [e for e in divisors(n) if 1 < e < n]
+    j = n - smallest_prime_factor(n)
+    want = {}
+    for key, by_split in _census_by_compose(n, ctx)["details"]:
+        want.setdefault(key[j], {})[key] = dict(by_split)
+    got = {}
+    for v, keys, counts, _ in bk._census_buckets(ctx, n, splits, -(-(n - 1) // orc._digits_per_word(q))):
+        codes = np.zeros((len(keys), n + 1), dtype=np.uint8)
+        codes[:, 1:n] = orc._unpack(keys, q, n - 1)
+        codes[:, n] = 1
+        got[v] = {row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
+                  for row, cs in zip(codes, counts.T.tolist())}
+    assert list(got) == list(range(q))
+    assert {v: b for v, b in got.items() if b} == want
 
 
 def test_census_at_prime_degree_is_empty():
@@ -572,11 +609,17 @@ def test_census_over_f256():
 
 def test_census_multiword_keys(monkeypatch):
     # three digits per word, so each census key spans several uint64 words,
-    # and at (8, 8) so do the keys of its 512 Frobenius candidates
+    # and at (8, 8) so do the keys of its 512 Frobenius candidates; taken in
+    # one bucket and in q buckets, whose collision rows are merged by key
     monkeypatch.setattr(orc, "_digits_per_word", lambda q: 3)
-    for n, q in [(12, 5), (9, 9), (8, 8)]:
-        ctx = field_make(*factor_prime_power(q))
-        assert _census_fields(orc.oracle_decomp_census(n, ctx)) == _census_by_compose(n, ctx)
+    for buckets in (bk._BUCKET_PAIRS, 0):
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", buckets)
+        for n, q in [(12, 5), (9, 9), (8, 8)]:
+            ctx = field_make(*factor_prime_power(q))
+            rep = orc.oracle_decomp_census(n, ctx)
+            assert _census_fields(rep) == _census_by_compose(n, ctx), buckets
+            want = [k for k, v in rep.details.items() if sum(v.values()) >= 2]
+            assert [row.tobytes() for row in rep.collisions.codes] == want
 
 
 def _view_order(keys):
@@ -661,46 +704,62 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
 # degree 4 times 14; 16^(e-1) g's times 16^(6/e - 1) univariate h's over
 # the splits of 6; 2^10 g's times 2^10 h's at the one split of 121, whose
 # keys take two words; and 2^(e-1) times 2^(91/e - 1) over the two splits
-# of 91, which the census merges with two-word keys.  A census at one
-# split holds its keys (8 bytes a word), a count byte per pair and scratch
-# for one block: the composer reduces and packs a slot at a time, the
-# grouping and the tables run over blocks of a few thousand keys, and keys
-# of any width sort in place.  So (25, F_5) measures 9.5 and (9, F_27)
-# 9.3, where composing whole blocks, grouping through whole-split masks
-# and index arrays and building the tables over every key held 14.0 and
-# 17.4; their gates at 11 and 10.5 fail if that comes back.  (121, F_2)
-# measures 17.2, where sorting its two-word keys through a permutation
-# held 32.0.  It looks its Frobenius members up after the merge and holds
-# nothing for them through it, so four splits stay within 28 (25.5
-# measured).  Its merge holds the merge permutation and permutes the keys
-# a word at a time: (91, F_2) measures 33.2, and 41.2 with each key
-# gathered whole, which its gate at 35 fails.  mv (2, 4, F_13) measures
-# 9.0, but 9.9 with its sums in int32 and 11.2 with whole blocks composed
-# and runs marked over every key, so its gate at 9.5 fails if either comes
-# back.  At (1, 6, F_16) one h has 16^5 g's, which the blocks slice: 9.7
-# with each slice's g tails written in the code dtype, 11.6 with them
-# built in int64, and 147 with a block of one h with all its g's.
+# of 91, which the census merges with two-word keys.  A census past
+# _BUCKET_PAIRS holds one of its q buckets at a time (see
+# oracle_decomp_census), and a bucket at one split holds its keys (8 bytes
+# a word), a count byte per pair and scratch for one block: the composer
+# reduces and packs a slot at a time, the grouping and the tables run over
+# blocks of a few thousand keys, and keys of any width sort in place.  So
+# (25, F_5) measures 2.6 and (9, F_27) 1.5, where holding every key at once
+# measured 9.5 and 9.3 (and 14.0 and 17.4 with whole blocks composed and
+# whole-split masks and index arrays); their gates at 3 and 2 fail if
+# either comes back.  (12, F_8) measures 5.0, 25.5 with every key held:
+# its split deg g = 4 lies wholly in bucket 0, which is about twice the
+# size of the others, and it merges four splits there.  At q = 2 a census
+# has two buckets: (121, F_2) measures 10.2 (17.2 with every key held, 32.0
+# with its two-word keys sorted through a permutation) and (91, F_2) 17.8
+# (33.2 with every key held, 41.2 with each key gathered whole in the
+# merge).  mv (2, 4, F_13) measures 9.0, but 9.9 with its sums in int32 and
+# 11.2 with whole blocks composed and runs marked over every key, so its
+# gate at 9.5 fails if either comes back.  At (1, 6, F_16) one h has 16^5
+# g's, which the blocks slice: 9.7 with each slice's g tails written in the
+# code dtype, 11.6 with them built in int64, and 147 with a block of one h
+# with all its g's.
 @pytest.mark.parametrize("build, pairs, limit", [
-    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 11),
-    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 10.5),
-    (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 28),
-    (lambda: orc.oracle_decomp_census(121, F2), 1_048_576, 18),
-    (lambda: orc.oracle_decomp_census(91, F2), 524_288, 35),
+    (lambda: orc.oracle_decomp_census(25, F5), 390_625, 3),
+    (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 2),
+    (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 6),
+    (lambda: orc.oracle_decomp_census(121, F2), 1_048_576, 11),
+    (lambda: orc.oracle_decomp_census(91, F2), 524_288, 19),
     (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 9.5),
     (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 10.5),
 ], ids=["census-25-F5", "census-9-F27", "census-12-F8", "census-121-F2", "census-91-F2", "mv-2-4-F13",
         "mv-1-6-F16"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
+    assert pairs > 300_000 and _traced_peak(build) / pairs <= limit
+
+
+def _traced_peak(build) -> int:
+    """tracemalloc's peak over one call of ``build``, after a warm-up call."""
     import tracemalloc
 
     build()
     tracemalloc.start()
     try:
         build()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pairs > 300_000 and peak / pairs <= limit
+
+
+def test_census_bytes_per_pair_fall_with_q():
+    # a census at n = 8 has 2 q^4 pairs, and holds one of its q buckets of
+    # 2 q^3 pairs at a time, so its peak per pair falls about as 1 / q: 4.4
+    # bytes at F_16 and 1.2 at F_32 measured, where holding every key at
+    # once measured 25.5 and 25.0
+    per_pair = [_traced_peak(lambda: orc.oracle_decomp_census(8, field_make(2, d))) / (2 * 2 ** (4 * d))
+                for d in (4, 5)]
+    assert per_pair[1] <= per_pair[0] / 2, per_pair
 
 
 # The relatively irreducible keys are the distinct conjugate products less
@@ -856,8 +915,8 @@ def test_mv_decomp_paths_agree_above_one_byte():
     assert _mv_decomp_by_compose(2, 2, f257) == want
 
 
-def test_collisions_view_is_the_collision_rows_of_details():
-    rep = orc.oracle_decomp_census(25, F5)
+def test_collisions_view_is_the_collision_rows_of_details(monkeypatch):
+    rep = orc.oracle_decomp_census(25, F5)  # taken in q buckets
     codes, counts = rep.collisions
     assert "details" not in rep.__dict__  # reading the view built no details
     assert codes.dtype == np.uint8 and codes.shape == (720, 26) and counts.shape == (720, 1)
@@ -865,22 +924,26 @@ def test_collisions_view_is_the_collision_rows_of_details():
     assert [row.tobytes() for row in codes] == [key for key, _ in want]
     splits = list(rep.per_split)
     assert [{e: c for e, c in zip(splits, cs) if c} for cs in counts.tolist()] == [v for _, v in want]
-    for n, q in [(12, 5), (8, 8), (16, 3)]:  # several splits, two of them at n = 8
-        rep = orc.oracle_decomp_census(n, field_make(*factor_prime_power(q)))
-        want = {k: v for k, v in rep.details.items() if sum(v.values()) >= 2}
-        codes, counts = rep.collisions
-        assert [row.tobytes() for row in codes] == list(want)
-        splits = list(rep.per_split)
-        assert [{e: c for e, c in zip(splits, cs) if c} for cs in counts.tolist()] == list(want.values())
+    # several splits, two of them at n = 8, taken in one bucket and in q
+    for buckets in (bk._BUCKET_PAIRS, 0):
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", buckets)
+        for n, q in [(12, 5), (8, 8), (16, 3)]:
+            rep = orc.oracle_decomp_census(n, field_make(*factor_prime_power(q)))
+            want = {k: v for k, v in rep.details.items() if sum(v.values()) >= 2}
+            codes, counts = rep.collisions
+            assert [row.tobytes() for row in codes] == list(want), buckets
+            splits = list(rep.per_split)
+            assert [{e: c for e, c in zip(splits, cs) if c} for cs in counts.tolist()] == list(want.values())
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_collisions_view_leaves_a_small_process():
     # a fresh process: the census and its 720 collision rows, without the
-    # 389,905 entries of details (215 MB once they are read).  Its peak is
-    # VmHWM, the peak of its own memory map: Linux folds the memory map it
-    # replaces at exec into ru_maxrss, so a child of this test process
-    # would report this process's peak there.
+    # 389,905 entries of details (215 MB once they are read).  It measures
+    # 31.5 MB, 34.5 with every key held, and numpy's import alone 27.0.  Its
+    # peak is VmHWM, the peak of its own memory map: Linux folds the memory
+    # map it replaces at exec into ru_maxrss, so a child of this test
+    # process would report this process's peak there.
     import subprocess
     import sys
 
@@ -890,7 +953,7 @@ def test_collisions_view_leaves_a_small_process():
             "print(next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM')) / 1024)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 80, proc.stdout
+    assert float(proc.stdout) < 33, proc.stdout
 
 
 def test_census_leaves_numpy_ma_out():
