@@ -1,15 +1,25 @@
-"""The buckets of a decomposition census (see ``oracle.oracle_decomp_census``).
+"""The buckets of a decomposition census (see ``oracle.oracle_decomp_census``),
+and the grouping that both composition oracles share.
 
-A census of more than ``_BUCKET_PAIRS`` pairs is taken in q buckets, one for
-each value of f's coefficient at x^(n - spf(n)), spf(n) the smallest prime
-factor of n, and a smaller one in one bucket, since each bucket costs its
-own numpy calls.  This module enumerates each bucket's pairs through the
-oracle's composer (``_buckets``), tallies each bucket in one key array sized
-for the largest (``_census_buckets``), looks up the bucket's Frobenius
-members (``_frobenius_rows``) and reads its tables off the counts
-(``_profiles``).  The oracle imports it inside the functions that use it,
-as it does numpy, so a process that takes no census neither compiles nor
-holds it.
+Each oracle cuts its composed pairs into classes by a part of f = g(h) that
+equal polynomials share and that is read off the components before any pair
+is composed, and takes consecutive classes together in groups of at most
+``_BUCKET_PAIRS`` pairs (``_groups``), a larger class in a group of its
+own, since each group costs its own numpy calls.  Each group's keys go into
+the front of one key array sized for the largest group, so the largest
+group, not the budget, bounds the memory.
+
+A census of more than ``_BUCKET_PAIRS`` pairs has q buckets, one for each
+value of f's coefficient at x^(n - spf(n)), spf(n) the smallest prime
+factor of n, and a smaller one a single bucket.  This module enumerates
+each group of buckets through the oracle's composer (``_buckets``), tallies
+it (``_census_buckets``), looks up its buckets' Frobenius members
+(``_frobenius_rows``) and reads its tables off the counts (``_profiles``).
+The multivariate count's classes, which share f's top homogeneous part, are
+sized and picked in ``mv_buckets``, a module of its own so that a census
+does not compile them.  The oracle imports both inside the functions that
+use them, as it does numpy, so a process that composes no pairs neither
+compiles nor holds them.
 """
 
 from __future__ import annotations
@@ -43,16 +53,16 @@ def _top_codes(ctx: FieldCtx, e: int, s: int):
 def _buckets(ctx: FieldCtx, n: int, splits):
     """A census's buckets (see ``oracle.oracle_decomp_census``) as ``(values,
     pairs, blocks)``: each bucket's value of f at x^j, j = n - spf(n), the
-    pairs of each bucket in each split, a list of lists, and
-    ``blocks(v, e)``, the ``_census_blocks`` of split e in bucket v.  One
-    bucket, of value None, holds every pair when they number at most
-    ``_BUCKET_PAIRS``."""
+    pairs of each bucket in each split, a list of lists, and ``blocks(values,
+    e)``, the ``_census_blocks`` of split e in the buckets of the given
+    values.  One bucket, of value None, holds every pair when they number
+    at most ``_BUCKET_PAIRS``."""
     import numpy as np
 
     q = ctx.q
     sizes = [_split_pairs(q, n, e) for e in splits]
     if sum(sizes) <= _BUCKET_PAIRS:
-        return [None], [sizes], lambda v, e: _census_blocks(ctx, n, e)
+        return [None], [sizes], lambda values, e: _census_blocks(ctx, n, e)
     spf = smallest_prime_factor(n)
     add, mul, mod = _field_ops(ctx)
     pairs = np.empty((q, len(splits)), dtype=np.int64)
@@ -69,37 +79,58 @@ def _buckets(ctx: FieldCtx, n: int, splits):
             tops[e] = _top_codes(ctx, e, spf)
             pairs[:, t] = np.bincount(tops[e], minlength=q) * (_split_pairs(q, n, e) // len(tops[e]))
 
-    def blocks(v, e):
-        if e in tops:
-            top = tops[e]
-            pick = np.arange(0, q ** (n // e - 1), len(top))[:, None] + np.flatnonzero(top == v)
+    def blocks(values, e):
+        if e in tops:  # one pick for every bucket of the group
+            top, taken = tops[e], np.zeros(q, dtype=bool)
+            taken[values] = True
+            pick = np.arange(0, q ** (n // e - 1), len(top))[:, None] + np.flatnonzero(taken[top])
             return _census_blocks(ctx, n, e, pick=pick.ravel())
         powers, minus = folds[e]
-        last = mod(add(np.full(len(minus), v, dtype=minus.dtype), minus), 1)
-        return _census_blocks(ctx, n, e, fold=(powers, last))
+        return itertools.chain.from_iterable(
+            _census_blocks(ctx, n, e, fold=(powers, mod(add(np.full(len(minus), v, dtype=minus.dtype), minus), 1)))
+            for v in values)
 
     return range(q), pairs.tolist(), blocks
 
 
+def _groups(sizes):
+    """Cut the consecutive ``sizes`` into groups, as ranges of their
+    indices: each group takes the next size until one more would take it
+    past ``_BUCKET_PAIRS``, so a size past it forms a group of its own."""
+    groups, lo, held = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and held + size > _BUCKET_PAIRS:
+            groups.append(range(lo, i))
+            lo, held = i, 0
+        held += size
+    groups.append(range(lo, len(sizes)))
+    return groups
+
+
 def _census_buckets(ctx: FieldCtx, n: int, splits, words: int, ranked: bool = False):
-    """Each bucket of a census (``_buckets``) in turn, tallied: yields ``(v,
-    keys, counts, ranks)``, the bucket's value, its sorted distinct keys,
-    their decompositions per split (``_tally``) and, when ``ranked``, each
-    key's first-enumeration rank (see ``CensusReport._first_ranks``), else
-    None.  Each bucket writes its keys, split by split, into the front of
-    one key array sized for the largest bucket, so its keys hold until the
-    next bucket is drawn; ranking keeps a copy of them, unsorted, and each
-    pair's rank beside it, and looks the copy up among the distinct keys."""
+    """The buckets of a census (``_buckets``), grouped (``_groups``), each
+    group in turn, tallied: yields ``(values, keys, counts, ranks)``, the
+    group's bucket values, its sorted distinct keys, their decompositions
+    per split (``_tally``) and, when ``ranked``, each key's
+    first-enumeration rank (see ``CensusReport._first_ranks``), else None.
+    Each group writes its keys split by split into the front of one key
+    array sized for the largest group, so its keys hold until the next
+    group is drawn, and nothing else of it does; ranking keeps a copy of
+    them, unsorted, and each pair's rank beside it, and looks the copy up
+    among the distinct keys."""
     import numpy as np
 
     q = ctx.q
     values, pairs, blocks = _buckets(ctx, n, splits)
-    buffer = np.empty((max(map(sum, pairs)), words), dtype=np.uint64)
-    for v, sizes in zip(values, pairs):
+    groups = [([values[i] for i in g], [sum(col) for col in zip(*(pairs[i] for i in g))])
+              for g in _groups(list(map(sum, pairs)))]
+    buffer = np.empty((max(sum(sizes) for _, sizes in groups), words), dtype=np.uint64)
+
+    def tally(group, sizes):
         keys, at, offset = buffer[: sum(sizes)], 0, 0
         ranks = np.empty(len(keys), dtype=np.intp) if ranked else None
         for e in splits:
-            for codes, h_rank, g_rank in blocks(v, e):
+            for codes, h_rank, g_rank in blocks(group, e):
                 m = len(h_rank) * len(g_rank)
                 # views, since the rows of keys and ranks are contiguous
                 _pack(codes, q, keys[at : at + m].reshape(len(h_rank), len(g_rank), words))
@@ -109,7 +140,10 @@ def _census_buckets(ctx: FieldCtx, n: int, splits, words: int, ranked: bool = Fa
             offset += _split_pairs(q, n, e)
         unsorted = keys.copy() if ranked else None
         keys, counts = _tally(keys, list(itertools.accumulate(sizes[:-1], initial=0)))
-        yield v, keys, counts, _first(keys, [(ranks, unsorted)]) if ranked else None
+        return group, keys, counts, _first(keys, [(ranks, unsorted)]) if ranked else None
+
+    for group, sizes in groups:
+        yield tally(group, sizes)
 
 
 def _frobenius_rows(keys, q: int, p: int, n: int, v):

@@ -35,32 +35,29 @@ with an element per key (``_view``): it is sorted in place (``_sort``),
 grouped and searched (``_locate``) as one numpy array, and the degree-p^2
 classifier in ``uv_families`` sorts and looks up its family keys through
 the same view.  Sorted keys are grouped a block of ``_TALLY_KEYS`` keys at
-a time (``_squeeze``), so no mask or index over all of them exists.  A
-census of more than 2^16 pairs is taken in q buckets, one for each value of
-f's coefficient at x^(n - spf(n)), whose pairs it enumerates directly and
-whose tables add up (module ``buckets``, imported on first use); a smaller
-one in one bucket.  Each bucket writes each split's keys into its own rows
-of one key array, sized for the largest bucket, and groups them there
-(``_tally``): each split is sorted in place, its distinct keys move down,
-their run lengths go into one byte a key, and one stable argsort merges
-the splits.  Its Frobenius members, the polynomials with nonzero
-coefficients only at multiples of p, are enumerated for the bucket and
-looked up among its distinct keys; no composed pair is tested for that
-shape.  Its tables are read off the counts a block at a time, and only its
-collisions, the keys with two or more decompositions, are kept past it.  So
-a bucket at one split holds its keys, a count byte and scratch for one
-block, 9.5 bytes a pair with one-word keys and 17.2 with two words, and
-25.5 when it merges several splits.  A whole census holds one bucket and
-the collisions: 2.6 bytes a pair at n = 25 over F_5, 1.5 at n = 9 over
-F_27 and 5.0 at n = 12 over F_8, 10.2 at n = 121 over F_2 (two words, two
-buckets), and at n = 8 4.4 over F_16, 1.2 over F_32 and 0.6 over F_64.
-The multivariate count holds 9.0 bytes a pair at r = 2, n = 4 over F_13
-(one-word keys) and 16.9 at n = 7 over F_8 (two words); so the pair budget
-bounds its memory too, and the census's work.  The order of first
-enumeration is recovered only when its per-polynomial ``details``, which
-takes the census again bucket by bucket, or its ``collisions``, the rows
-with two or more decompositions as arrays, are read, by composing every
-pair again.
+a time (``_squeeze``), so no mask or index over all of them exists.  Both
+composition oracles take their pairs in groups (modules ``buckets`` and
+``mv_buckets``, imported on first use): classes of pairs that share a part
+of f, read off the components before any pair is composed, consecutive
+classes together up to 2^16 pairs, each group composed, packed and grouped
+in the front of one key array sized for the largest.  A census of more than
+2^16 pairs has q buckets, one for each value of f's coefficient at x^(n -
+spf(n)), whose pairs it enumerates directly and whose tables add up; a
+smaller one is one bucket.  Each group writes each split's keys into its own
+rows of the key array and groups them there (``_tally``): each split is
+sorted in place, its distinct keys move down, their run lengths go into one
+byte a key, and one stable argsort merges the splits.  Its Frobenius
+members, the polynomials with nonzero coefficients only at multiples of p,
+are enumerated for each of its buckets and looked up among its distinct
+keys; no composed pair is tested for that shape.  Its tables are read off
+the counts a block at a time, and only its collisions, the keys with two or
+more decompositions, are kept past it.  So the pair budget bounds the work
+of both oracles, and their largest group the memory: 2.4 bytes a pair for
+the census at n = 25 over F_5, and 1.9 for the multivariate count at r = 2,
+n = 4 over F_13 (README has more).  The order of first enumeration is
+recovered only when its per-polynomial ``details``, which takes the census
+again group by group, or its ``collisions``, the rows with two or more
+decompositions as arrays, are read, by composing every pair again.
 numpy is imported inside the functions that use it, never at module
 import.  Every builder sizes all it builds (products or compositions, q x q
 code tables, extension fields) from q, r, n and t through
@@ -354,8 +351,9 @@ def _tally(keys, offsets):
     255.  So at one bin it holds the keys, that byte and block-sized
     scratch.  With several bins one stable argsort then merges the bins'
     sorted runs, and each copy's bin comes from its position in that
-    concatenation, so a merge also holds the merge permutation and the word
-    it permutes the keys through.
+    concatenation, so a merge also holds the merge permutation, in the
+    narrowest dtype that indexes the keys, and the word it permutes the keys
+    through.
     """
     import numpy as np
 
@@ -387,7 +385,8 @@ def _tally(keys, offsets):
             counts[at - 1] = hi - lo - last
     if len(offsets) == 1:
         return keys[:at], counts[None, :at]
-    order = np.argsort(_view(keys[:at]), kind="stable")
+    # narrowed as soon as it is built: the keys are permuted through it
+    order = np.argsort(_view(keys[:at]), kind="stable").astype(np.min_scalar_type(at), copy=False)
     for word in keys[:at].T:  # a word at a time, so with one word of scratch
         word[...] = word[order]
     tally = np.zeros((len(offsets), _run_count(keys[:at])), dtype=counts.dtype)
@@ -419,28 +418,37 @@ def _first(keys, blocks):
 # -- products of r-variate polynomials -------------------------------------
 
 
-def _monic_rows(q: int, r: int, n: int, original: bool):
+def _monic_rows(q: int, r: int, n: int, original: bool, pick=None):
     """All monic (optionally original) r-variate degree-n polynomials over
     F_q, slot-major: a (width, ``count_monic(q, r, n, original)``) code array
     over ``_deglex_monomials(r, n)``, in the smallest dtype that holds a code.
     Within each leading monomial the free slot nearest the constant is the
     most significant digit, so at r = 1 the original rows run through the
-    codes (f_1, ..., f_{n-1}) in lexicographic order, f_1 slowest."""
+    codes (f_1, ..., f_{n-1}) in lexicographic order, f_1 slowest.
+    ``pick``, an ascending index array into the columns, builds those
+    columns alone."""
     import numpy as np
 
     monos = _deglex_monomials(r, n)
     width = len(monos)
     end = width - 1 if original else width  # the free slots end before it
     code = np.min_scalar_type(q - 1)
-    blocks = []
+    blocks, base = [], 0
     for lead, mono in enumerate(monos):
         if sum(mono) < n:
             break
         free = end - 1 - lead  # the slots between the lead and the end
-        block = np.zeros((width, q**free), dtype=code)
+        if pick is None:
+            block = np.zeros((width, q**free), dtype=code)
+            block[end - 1 : lead : -1] = np.indices((q,) * free, dtype=code).reshape(free, q**free)
+        else:  # the picked ranks in this lead's block as digits, slot lead + 1 the fastest
+            rank = pick[slice(*np.searchsorted(pick, [base, base + q**free]))] - base
+            block = np.zeros((width, len(rank)), dtype=code)
+            for slot in range(lead + 1, end):
+                block[slot], rank = rank % q, rank // q
         block[lead] = 1
-        block[end - 1 : lead : -1] = np.indices((q,) * free, dtype=code).reshape(free, q**free)
         blocks.append(block)
+        base += q**free
     return np.hstack(blocks)
 
 
@@ -695,8 +703,8 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range, pick=None
     import numpy as np
 
     q, ne = ctx.q, n // e
-    hs = _monic_rows(q, r, ne, original=True)
-    n_h = hs.shape[1]
+    n_h = count_monic(q, r, ne, original=True)
+    hs = _monic_rows(q, r, ne, original=True) if pick is None and fold is None else None
     free = e - 1 if fold is None else e - 2  # the tails the g's run over
     n_g, g_step = q**free, n_h if fold is None else q * n_h
     step = max(1, _CHUNK_ROWS)
@@ -709,8 +717,8 @@ def _compositions(ctx: FieldCtx, r: int, n: int, e: int, slots: range, pick=None
         at = slice(lo, lo + m_h) if pick is None else pick[lo : lo + m_h]
         if fold is None:
             # h alone first, which frees the last block's powers before these
-            # are built; take, not hs[:, at], whose rows would be strided
-            block = [hs[:, at] if pick is None else hs.take(at, axis=1)]
+            # are built; picked h's are built alone, not taken from every h
+            block = [hs[:, at] if pick is None else _monic_rows(q, r, ne, original=True, pick=at)]
             block = [P.astype(dtype, copy=False) for P in _powers(ctx, r, ne, e, block[0])]
             h_rank = np.arange(lo, lo + block[0].shape[1]) if pick is None else at
         else:
@@ -768,7 +776,7 @@ class CensusReport:
     decompositions: their packed keys, sorted, and their decompositions per
     split.  The order of first enumeration is recovered only when
     ``details`` or ``collisions`` is read, and ``details`` takes the census
-    again, bucket by bucket."""
+    again, group by group."""
 
     n: int
     q: int
@@ -791,8 +799,8 @@ class CensusReport:
         enumeration: splits ascending, then g outer and h inner, each in
         the lexicographic order of its codes from x up to its second-highest
         power, x's coefficient slowest.  Built on first read, from the
-        census taken again bucket by bucket (``buckets._census_buckets``),
-        which ranks each bucket's keys as it tallies them: a key's copies
+        census taken again group by group (``buckets._census_buckets``),
+        which ranks each group's keys as it tallies them: a key's copies
         all lie in its own bucket."""
         import numpy as np
 
@@ -802,7 +810,7 @@ class CensusReport:
             return {}
         keys, counts, ranks = [], [], []
         for _, k, c, r in _census_buckets(self.ctx, self.n, list(self.per_split), self._keys.shape[1], ranked=True):
-            keys.append(k.copy())  # the next bucket overwrites k
+            keys.append(k.copy())  # the next group overwrites k
             counts.append(c)
             ranks.append(r)
         rows = self._rows(np.concatenate(keys), np.concatenate(counts, axis=1), np.concatenate(ranks))
@@ -877,8 +885,9 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     ``buckets``), one for each value v of f_j, the coefficient of f = g(h)
     at x^j, where j = n - spf(n) and spf(n) is the smallest prime factor of
     n.  Equal polynomials agree at x^j, so each lies in exactly one bucket:
-    every bucket is tallied as a census of its own, and each table is the
-    sum of the buckets' tables.  At the split deg g = e, deg h = m = n / e,
+    consecutive buckets of at most 2^16 pairs in all, or one larger bucket,
+    are tallied together as a census of their own, and each table is the
+    sum of the groups' tables.  At the split deg g = e, deg h = m = n / e,
     g(h) = h^e + g_{e-1} h^(e-1) + ... + g_1 h, where g_i h^i has degree
     i m.  As m > 1 divides n, m >= spf(n), so j >= n - m = (e - 1) m, and
     two cases occur:
@@ -895,11 +904,12 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     So each bucket's pairs are enumerated directly, never filtered, and
     sized before any bucket is built: in the second case [x^j]h^e depends
     on h's top spf(n) coefficients alone, so a bincount of its q^spf(n)
-    values counts each bucket's h's.  The buckets are built in turn in one
-    key array sized for the largest.  Where p | e, [x^j]h^e can be
-    constant: at n = 12 over F_8, [x^10]h^4 = 0, so every pair of the split
-    e = 4 lies in bucket 0.  The budget counts every pair, so it bounds the
-    work, and the largest bucket bounds the memory.  The report keeps the
+    values counts each bucket's h's, and one pick composes the h's of a
+    whole group.  The groups are built in turn in one key array sized for
+    the largest.  Where p | e, [x^j]h^e can be constant: at n = 12 over
+    F_8, [x^10]h^4 = 0, so every pair of the split e = 4 lies in bucket 0.
+    The budget counts every pair, so it bounds the work, and the largest
+    group bounds the memory.  The report keeps the
     collisions alone (see ``CensusReport``)."""
     if n < 1:
         raise ValueError(f"census degree n must be >= 1, got n = {n}")
@@ -919,17 +929,18 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
     # the profiles and decomposition sums of every key, then of the Frobenius members
     tables = [Counter() for _ in range(4)]
     total = members = 0
-    kept = []  # each bucket's collision rows: keys and counts
-    for v, keys, counts, _ in _census_buckets(ctx, n, splits, words):
-        frob = _frobenius_rows(keys, q, ctx.p, n, v)
+    kept = []  # each group's collision rows: keys and counts
+    for values, keys, counts, _ in _census_buckets(ctx, n, splits, words):
+        frob = np.concatenate([_frobenius_rows(keys, q, ctx.p, n, v) for v in values])
         for table, part in zip(tables, _profiles(counts) + _profiles(counts[:, frob])):
             table.update(part)
         total, members = total + len(keys), members + len(frob)
         pick = np.flatnonzero(_decompositions(counts) >= 2)
         kept.append((keys[pick], counts[:, pick]))
+        del counts  # before the next group is composed
     keys = np.concatenate([k for k, _ in kept])
     counts = np.concatenate([c for _, c in kept], axis=1)
-    if len(kept) > 1:  # each bucket's keys are sorted, and distinct from the others'
+    if len(kept) > 1:  # each group's keys are sorted, and distinct from the others'
         order = np.argsort(_view(keys))
         keys, counts = keys[order], counts[:, order]
     profile, sums, frob_profile, frob_sums = tables
@@ -965,7 +976,30 @@ def oracle_decomp_census(n: int, ctx: FieldCtx) -> CensusReport:
 def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     """Count decomposable monic original r-variate degree-n polynomials by
     composing every (univariate monic original g, multivariate monic
-    original h) pair with deg g >= 2 across all degree splits."""
+    original h) pair with deg g >= 2 across all degree splits and counting
+    the distinct compositions.
+
+    More than 2^16 pairs are counted in groups cut by f's top homogeneous
+    part (module ``mv_buckets``).  At the split deg g = e, deg h = m = n / e,
+    f = g(h) = h^e + g_{e-1} h^(e-1) + ... + g_1 h, where g_i h^i has
+    degree i m < n, so f's degree-n part is f_n = (h_m)^e, h_m the
+    degree-m part of h, a monic form.  Equal polynomials have equal f_n,
+    so the classes of pairs with one f_n partition the pairs of every
+    split, and the count is the sum over the classes of their distinct
+    compositions.  The classes are walked in key order and cut into groups
+    of consecutive classes of at most 2^16 pairs, a larger class in a group
+    of its own; each group's pairs are composed, packed into one key array
+    sized for the largest group, sorted and counted (``_mv_count``).  As
+    f_n depends on h_m alone, every group is sized before any is built,
+    from t^e for each of the few monic forms t of degree m: t's class takes
+    the q^(e-1) g's with each h whose top part is t, and those h's run in an
+    arithmetic progression of ranks (``_mv_groups``).  At r = 1, f_n = x^n
+    for every pair, one class, so the count takes one group; at prime n,
+    m = 1 and each class holds the q^(n-1) pairs of one linear h.  The
+    budget counts every pair, so it bounds the work, and the largest group
+    bounds the memory."""
+    if r < 1:
+        raise ValueError(f"decomposable variable count r must be >= 1, got r = {r}")
     if n < 1:
         raise ValueError(f"decomposable degree n must be >= 1, got n = {n}")
     q = ctx.q
@@ -973,18 +1007,6 @@ def oracle_mv_decomp(r: int, n: int, ctx: FieldCtx) -> int:
     total = sum(q ** (e - 1) * count_monic(q, r, n // e, original=True) for e in splits)
     check_budget(total, f"decomposable census r={r}, n={n}")
     _check_tables(q, ctx.d)
-    import numpy as np
+    from .mv_buckets import _mv_count
 
-    width = len(_deglex_monomials(r, n))
-    # every composition's packed key, written block by block; the constant
-    # slot is last and always 0
-    words = -(-(width - 1) // _digits_per_word(q))
-    keys = np.empty((total, words), dtype=np.uint64)
-    at = 0
-    for e in splits:
-        for codes, h_rank, g_rank in _compositions(ctx, r, n, e, range(width - 1)):
-            m = len(h_rank) * len(g_rank)
-            _pack(codes, q, keys[at : at + m].reshape(len(h_rank), len(g_rank), words))
-            at += m
-    _sort(keys)
-    return _run_count(keys)
+    return _mv_count(ctx, r, n, splits)

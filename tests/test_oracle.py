@@ -10,6 +10,7 @@ import pytest
 
 import ffcount.buckets as bk
 import ffcount.classes as fc
+import ffcount.mv_buckets as mvb
 import ffcount.mv_counts as mc
 import ffcount.oracle as orc
 import ffcount.uv_counts as uc
@@ -378,6 +379,19 @@ def test_mv_compositions_match_mvpoly(r, n, p, d, monkeypatch):
             assert _composed_rows(ctx, r, n, e) == want
 
 
+# A pick builds exactly the picked columns of every row: picks that skip
+# leading monomials, cross their blocks' seams, take one column or all.
+@pytest.mark.parametrize("q, r, n, original", [(3, 2, 2, True), (2, 3, 3, True), (4, 2, 2, False), (5, 1, 4, True)])
+def test_monic_rows_pick_builds_the_picked_columns(q, r, n, original):
+    rows = orc._monic_rows(q, r, n, original)
+    rng = random.Random(q * 100 + r * 10 + n)
+    picks = [[0], [rows.shape[1] - 1], list(range(rows.shape[1]))]
+    picks += [sorted(rng.sample(range(rows.shape[1]), k)) for k in (2, rows.shape[1] // 3, rows.shape[1] - 1)]
+    for pick in picks:
+        got = orc._monic_rows(q, r, n, original, pick=np.array(pick))
+        assert got.dtype == rows.dtype and np.array_equal(got, rows[:, pick]), pick
+
+
 @lru_cache(maxsize=None)
 def _g_of_h_by_mvpoly(ctx, r, n, e):
     """g(h) by MvPoly arithmetic for every g in enumerate_monic_uni order and
@@ -567,27 +581,34 @@ def test_census_report_matches_compose_tabulation(n, q, chunk, buckets, monkeypa
 
 
 # Bucket v holds the polynomials f whose coefficient at x^j, j = n -
-# spf(n), is v, each with all its decompositions: at (12, 4) the split deg g
-# = 4 has [x^10]h^4 = 0, so all its pairs lie in bucket 0; at (9, 9) the one
-# split has deg h = spf(n), so each h takes one g_2 per bucket.
+# spf(n), is v, each with all its decompositions, and a group of buckets
+# those of its buckets: at (12, 4) the split deg g = 4 has [x^10]h^4 = 0, so
+# all its pairs lie in bucket 0; at (9, 9) the one split has deg h =
+# spf(n), so each h takes one g_2 per bucket.  With _BUCKET_PAIRS at 0 each
+# bucket is a group of its own; at one pair short of the census, the
+# buckets but the last form one group, whose top-coefficient splits take
+# one pick and whose fold split takes each bucket's g_{e-1} in turn.
 @pytest.mark.parametrize("n, q", [(12, 4), (9, 9), (12, 5), (8, 4), (6, 4), (16, 3)])
 def test_census_buckets_hold_the_polynomials_of_their_coefficient(n, q, monkeypatch):
-    monkeypatch.setattr(bk, "_BUCKET_PAIRS", 0)
     ctx = field_make(*factor_prime_power(q))
     splits = [e for e in divisors(n) if 1 < e < n]
     j = n - smallest_prime_factor(n)
     want = {}
     for key, by_split in _census_by_compose(n, ctx)["details"]:
         want.setdefault(key[j], {})[key] = dict(by_split)
-    got = {}
-    for v, keys, counts, _ in bk._census_buckets(ctx, n, splits, -(-(n - 1) // orc._digits_per_word(q))):
-        codes = np.zeros((len(keys), n + 1), dtype=np.uint8)
-        codes[:, 1:n] = orc._unpack(keys, q, n - 1)
-        codes[:, n] = 1
-        got[v] = {row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
-                  for row, cs in zip(codes, counts.T.tolist())}
-    assert list(got) == list(range(q))
-    assert {v: b for v, b in got.items() if b} == want
+    total = sum(orc._split_pairs(q, n, e) for e in splits)
+    for limit, groups in [(0, [[v] for v in range(q)]), (total - 1, [list(range(q - 1)), [q - 1]])]:
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", limit)
+        got = []
+        for values, keys, counts, _ in bk._census_buckets(ctx, n, splits, -(-(n - 1) // orc._digits_per_word(q))):
+            codes = np.zeros((len(keys), n + 1), dtype=np.uint8)
+            codes[:, 1:n] = orc._unpack(keys, q, n - 1)
+            codes[:, n] = 1
+            got.append((values, {row.tobytes(): {e: c for e, c in zip(splits, cs) if c}
+                                 for row, cs in zip(codes, counts.T.tolist())}))
+        assert [values for values, _ in got] == groups
+        for values, polys in got:
+            assert polys == {key: by_split for v in values for key, by_split in want.get(v, {}).items()}
 
 
 def test_census_at_prime_degree_is_empty():
@@ -702,39 +723,48 @@ def test_group_by_matches_counter(q, width, m, monkeypatch):
 # 8^(e-1) times 8^(12/e - 1) over the four splits of 12, which the census
 # merges; 13 g's of degree 2 times 30,927 bivariate h's plus 13^3 of
 # degree 4 times 14; 16^(e-1) g's times 16^(6/e - 1) univariate h's over
-# the splits of 6; 2^10 g's times 2^10 h's at the one split of 121, whose
-# keys take two words; and 2^(e-1) times 2^(91/e - 1) over the two splits
-# of 91, which the census merges with two-word keys.  A census past
-# _BUCKET_PAIRS holds one of its q buckets at a time (see
-# oracle_decomp_census), and a bucket at one split holds its keys (8 bytes
-# a word), a count byte per pair and scratch for one block: the composer
-# reduces and packs a slot at a time, the grouping and the tables run over
-# blocks of a few thousand keys, and keys of any width sort in place.  So
-# (25, F_5) measures 2.6 and (9, F_27) 1.5, where holding every key at once
-# measured 9.5 and 9.3 (and 14.0 and 17.4 with whole blocks composed and
-# whole-split masks and index arrays); their gates at 3 and 2 fail if
-# either comes back.  (12, F_8) measures 5.0, 25.5 with every key held:
-# its split deg g = 4 lies wholly in bucket 0, which is about twice the
-# size of the others, and it merges four splits there.  At q = 2 a census
-# has two buckets: (121, F_2) measures 10.2 (17.2 with every key held, 32.0
-# with its two-word keys sorted through a permutation) and (91, F_2) 17.8
-# (33.2 with every key held, 41.2 with each key gathered whole in the
-# merge).  mv (2, 4, F_13) measures 9.0, but 9.9 with its sums in int32 and
-# 11.2 with whole blocks composed and runs marked over every key, so its
-# gate at 9.5 fails if either comes back.  At (1, 6, F_16) one h has 16^5
-# g's, which the blocks slice: 9.7 with each slice's g tails written in the
-# code dtype, 11.6 with them built in int64, and 147 with a block of one h
-# with all its g's.
+# the splits of 6; 4 g's of degree 2 times 87,040 bivariate cubic h's, 4^2
+# of degree 3 times 336 and 4^5 of degree 6 times 5; 2^10 g's times 2^10
+# h's at the one split of 121, whose keys take two words; and 2^(e-1)
+# times 2^(91/e - 1) over the two splits of 91, which the census merges
+# with two-word keys.  A census past _BUCKET_PAIRS holds one group of its q
+# buckets at a time, consecutive buckets of at most 2^16 pairs in all or
+# one larger bucket (see oracle_decomp_census), and a group at one split
+# holds its keys (8 bytes a word), a count byte per pair and scratch for
+# one block: the composer reduces and packs a slot at a time, the grouping
+# and the tables run over blocks of a few thousand keys, and keys of any
+# width sort in place.  So (25, F_5), a bucket a group, measures 2.4, and
+# (9, F_27), three buckets of 19,683 pairs a group, 1.98 (1.45 a bucket at
+# a time), where holding every key at once measured 9.5 and 9.3 (and 14.0
+# and 17.4 with whole blocks composed and whole-split masks and index
+# arrays); their gates at 3 and 2 fail if either comes back.  (12, F_8)
+# measures 4.2, 25.5 with every key held: its split deg g = 4 lies wholly
+# in bucket 0, which is about twice the size of the others, and it merges
+# four splits there (5.0 with the merge permutation in intp).  At q = 2 a
+# census has two buckets: (121, F_2) measures 10.2 (17.2 with every key
+# held, 32.0 with its two-word keys sorted through a permutation) and (91,
+# F_2) 14.9 (17.8 with the merge permutation in intp, 33.2 with every key
+# held, 41.2 with each key gathered whole in the merge).  The multivariate
+# count holds one group of classes of pairs with one top homogeneous part
+# f_n at a time (see oracle_mv_decomp), at most 2^16 pairs but for a single
+# class: mv (2, 4, F_13) measures 1.9, where holding every key at once
+# measured 9.0 (9.9 with its sums in int32), so its gate at 2.5 fails if
+# that comes back.  mv (2, 6, F_4), where p = 2 divides deg g = 2 and 6,
+# measures 10.8, and 19.0 with every key held, against a gate at 12.  At (1,
+# 6, F_16), r = 1, every pair has f_n = x^6, one class, so the count holds
+# every key: one h has 16^5 g's, which the blocks slice: 9.7 (11.6 with the
+# g tails built in int64, and 147 with a block of one h with all its g's).
 @pytest.mark.parametrize("build, pairs, limit", [
     (lambda: orc.oracle_decomp_census(25, F5), 390_625, 3),
     (lambda: orc.oracle_decomp_census(9, field_make(3, 3)), 531_441, 2),
     (lambda: orc.oracle_decomp_census(12, field_make(2, 3)), 589_824, 6),
     (lambda: orc.oracle_decomp_census(121, F2), 1_048_576, 11),
     (lambda: orc.oracle_decomp_census(91, F2), 524_288, 19),
-    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 9.5),
+    (lambda: orc.oracle_mv_decomp(2, 4, field_make(13, 1)), 432_809, 2.5),
+    (lambda: orc.oracle_mv_decomp(2, 6, field_make(2, 2)), 358_656, 12),
     (lambda: orc.oracle_mv_decomp(1, 6, field_make(2, 4)), 1_056_768, 10.5),
 ], ids=["census-25-F5", "census-9-F27", "census-12-F8", "census-121-F2", "census-91-F2", "mv-2-4-F13",
-        "mv-1-6-F16"])
+        "mv-2-6-F4", "mv-1-6-F16"])
 def test_composition_oracles_hold_at_most_40_bytes_per_pair(build, pairs, limit):
     assert pairs > 300_000 and _traced_peak(build) / pairs <= limit
 
@@ -753,10 +783,11 @@ def _traced_peak(build) -> int:
 
 
 def test_census_bytes_per_pair_fall_with_q():
-    # a census at n = 8 has 2 q^4 pairs, and holds one of its q buckets of
-    # 2 q^3 pairs at a time, so its peak per pair falls about as 1 / q: 4.4
-    # bytes at F_16 and 1.2 at F_32 measured, where holding every key at
-    # once measured 25.5 and 25.0
+    # a census at n = 8 has 2 q^4 pairs in q buckets of 2 q^3, grouped up to
+    # 2^16 pairs: two groups of eight buckets over F_16, a bucket a group
+    # over F_32, so its peak per pair falls with q: 12.5 bytes at F_16 and
+    # 1.0 at F_32 measured (4.4 and 1.2 a bucket at a time, 25.5 and 25.0
+    # with every key at once)
     per_pair = [_traced_peak(lambda: orc.oracle_decomp_census(8, field_make(2, d))) / (2 * 2 ** (4 * d))
                 for d in (4, 5)]
     assert per_pair[1] <= per_pair[0] / 2, per_pair
@@ -804,18 +835,39 @@ def _mv_decomp_by_compose(r, n, ctx):
     return len(keys)
 
 
-def test_mv_decomp_paths_agree():
-    assert _mv_decomp_by_compose(2, 4, F3) == orc.oracle_mv_decomp(2, 4, F3)
-    assert _mv_decomp_by_compose(2, 6, F2) == orc.oracle_mv_decomp(2, 6, F2)
+# The tests of oracle_mv_decomp below run at the default _BUCKET_PAIRS, where
+# each count fits one group, and at 0, where each class of pairs with one
+# top homogeneous part f_n is a group of its own: by a "-bucketed" id, or in
+# a loop where the test has no parameters.
+_BUCKETINGS = (None, 0)
 
 
-@pytest.mark.parametrize(
-    "p, d, n, want", [(2, 2, 2, 20), (2, 2, 3, 80), (2, 2, 4, 1584), (2, 3, 2, 72),
-                      (2, 3, 3, 576), (3, 2, 2, 90), (3, 2, 3, 810)]
-)
-def test_mv_decomp_extension_fields(p, d, n, want):
+def _bucketing(monkeypatch, buckets):
+    """Set ``buckets._BUCKET_PAIRS`` to ``buckets``, or leave its default at None."""
+    if buckets is not None:
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", buckets)
+
+
+def _bucketed_ids(params, buckets):
+    """``params`` at each bucketing, the default keeping its plain id."""
+    return [pytest.param(*p, b, id="-".join(map(str, p)) + ("" if b is None else "-bucketed"))
+            for b in buckets for p in params]
+
+
+def test_mv_decomp_paths_agree(monkeypatch):
+    for buckets in _BUCKETINGS:
+        _bucketing(monkeypatch, buckets)
+        assert _mv_decomp_by_compose(2, 4, F3) == orc.oracle_mv_decomp(2, 4, F3), buckets
+        assert _mv_decomp_by_compose(2, 6, F2) == orc.oracle_mv_decomp(2, 6, F2), buckets
+
+
+@pytest.mark.parametrize("p, d, n, want, buckets", _bucketed_ids(
+    [(2, 2, 2, 20), (2, 2, 3, 80), (2, 2, 4, 1584), (2, 3, 2, 72), (2, 3, 3, 576), (3, 2, 2, 90), (3, 2, 3, 810)],
+    _BUCKETINGS))
+def test_mv_decomp_extension_fields(p, d, n, want, buckets, monkeypatch):
     # extension fields compose through the q x q code tables
     ctx = field_make(p, d)
+    _bucketing(monkeypatch, buckets)
     assert orc.oracle_mv_decomp(2, n, ctx) == want
     assert _mv_decomp_by_compose(2, n, ctx) == want
 
@@ -825,31 +877,83 @@ def test_mv_decomp_extension_fields_at_degree_4():
     assert orc.oracle_mv_decomp(2, 4, field_make(3, 2)) == 72819
 
 
-def test_mv_decomp_numpy_dedups_across_splits():
+def test_mv_decomp_numpy_dedups_across_splits(monkeypatch):
     # the e = 2 and e = 4 images overlap, so equal rows land in different
-    # blocks
+    # blocks, and in one group when bucketed: (h_1^2)^2 = h_1^4
     f7 = field_make(7, 1)
-    assert orc.oracle_mv_decomp(2, 4, f7) == 21903
     assert _mv_decomp_by_compose(2, 4, f7) == 21903
+    for buckets in _BUCKETINGS:
+        _bucketing(monkeypatch, buckets)
+        assert orc.oracle_mv_decomp(2, 4, f7) == 21903, buckets
 
 
 # 7 pairs per block cuts the h list unevenly, and the q^3 g's of degree 4
 # too; 0 composes one pair per block
-@pytest.mark.parametrize("chunk", [7, 0])
-@pytest.mark.parametrize("p, d", [(7, 1), (2, 2)])
-def test_mv_decomp_block_seams(p, d, chunk, monkeypatch):
+@pytest.mark.parametrize("p, d, chunk, buckets", _bucketed_ids(
+    [(p, d, chunk) for p, d in [(7, 1), (2, 2)] for chunk in [7, 0]], _BUCKETINGS))
+def test_mv_decomp_block_seams(p, d, chunk, buckets, monkeypatch):
     ctx = field_make(p, d)
     want = _mv_decomp_by_compose(2, 4, ctx)
     monkeypatch.setattr(orc, "_CHUNK_ROWS", chunk)
+    _bucketing(monkeypatch, buckets)
     assert orc.oracle_mv_decomp(2, 4, ctx) == want
 
 
-def test_mv_decomp_numpy_wide_keys():
+def test_mv_decomp_numpy_wide_keys(monkeypatch):
     # 20 free slots over F_11 take two uint64 words.  At prime n every h is
     # linear and g(h) determines (g, h), so each of the q (q^r - 1)/(q - 1)
     # pairs gives its own polynomial.
     assert len(_deglex_monomials(5, 2)) - 1 > orc._digits_per_word(11)
-    assert orc.oracle_mv_decomp(5, 2, field_make(11, 1)) == 11 * (11**5 - 1) // 10
+    for buckets in _BUCKETINGS:
+        _bucketing(monkeypatch, buckets)
+        assert orc.oracle_mv_decomp(5, 2, field_make(11, 1)) == 11 * (11**5 - 1) // 10, buckets
+
+
+# Each pair is composed in the group of its own f_n, f's degree-n part,
+# taken from g(h) by MvPoly arithmetic: each (split, g, h) in one group
+# alone, no f_n in two groups, no group past _BUCKET_PAIRS but one class,
+# and the largest group sized.  At 0 each class is a group; at a quarter of
+# the pairs groups take several classes and parts of splits.  Over F_2 and
+# F_4 p divides deg g = 2 and 4; at prime n, m = 1; over F_4 and F_9 the
+# powers t^e go through the code tables; three digits a word make f_n's
+# keys and the compositions' multiword; at r = 1 f_n = x^n for every pair.
+@pytest.mark.parametrize("r, n, q, per_word", [
+    (2, 4, 2, None), (2, 6, 2, None), (2, 4, 4, None), (2, 5, 2, None), (2, 3, 5, None), (2, 2, 9, None),
+    (2, 4, 3, 3), (3, 4, 2, None), (1, 6, 4, None),
+])
+def test_mv_groups_hold_the_pairs_of_their_top_part(r, n, q, per_word, monkeypatch):
+    if per_word is not None:
+        monkeypatch.setattr(orc, "_digits_per_word", lambda q: per_word)
+    ctx = field_make(*factor_prime_power(q))
+    splits = [e for e in divisors(n) if e >= 2]
+    top = {(e, g, h): frozenset((m, c) for m, c in terms.items() if sum(m) == n)
+           for e in splits for (g, h), terms in _g_of_h_by_mvpoly(ctx, r, n, e).items()}
+    for limit in (0, len(top) // 4):
+        monkeypatch.setattr(bk, "_BUCKET_PAIRS", limit)
+        size, groups = mvb._mv_groups(ctx, r, n, splits)
+        seen, owner, sizes = Counter(), {}, []
+        for i, picks in enumerate(groups):
+            classes, pairs = set(), 0
+            for e, pick in picks.items():
+                n_h = count_monic(q, r, n // e, original=True)
+                hs = list(range(n_h)) if pick is None else pick.tolist()
+                assert hs == sorted(set(hs)) and hs and (pick is None or len(hs) < n_h)
+                for h in hs:
+                    for g in range(q ** (e - 1)):
+                        seen[e, g, h] += 1
+                        classes.add(top[e, g, h])
+                        assert owner.setdefault(top[e, g, h], i) == i
+                        pairs += 1
+            assert pairs <= limit or len(classes) == 1
+            sizes.append(pairs)
+        assert seen == Counter(top.keys()) and size == max(sizes)
+        assert r > 1 or len(sizes) == 1
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_mv_decomp_below_one_variable_names_r(r):
+    with pytest.raises(ValueError, match=f"decomposable variable count r must be >= 1, got r = {r}"):
+        orc.oracle_mv_decomp(r, 4, F2)
 
 
 @pytest.mark.parametrize("n", [0, -3])

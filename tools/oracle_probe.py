@@ -41,6 +41,9 @@ CASES = [
     ("mv", 2, 4, 13, 1),
     ("mv", 2, 7, 2, 3),
     ("mv", 1, 6, 2, 4),
+    ("mv", 2, 4, 2, 4),
+    ("mv", 2, 6, 2, 2),
+    ("mv", 3, 6, 2, 1),
     ("rel_irreducible", 2, 5, 2, 1),
     ("rel_irreducible", 4, 3, 2, 1),
     ("family_index", None, None, 7, 1),
